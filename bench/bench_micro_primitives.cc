@@ -1,12 +1,13 @@
 // Microbenchmarks (google-benchmark) for the hot primitives on the real
-// host CPU: hashing, Zipf sampling, histogram recording, bucket codec,
-// SPSC ring, B+-tree, and the discrete-event loop itself. These bound the
+// host CPU: hashing, CRC-32, Zipf sampling, histogram recording, bucket
+// codec, SPSC ring, B+-tree, and the discrete-event loop itself. These bound the
 // simulator's own overhead and the per-op cost of the data structures a
 // SmartNIC core would actually execute.
 
 #include <benchmark/benchmark.h>
 
 #include "baselines/btree_index.h"
+#include "common/crc32.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/rand.h"
@@ -45,7 +46,17 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
-void BM_BucketEncodeDecode(benchmark::State& state) {
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+  Rng rng(4);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) benchmark::DoNotOptimize(Crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(512)->Arg(4096);
+
+// A full 512 B bucket of YCSB-named keys, as a GET reads it.
+std::vector<uint8_t> EncodedFullBucket() {
   store::Bucket b;
   for (int i = 0; i < 12; ++i) {
     store::KeyItem it;
@@ -54,13 +65,34 @@ void BM_BucketEncodeDecode(benchmark::State& state) {
     it.value_offset = static_cast<uint64_t>(i) * 512;
     b.Upsert(512, std::move(it));
   }
+  return store::EncodeBucket(b, 512).value();
+}
+
+void BM_BucketEncode(benchmark::State& state) {
+  auto b = store::DecodeBucket(EncodedFullBucket(), 0, 512).value();
+  for (auto _ : state) benchmark::DoNotOptimize(store::EncodeBucket(b, 512).value().data());
+}
+BENCHMARK(BM_BucketEncode);
+
+// The GET-path probe two ways: materialize the bucket and search it, or
+// search a checked view in place. Both verify the CRC.
+void BM_BucketDecodeFind(benchmark::State& state) {
+  const auto bytes = EncodedFullBucket();
   for (auto _ : state) {
-    auto enc = store::EncodeBucket(b, 512);
-    auto dec = store::DecodeBucket(enc.value(), 0, 512);
-    benchmark::DoNotOptimize(dec.value().items.size());
+    auto b = store::DecodeBucket(bytes, 0, 512);
+    benchmark::DoNotOptimize(b.value().Find("user000000001003"));
   }
 }
-BENCHMARK(BM_BucketEncodeDecode);
+BENCHMARK(BM_BucketDecodeFind);
+
+void BM_BucketViewFind(benchmark::State& state) {
+  const auto bytes = EncodedFullBucket();
+  for (auto _ : state) {
+    auto v = store::BucketView::Parse(bytes, 0, 512);
+    benchmark::DoNotOptimize(v.value().Find("user000000001003"));
+  }
+}
+BENCHMARK(BM_BucketViewFind);
 
 void BM_SpscRingPushPop(benchmark::State& state) {
   engine::SpscRing<uint64_t> ring(1024);

@@ -8,8 +8,8 @@ namespace leed::baselines {
 
 // Log entries reuse the LEED value-entry codec (segment_id field unused):
 // a length-prefixed key+value record, with value_len==0 as the tombstone.
-using store::DecodeValueEntry;
 using store::EncodeValueEntry;
+using store::ParseValueEntry;
 using store::ValueEntry;
 
 FawnStore::FawnStore(sim::Simulator& simulator, sim::CpuCore& core,
@@ -100,13 +100,14 @@ void FawnStore::Execute(Pending p) {
             Finish();
             return;
           }
-          auto entry = DecodeValueEntry(r.data, 0);
           core_.Run(Cycles(config_.costs.complete),
-                    [this, shared, e = std::move(entry)]() mutable {
+                    [this, shared, data = std::move(r.data)] {
+            auto e = ParseValueEntry(data, 0);
             if (!e.ok()) {
               shared->get_cb(e.status(), {});
             } else {
-              shared->get_cb(Status::Ok(), std::move(e).value().value);
+              const auto value = e.value().value;
+              shared->get_cb(Status::Ok(), std::vector<uint8_t>(value.begin(), value.end()));
             }
             Finish();
           });
@@ -115,11 +116,8 @@ void FawnStore::Execute(Pending p) {
       }
       case Pending::Kind::kPut:
       case Pending::Kind::kDel: {
-        ValueEntry entry;
-        entry.segment_id = 0;
-        entry.key = shared->key;
-        if (shared->kind == Pending::Kind::kPut) entry.value = shared->value;
-        auto encoded = EncodeValueEntry(entry);
+        // A DEL carries no value, so it encodes as an empty-value tombstone.
+        auto encoded = EncodeValueEntry(0, shared->key, shared->value);
         const uint32_t entry_bytes = static_cast<uint32_t>(encoded.size());
         if (encoded.size() > log_.free_space()) {
           core_.Run(Cycles(config_.costs.complete), [this, shared] {
@@ -187,15 +185,16 @@ void FawnStore::CleanStep(uint64_t region_end) {
     uint64_t logical = start;
     uint64_t entries = 0;
     while (pos + ValueEntry::kHeaderBytes <= r.data.size() && logical < region_end) {
-      auto e = DecodeValueEntry(r.data, pos);
+      auto e = ParseValueEntry(r.data, pos);
       if (!e.ok()) break;
-      uint64_t sz = e.value().EncodedSize();
+      const store::ValueEntryView& v = e.value();
+      uint64_t sz = v.bytes.size();
       ++entries;
-      auto it = index_.find(e.value().key);
+      std::string key(v.key);
+      auto it = index_.find(key);
       if (it != index_.end() && it->second.offset == logical) {
-        std::vector<uint8_t> bytes(r.data.begin() + static_cast<long>(pos),
-                                   r.data.begin() + static_cast<long>(pos + sz));
-        live->push_back(Live{e.value().key, logical, std::move(bytes)});
+        live->push_back(Live{std::move(key), logical,
+                             std::vector<uint8_t>(v.bytes.begin(), v.bytes.end())});
       } else {
         stats_.entries_dropped++;
       }

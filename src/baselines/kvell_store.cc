@@ -7,9 +7,8 @@
 
 namespace leed::baselines {
 
-using store::DecodeValueEntry;
 using store::EncodeValueEntry;
-using store::ValueEntry;
+using store::ParseValueEntry;
 
 KvellStore::KvellStore(sim::Simulator& simulator, sim::CpuCore& core,
                        sim::BlockDevice& device, uint64_t region_base,
@@ -117,11 +116,13 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
             if (!res.status.ok()) {
               shared->get_cb(std::move(res.status), {});
             } else {
-              auto entry = DecodeValueEntry(res.data, 0);
+              auto entry = ParseValueEntry(res.data, 0);
               if (!entry.ok() || entry.value().key != shared->key) {
                 shared->get_cb(Status::Corruption("slot content mismatch"), {});
               } else {
-                shared->get_cb(Status::Ok(), std::move(entry).value().value);
+                const auto value = entry.value().value;
+                shared->get_cb(Status::Ok(),
+                               std::vector<uint8_t>(value.begin(), value.end()));
               }
             }
             Finish();
@@ -130,10 +131,7 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
         return;
       }
       case Pending::Kind::kPut: {
-        ValueEntry entry;
-        entry.key = shared->key;
-        entry.value = shared->value;
-        auto encoded = EncodeValueEntry(entry);
+        auto encoded = EncodeValueEntry(0, shared->key, shared->value);
         if (slot_bytes_ == 0) {
           // First write fixes the slab size class: entry rounded up to the
           // device block.

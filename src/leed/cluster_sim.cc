@@ -134,6 +134,7 @@ void ClusterSim::Preload(uint64_t num_keys, uint32_t value_size) {
     uint64_t upto = std::min(num_keys, issued + batch);
     for (; issued < upto; ++issued) {
       std::string key = workload::YcsbGenerator::KeyName(issued);
+      const std::vector<uint8_t> value = gen.MakeValue(issued);
       auto chain = cp_->view().ChainForKey(key);
       for (cluster::VNodeId v : chain) {
         const cluster::VNodeInfo* info = cp_->view().Find(v);
@@ -144,7 +145,7 @@ void ClusterSim::Preload(uint64_t num_keys, uint32_t value_size) {
         // DirectPut to the same contract as the network path.
         sim::Simulator::ShardGuard shard(*sim_, NodeShard(info->owner_node));
         nodes_[info->owner_node]->DirectPut(
-            info->local_store, key, gen.MakeValue(issued),
+            info->local_store, key, value,
             [&completed](Status) { --completed; });
       }
     }

@@ -37,17 +37,21 @@ void PageStore::Write(uint64_t offset, const std::vector<uint8_t>& data,
 }
 
 std::vector<uint8_t> PageStore::Read(uint64_t offset, uint64_t length) const {
-  std::vector<uint8_t> out(length, 0);
-  uint64_t pos = 0;
-  while (pos < length) {
-    uint64_t page_no = (offset + pos) / page_size_;
-    uint64_t in_page = (offset + pos) % page_size_;
-    uint64_t chunk = std::min<uint64_t>(page_size_ - in_page, length - pos);
+  // Append page by page: resident bytes are copied once, and only holes
+  // (never-written pages) are zero-filled.
+  std::vector<uint8_t> out;
+  out.reserve(length);
+  while (out.size() < length) {
+    uint64_t page_no = (offset + out.size()) / page_size_;
+    uint64_t in_page = (offset + out.size()) % page_size_;
+    uint64_t chunk = std::min<uint64_t>(page_size_ - in_page, length - out.size());
     auto it = pages_.find(page_no);
     if (it != pages_.end()) {
-      leed::CopyBytes(out.data() + pos, it->second.data() + in_page, chunk);
+      const uint8_t* src = it->second.data() + in_page;
+      out.insert(out.end(), src, src + chunk);
+    } else {
+      out.resize(out.size() + chunk, 0);
     }
-    pos += chunk;
   }
   return out;
 }

@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "common/bytes.h"
 #include "common/crc32.h"
 
@@ -11,19 +13,11 @@ namespace {
 // covers the full bucket_size buffer with these four bytes zeroed.
 constexpr size_t kBucketCrcPos = BucketHeader::kEncodedSize - sizeof(uint32_t);
 
-// Little-endian scalar write/read helpers over a byte buffer.
+// Little-endian scalar write helpers over a byte buffer.
 template <typename T>
 void PutScalar(std::vector<uint8_t>& buf, size_t& pos, T v) {
   leed::CopyBytes(buf.data() + pos, &v, sizeof(T));
   pos += sizeof(T);
-}
-
-template <typename T>
-bool GetScalar(const std::vector<uint8_t>& buf, size_t& pos, T* v) {
-  if (pos + sizeof(T) > buf.size()) return false;
-  leed::CopyBytes(v, buf.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return true;
 }
 
 // value_offset is stored in 6 bytes (paper metadata budget); 48 bits cover
@@ -32,10 +26,58 @@ void Put48(std::vector<uint8_t>& buf, size_t& pos, uint64_t v) {
   for (int i = 0; i < 6; ++i) buf[pos++] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-bool Get48(const std::vector<uint8_t>& buf, size_t& pos, uint64_t* v) {
-  if (pos + 6 > buf.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 6; ++i) *v |= static_cast<uint64_t>(buf[pos++]) << (8 * i);
+// Bounds-checked little-endian cursor over encoded bytes, read in place.
+class Reader {
+ public:
+  Reader(std::span<const uint8_t> bytes, size_t pos) : bytes_(bytes), pos_(pos) {}
+
+  template <typename T>
+  bool Get(T* v) {
+    if (!Has(sizeof(T))) return false;
+    leed::CopyBytes(v, bytes_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return true;
+  }
+
+  bool Get48(uint64_t* v) {
+    if (!Has(6)) return false;
+    *v = 0;
+    for (int i = 0; i < 6; ++i) {
+      *v |= static_cast<uint64_t>(bytes_[pos_++]) << (8 * i);
+    }
+    return true;
+  }
+
+  // The next n bytes as a view, or an empty optional past the end.
+  std::optional<std::span<const uint8_t>> Take(size_t n) {
+    if (!Has(n)) return std::nullopt;
+    auto out = bytes_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
+  bool Has(size_t n) const { return n <= bytes_.size() - pos_; }
+  size_t pos() const { return pos_; }
+
+ private:
+  std::span<const uint8_t> bytes_;
+  size_t pos_;
+};
+
+std::string_view AsChars(std::span<const uint8_t> bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+// Reads one key item; false if the item area ends inside it.
+bool ReadItem(Reader& r, std::string_view* key, KeyItem* fields) {
+  uint16_t klen = 0;
+  if (!r.Get(&klen) || !r.Get(&fields->value_len) || !r.Get48(&fields->value_offset) ||
+      !r.Get(&fields->value_ssd)) {
+    return false;
+  }
+  auto bytes = r.Take(klen);
+  if (!bytes) return false;
+  *key = AsChars(*bytes);
   return true;
 }
 
@@ -117,92 +159,119 @@ Result<std::vector<uint8_t>> EncodeBucket(const Bucket& bucket, uint32_t bucket_
   return out;
 }
 
-bool VerifyBucketCrc(const std::vector<uint8_t>& data, size_t at,
-                     uint32_t bucket_size) {
+bool VerifyBucketCrc(std::span<const uint8_t> data, size_t at, uint32_t bucket_size) {
   if (at + bucket_size > data.size()) return false;
   if (bucket_size < BucketHeader::kEncodedSize) return false;
-  std::vector<uint8_t> view(data.begin() + static_cast<long>(at),
-                            data.begin() + static_cast<long>(at + bucket_size));
-  size_t pos = kBucketCrcPos;
+  const uint8_t* b = data.data() + at;
   uint32_t stored = 0;
-  if (!GetScalar(view, pos, &stored)) return false;
-  leed::FillBytes(view.data() + kBucketCrcPos, 0, sizeof(uint32_t));
-  return leed::Crc32(view.data(), view.size()) == stored;
+  leed::CopyBytes(&stored, b + kBucketCrcPos, sizeof(stored));
+  // Checksum the bucket as written — crc slot zeroed — by feeding four
+  // zero bytes in place of the slot, instead of zeroing a copy.
+  static constexpr uint8_t kZeroSlot[sizeof(uint32_t)] = {};
+  constexpr size_t kAfterSlot = kBucketCrcPos + sizeof(uint32_t);
+  uint32_t crc = leed::Crc32(b, kBucketCrcPos);
+  crc = leed::Crc32Extend(crc, kZeroSlot, sizeof(kZeroSlot));
+  crc = leed::Crc32Extend(crc, b + kAfterSlot, bucket_size - kAfterSlot);
+  return crc == stored;
 }
 
-Result<Bucket> DecodeBucket(const std::vector<uint8_t>& data, size_t at,
-                            uint32_t bucket_size) {
+Result<BucketView> BucketView::Parse(std::span<const uint8_t> data, size_t at,
+                                     uint32_t bucket_size) {
   if (at + bucket_size > data.size()) {
     return Status::Corruption("short bucket read");
   }
   if (!VerifyBucketCrc(data, at, bucket_size)) {
     return Status::Corruption("bucket crc mismatch");
   }
-  // Work on a view positioned at `at` by copying offsets; GetScalar bounds-
-  // checks against the full buffer which is fine since we checked above.
-  std::vector<uint8_t> view(data.begin() + static_cast<long>(at),
-                            data.begin() + static_cast<long>(at + bucket_size));
-  size_t pos = 0;
-  Bucket b;
-  BucketHeader& h = b.header;
-  uint16_t count = 0;
-  if (!GetScalar(view, pos, &h.segment_id) || !GetScalar(view, pos, &h.tag) ||
-      !GetScalar(view, pos, &h.chain_len) || !GetScalar(view, pos, &h.position) ||
-      !GetScalar(view, pos, &h.contiguous) ||
-      !GetScalar(view, pos, &h.value_ssd_hint) ||
-      !GetScalar(view, pos, &h.prev_offset) || !GetScalar(view, pos, &h.prev_ssd) ||
-      !GetScalar(view, pos, &h.log_head) || !GetScalar(view, pos, &h.log_tail) ||
-      !GetScalar(view, pos, &count) || !GetScalar(view, pos, &h.owner_store) ||
-      !GetScalar(view, pos, &h.crc)) {
+  const auto bytes = data.subspan(at, bucket_size);
+  Reader r(bytes, 0);
+  BucketView v;
+  BucketHeader& h = v.header_;
+  if (!r.Get(&h.segment_id) || !r.Get(&h.tag) || !r.Get(&h.chain_len) ||
+      !r.Get(&h.position) || !r.Get(&h.contiguous) || !r.Get(&h.value_ssd_hint) ||
+      !r.Get(&h.prev_offset) || !r.Get(&h.prev_ssd) || !r.Get(&h.log_head) ||
+      !r.Get(&h.log_tail) || !r.Get(&h.item_count) || !r.Get(&h.owner_store) ||
+      !r.Get(&h.crc)) {
     return Status::Corruption("truncated bucket header");
   }
-  h.item_count = count;
-  b.items.reserve(count);
-  for (uint16_t i = 0; i < count; ++i) {
+  // Walk every item once so lookups can trust the item area.
+  const size_t items_at = r.pos();
+  for (uint16_t i = 0; i < h.item_count; ++i) {
     uint16_t klen = 0;
-    KeyItem it;
-    if (!GetScalar(view, pos, &klen) || !GetScalar(view, pos, &it.value_len) ||
-        !Get48(view, pos, &it.value_offset) || !GetScalar(view, pos, &it.value_ssd)) {
+    if (!r.Get(&klen) || !r.Take(KeyItem::kFixedBytes - sizeof(klen))) {
       return Status::Corruption("truncated key item");
     }
-    if (pos + klen > view.size()) return Status::Corruption("truncated key bytes");
-    it.key.assign(reinterpret_cast<const char*>(view.data() + pos), klen);
-    pos += klen;
-    b.items.push_back(std::move(it));
+    if (!r.Take(klen)) return Status::Corruption("truncated key bytes");
+  }
+  v.items_ = bytes.subspan(items_at, r.pos() - items_at);
+  return v;
+}
+
+std::optional<KeyItem> BucketView::Find(std::string_view key) const {
+  Reader r(items_, 0);
+  for (uint16_t i = 0; i < header_.item_count; ++i) {
+    std::string_view k;
+    KeyItem item;
+    if (!ReadItem(r, &k, &item)) break;
+    if (k == key) {
+      item.key.assign(k);
+      return item;
+    }
+  }
+  return std::nullopt;
+}
+
+Bucket BucketView::ToBucket() const {
+  Bucket b;
+  b.header = header_;
+  b.items.reserve(header_.item_count);
+  Reader r(items_, 0);
+  for (uint16_t i = 0; i < header_.item_count; ++i) {
+    std::string_view k;
+    KeyItem item;
+    if (!ReadItem(r, &k, &item)) break;
+    item.key.assign(k);
+    b.items.push_back(std::move(item));
   }
   return b;
 }
 
-std::vector<uint8_t> EncodeValueEntry(const ValueEntry& entry) {
-  std::vector<uint8_t> out(entry.EncodedSize());
+Result<Bucket> DecodeBucket(std::span<const uint8_t> data, size_t at,
+                            uint32_t bucket_size) {
+  auto view = BucketView::Parse(data, at, bucket_size);
+  if (!view.ok()) return view.status();
+  return view.value().ToBucket();
+}
+
+std::vector<uint8_t> EncodeValueEntry(uint32_t segment_id, std::string_view key,
+                                      std::span<const uint8_t> value) {
+  std::vector<uint8_t> out(ValueEntry::kHeaderBytes + key.size() + value.size());
   size_t pos = 0;
-  PutScalar(out, pos, entry.segment_id);
-  PutScalar(out, pos, static_cast<uint16_t>(entry.key.size()));
-  PutScalar(out, pos, static_cast<uint32_t>(entry.value.size()));
-  leed::CopyBytes(out.data() + pos, entry.key.data(), entry.key.size());
-  pos += entry.key.size();
+  PutScalar(out, pos, segment_id);
+  PutScalar(out, pos, static_cast<uint16_t>(key.size()));
+  PutScalar(out, pos, static_cast<uint32_t>(value.size()));
+  leed::CopyBytes(out.data() + pos, key.data(), key.size());
+  pos += key.size();
   // Empty values (DEL tombstones) have a null data(); CopyBytes guards
   // the n == 0 case that raw memcpy declares nonnull.
-  leed::CopyBytes(out.data() + pos, entry.value.data(), entry.value.size());
+  leed::CopyBytes(out.data() + pos, value.data(), value.size());
   return out;
 }
 
-Result<ValueEntry> DecodeValueEntry(const std::vector<uint8_t>& data, size_t at) {
-  size_t pos = at;
-  ValueEntry e;
+Result<ValueEntryView> ParseValueEntry(std::span<const uint8_t> data, size_t at) {
+  ValueEntryView e;
   uint16_t klen = 0;
   uint32_t vlen = 0;
-  if (!GetScalar(data, pos, &e.segment_id) || !GetScalar(data, pos, &klen) ||
-      !GetScalar(data, pos, &vlen)) {
+  Reader r(data, std::min(at, data.size()));
+  if (at > data.size() || !r.Get(&e.segment_id) || !r.Get(&klen) || !r.Get(&vlen)) {
     return Status::Corruption("truncated value entry header");
   }
-  if (pos + klen + vlen > data.size()) {
+  if (!r.Has(static_cast<size_t>(klen) + vlen)) {
     return Status::Corruption("truncated value entry body");
   }
-  e.key.assign(reinterpret_cast<const char*>(data.data() + pos), klen);
-  pos += klen;
-  e.value.assign(data.begin() + static_cast<long>(pos),
-                 data.begin() + static_cast<long>(pos + vlen));
+  e.key = AsChars(*r.Take(klen));
+  e.value = *r.Take(vlen);
+  e.bytes = data.subspan(at, r.pos() - at);
   return e;
 }
 

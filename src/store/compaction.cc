@@ -139,13 +139,15 @@ void Compactor::RelocateValues(uint32_t segment_id,
       RelocateValues(segment_id, merged, index + 1, std::move(d));
       return;
     }
-    auto entry = DecodeValueEntry(r.data, 0);
+    auto entry = ParseValueEntry(r.data, 0);
     if (!entry.ok()) {
       RelocateValues(segment_id, merged, index + 1, std::move(d));
       return;
     }
     const LogSet& home = s_.home();
-    std::vector<uint8_t> encoded = EncodeValueEntry(entry.value());
+    // The entry's bytes move home verbatim: no decode, no re-encode.
+    r.data.resize(entry.value().bytes.size());
+    std::vector<uint8_t> encoded = std::move(r.data);
     if (encoded.size() > home.value_log->free_space()) {
       // No room to pull it home yet; leave it on the donor for a later run.
       RelocateValues(segment_id, merged, index + 1, std::move(d));
@@ -334,9 +336,9 @@ void Compactor::KeyRunWithRegion(std::shared_ptr<KeyRun> run,
   std::vector<uint32_t> segs;
   std::set<uint32_t> uniq;
   for (size_t at = 0; at + bucket_size <= region.size(); at += bucket_size) {
-    auto b = DecodeBucket(region, at, bucket_size);
+    auto b = BucketView::Parse(region, at, bucket_size);
     if (!b.ok()) continue;
-    uint32_t seg = b.value().header.segment_id;
+    uint32_t seg = b.value().header().segment_id;
     if (uniq.insert(seg).second) segs.push_back(seg);
   }
   // Swap merge-back: pull up to kSwapMergePerRun parked segments home too.
@@ -417,9 +419,12 @@ struct Compactor::ValueRun {
   DataStore::OpCallback done;
   uint64_t region_start = 0;
   uint64_t region_end = 0;
+  // The chunk as read from the log; region entries are views into it, and
+  // live entries are copied out of it verbatim.
+  std::vector<uint8_t> region;
   struct RegionEntry {
-    uint64_t offset;
-    ValueEntry entry;
+    uint64_t offset;  // logical value-log offset
+    ValueEntryView entry;
   };
   std::map<uint32_t, std::vector<RegionEntry>> by_segment;
   std::vector<std::vector<uint32_t>> groups;
@@ -481,15 +486,16 @@ void Compactor::ValueRunWithRegion(std::shared_ptr<ValueRun> run,
                                    std::vector<uint8_t> region) {
   const auto& cfg = s_.config();
   const uint64_t chunk_end_target = run->region_start + cfg.compaction_chunk;
+  run->region = std::move(region);
   uint64_t pos = 0;
   uint64_t logical = run->region_start;
-  while (pos + ValueEntry::kHeaderBytes <= region.size() &&
+  while (pos + ValueEntry::kHeaderBytes <= run->region.size() &&
          logical < chunk_end_target) {
-    auto entry = DecodeValueEntry(region, pos);
+    auto entry = ParseValueEntry(run->region, pos);
     if (!entry.ok()) break;  // truncated tail entry: stop before it
-    uint64_t sz = entry.value().EncodedSize();
+    uint64_t sz = entry.value().bytes.size();
     run->by_segment[entry.value().segment_id].push_back(
-        ValueRun::RegionEntry{logical, std::move(entry).value()});
+        ValueRun::RegionEntry{logical, entry.value()});
     pos += sz;
     logical += sz;
   }
@@ -557,9 +563,8 @@ void Compactor::ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group) {
           const KeyItem& item = (*merged)[i];
           if (item.key == re.entry.key && item.value_ssd == home_ssd &&
               item.value_offset == re.offset) {
-            auto encoded = EncodeValueEntry(re.entry);
             rewrites->push_back(Rewrite{i, batch->size()});
-            batch->insert(batch->end(), encoded.begin(), encoded.end());
+            batch->insert(batch->end(), re.entry.bytes.begin(), re.entry.bytes.end());
             break;
           }
         }

@@ -179,33 +179,30 @@ void DataStore::GetReadBucket(std::shared_ptr<GetOp> op, uint8_t ssd,
       GetRetry(op);
       return;
     }
-    auto bucket = DecodeBucket(r.data, 0, config_.bucket_size);
-    if (!bucket.ok()) {
-      GetFinish(op, bucket.status(), {});
+    auto view = BucketView::Parse(r.data, 0, config_.bucket_size);
+    if (!view.ok()) {
+      GetFinish(op, view.status(), {});
       return;
     }
-    GetSearch(op, std::move(bucket).value(), remaining_chain);
+    // The search runs on the bytes as they arrive; the modelled parse
+    // cycles are still charged before its result is acted on.
+    GetSearch(op, view.value().header(), view.value().Find(op->key), remaining_chain);
   });
 }
 
-void DataStore::GetSearch(std::shared_ptr<GetOp> op, Bucket bucket,
-                          uint8_t remaining_chain) {
+void DataStore::GetSearch(std::shared_ptr<GetOp> op, const BucketHeader& header,
+                          std::optional<KeyItem> hit, uint8_t remaining_chain) {
   uint64_t scan_cycles =
-      config_.costs.bucket_parse_per_item * std::max<size_t>(1, bucket.items.size());
-  RunGetWork(op, scan_cycles, [this, op, b = std::move(bucket),
-                               remaining_chain]() mutable {
-    if (b.header.segment_id != op->segment) {
+      config_.costs.bucket_parse_per_item * std::max<uint64_t>(1, header.item_count);
+  RunGetWork(op, scan_cycles, [this, op, h = header, hit = std::move(hit),
+                               remaining_chain] {
+    if (h.segment_id != op->segment) {
       // Stale read of a reclaimed-and-rewritten region.
       GetRetry(op);
       return;
     }
-    if (auto idx = b.Find(op->key)) {
-      const KeyItem& item = b.items[*idx];
-      if (item.IsTombstone()) {
-        GetFinish(op, Status::NotFound(), {});
-      } else {
-        GetReadValue(op, item);
-      }
+    if (hit) {
+      GetFound(op, *hit);
       return;
     }
     if (remaining_chain <= 1) {
@@ -213,11 +210,11 @@ void DataStore::GetSearch(std::shared_ptr<GetOp> op, Bucket bucket,
       return;
     }
     m_.get_chain_extra_reads->Inc();
-    if (b.header.contiguous) {
-      GetReadRest(op, b.header.prev_ssd, b.header.prev_offset,
+    if (h.contiguous) {
+      GetReadRest(op, h.prev_ssd, h.prev_offset,
                   static_cast<uint8_t>(remaining_chain - 1));
     } else {
-      GetReadBucket(op, b.header.prev_ssd, b.header.prev_offset,
+      GetReadBucket(op, h.prev_ssd, h.prev_offset,
                     static_cast<uint8_t>(remaining_chain - 1));
     }
   });
@@ -233,43 +230,45 @@ void DataStore::GetReadRest(std::shared_ptr<GetOp> op, uint8_t ssd,
       GetRetry(op);
       return;
     }
-    // Parse all buckets of the contiguous remainder and search newest-first.
-    std::vector<Bucket> buckets;
-    buckets.reserve(count);
+    // Verify every bucket of the contiguous remainder, then search
+    // newest-first: the first foreign bucket or key match decides.
+    bool stale = false;
+    std::optional<KeyItem> hit;
+    uint64_t items = 0;
     for (uint8_t i = 0; i < count; ++i) {
-      auto b = DecodeBucket(r.data, static_cast<size_t>(i) * config_.bucket_size,
-                            config_.bucket_size);
-      if (!b.ok()) {
-        GetFinish(op, b.status(), {});
+      auto view = BucketView::Parse(r.data, static_cast<size_t>(i) * config_.bucket_size,
+                                    config_.bucket_size);
+      if (!view.ok()) {
+        GetFinish(op, view.status(), {});
         return;
       }
-      buckets.push_back(std::move(b).value());
+      const BucketView& b = view.value();
+      items += b.header().item_count;
+      if (stale || hit) continue;
+      if (b.header().segment_id != op->segment) {
+        stale = true;
+      } else {
+        hit = b.Find(op->key);
+      }
     }
-    uint64_t items = 0;
-    for (const auto& b : buckets) items += b.items.size();
     RunGetWork(op, config_.costs.bucket_parse_per_item * std::max<uint64_t>(1, items),
-               [this, op, bs = std::move(buckets)] {
-                for (const auto& b : bs) {
-                  if (b.header.segment_id != op->segment) {
-                    GetRetry(op);
-                    return;
-                  }
-                  if (auto idx = b.Find(op->key)) {
-                    const KeyItem& item = b.items[*idx];
-                    if (item.IsTombstone()) {
-                      GetFinish(op, Status::NotFound(), {});
-                    } else {
-                      GetReadValue(op, item);
-                    }
-                    return;
-                  }
-                }
-                GetFinish(op, Status::NotFound(), {});
-              });
+               [this, op, stale, hit = std::move(hit)] {
+                 if (stale) {
+                   GetRetry(op);
+                 } else if (hit) {
+                   GetFound(op, *hit);
+                 } else {
+                   GetFinish(op, Status::NotFound(), {});
+                 }
+               });
   });
 }
 
-void DataStore::GetReadValue(std::shared_ptr<GetOp> op, const KeyItem& item) {
+void DataStore::GetFound(std::shared_ptr<GetOp> op, const KeyItem& item) {
+  if (item.IsTombstone()) {
+    GetFinish(op, Status::NotFound(), {});
+    return;
+  }
   auto it = log_sets_.find(item.value_ssd);
   if (it == log_sets_.end()) {
     GetFinish(op, Status::Corruption("item names unknown SSD"), {});
@@ -284,7 +283,7 @@ void DataStore::GetReadValue(std::shared_ptr<GetOp> op, const KeyItem& item) {
       GetRetry(op);
       return;
     }
-    auto entry = DecodeValueEntry(r.data, 0);
+    auto entry = ParseValueEntry(r.data, 0);
     if (!entry.ok()) {
       GetFinish(op, entry.status(), {});
       return;
@@ -294,7 +293,8 @@ void DataStore::GetReadValue(std::shared_ptr<GetOp> op, const KeyItem& item) {
       GetRetry(op);
       return;
     }
-    GetFinish(op, Status::Ok(), std::move(entry).value().value);
+    const auto value = entry.value().value;
+    GetFinish(op, Status::Ok(), std::vector<uint8_t>(value.begin(), value.end()));
   });
 }
 
@@ -453,16 +453,13 @@ void DataStore::PutApply(std::shared_ptr<PutOp> op, std::optional<Bucket> head) 
     // what lets the bucket carry the final value offset while both writes
     // proceed in parallel, §3.3). ---
     if (!op->is_del) {
-      ValueEntry entry;
-      entry.segment_id = op->segment;
-      entry.key = op->key;
-      entry.value = op->value;
       item.value_offset = target.value_log->tail();
       op->value_offset = item.value_offset;
       op->value_len = item.value_len;
       op->pending_appends++;
       m_.ssd_writes->Inc();
-      target.value_log->Append(EncodeValueEntry(entry), [this, op](log::AppendResult r) {
+      target.value_log->Append(EncodeValueEntry(op->segment, op->key, op->value),
+                               [this, op](log::AppendResult r) {
         if (!r.status.ok()) op->append_status = r.status;
         if (--op->pending_appends == 0) PutCommit(op);
       });
@@ -626,9 +623,10 @@ void DataStore::CopyEmitValues(std::shared_ptr<CopyOp> op) {
   m_.ssd_reads->Inc();
   logs.value_log->Read(item.value_offset, bytes, [this, op](log::ReadResult r) {
     if (r.status.ok()) {
-      auto entry = DecodeValueEntry(r.data, 0);
+      auto entry = ParseValueEntry(r.data, 0);
       if (entry.ok()) {
-        op->sink(entry.value().key, std::move(entry).value().value);
+        const ValueEntryView& v = entry.value();
+        op->sink(std::string(v.key), std::vector<uint8_t>(v.value.begin(), v.value.end()));
       }
     }
     ++op->value_index;
@@ -711,14 +709,15 @@ void DataStore::ScanFetchStep(std::shared_ptr<ScanOp> op) {
       ScanFinish(op, Status::Busy("scan read rejected by log"));
       return;
     }
-    auto entry = DecodeValueEntry(r.data, 0);
+    auto entry = ParseValueEntry(r.data, 0);
     if (!entry.ok() || entry.value().key != cur.key) {
       // Offset recycled between validation and completion.
       m_.scan_stale_locs->Inc();
       ScanFinish(op, Status::Busy("scan location recycled under read"));
       return;
     }
-    op->items.push_back({cur.key, std::move(entry).value().value});
+    const auto value = entry.value().value;
+    op->items.push_back({cur.key, std::vector<uint8_t>(value.begin(), value.end())});
     op->index++;
     uint64_t parse = config_.costs.bucket_parse_per_item;
     core_.Run(Cycles(parse), [this, op] { ScanFetchStep(op); });

@@ -252,10 +252,13 @@ class DataStore {
   void GetLookup(std::shared_ptr<GetOp> op);
   void GetReadBucket(std::shared_ptr<GetOp> op, uint8_t ssd, uint64_t offset,
                      uint8_t remaining_chain);
-  void GetSearch(std::shared_ptr<GetOp> op, Bucket bucket, uint8_t remaining_chain);
+  void GetSearch(std::shared_ptr<GetOp> op, const BucketHeader& header,
+                 std::optional<KeyItem> hit, uint8_t remaining_chain);
   void GetReadRest(std::shared_ptr<GetOp> op, uint8_t ssd, uint64_t offset,
                    uint8_t count);
-  void GetReadValue(std::shared_ptr<GetOp> op, const KeyItem& item);
+  // The key's newest item was found: a tombstone is NotFound, anything
+  // else reads the value entry.
+  void GetFound(std::shared_ptr<GetOp> op, const KeyItem& item);
   void GetRetry(std::shared_ptr<GetOp> op);
   void GetFinish(std::shared_ptr<GetOp> op, Status status,
                  std::vector<uint8_t> value);

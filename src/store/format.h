@@ -25,7 +25,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -102,16 +104,42 @@ struct Bucket {
 // Serialize to exactly bucket_size bytes. Dies (Status) if oversized.
 Result<std::vector<uint8_t>> EncodeBucket(const Bucket& bucket, uint32_t bucket_size);
 
+// A checked, non-owning view of one encoded bucket. Parse verifies the CRC
+// and bounds-checks every key item where the bytes lie; lookups then read
+// keys straight out of the buffer, so searching a bucket allocates nothing
+// per item. The GET path searches through views; DecodeBucket is Parse
+// plus ToBucket. The viewed bytes must outlive the view.
+class BucketView {
+ public:
+  BucketView() = default;
+
+  // Same contract and statuses as DecodeBucket.
+  static Result<BucketView> Parse(std::span<const uint8_t> data, size_t at,
+                                  uint32_t bucket_size);
+
+  const BucketHeader& header() const { return header_; }
+
+  // Newest item for key (Bucket::Find semantics), copied out.
+  std::optional<KeyItem> Find(std::string_view key) const;
+
+  // Owning copy of the header and every item.
+  Bucket ToBucket() const;
+
+ private:
+  BucketHeader header_;
+  std::span<const uint8_t> items_;  // validated for header_.item_count items
+};
+
 // Parse one bucket from `data` at byte offset `at` (bucket_size bytes).
 // Verifies the bucket CRC first; a mismatch (torn append, bit rot, or a
 // never-written region) yields Status::Corruption("bucket crc mismatch").
-Result<Bucket> DecodeBucket(const std::vector<uint8_t>& data, size_t at,
+Result<Bucket> DecodeBucket(std::span<const uint8_t> data, size_t at,
                             uint32_t bucket_size);
 
 // CRC check alone, without parsing — lets the recovery scan count
-// checksum rejects separately from structural decode failures.
-bool VerifyBucketCrc(const std::vector<uint8_t>& data, size_t at,
-                     uint32_t bucket_size);
+// checksum rejects separately from structural decode failures. Checks the
+// bytes in place; nothing is copied.
+bool VerifyBucketCrc(std::span<const uint8_t> data, size_t at, uint32_t bucket_size);
 
 // ---- value log entries ----------------------------------------------------
 
@@ -126,8 +154,18 @@ struct ValueEntry {
   }
 };
 
-std::vector<uint8_t> EncodeValueEntry(const ValueEntry& entry);
-Result<ValueEntry> DecodeValueEntry(const std::vector<uint8_t>& data, size_t at);
+// A parsed, non-owning view of one value-log entry; key, value and bytes
+// point into the parsed buffer.
+struct ValueEntryView {
+  uint32_t segment_id = 0;
+  std::string_view key;
+  std::span<const uint8_t> value;
+  std::span<const uint8_t> bytes;  // the whole encoded entry, verbatim
+};
+
+std::vector<uint8_t> EncodeValueEntry(uint32_t segment_id, std::string_view key,
+                                      std::span<const uint8_t> value);
+Result<ValueEntryView> ParseValueEntry(std::span<const uint8_t> data, size_t at);
 
 // Size of the value-log entry for a key/value pair — what a GET must read.
 inline uint32_t ValueEntryBytes(uint32_t key_len, uint32_t value_len) {

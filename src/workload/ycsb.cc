@@ -45,9 +45,20 @@ std::string YcsbGenerator::KeyName(uint64_t id) {
 std::vector<uint8_t> YcsbGenerator::MakeValue(uint64_t key_id, uint32_t version) const {
   std::vector<uint8_t> v(config_.value_size);
   uint64_t state = Mix64(key_id * 0x9e3779b97f4a7c15ULL + version + 1);
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i % 8 == 0) state = Mix64(state + i);
-    v[i] = static_cast<uint8_t>(state >> ((i % 8) * 8));
+  // Word w (bytes 8w..8w+7) is the state re-mixed with offset 8w, stored
+  // little-endian; a short last word keeps its low bytes. Filling whole
+  // words with a constant count lets the compiler emit one 8-byte store.
+  auto put = [&state](uint8_t* dst, size_t n) {
+    for (size_t b = 0; b < n; ++b) dst[b] = static_cast<uint8_t>(state >> (8 * b));
+  };
+  size_t i = 0;
+  for (; i + 8 <= v.size(); i += 8) {
+    state = Mix64(state + i);
+    put(v.data() + i, 8);
+  }
+  if (i < v.size()) {
+    state = Mix64(state + i);
+    put(v.data() + i, v.size() - i);
   }
   return v;
 }

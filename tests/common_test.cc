@@ -1,5 +1,5 @@
-// Unit tests for the common substrate: Status/Result, hashing, RNG, Zipf,
-// histogram.
+// Unit tests for the common substrate: Status/Result, hashing, CRC-32, RNG,
+// Zipf, histogram.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/rand.h"
@@ -120,6 +121,44 @@ TEST(HashTest, KeyHashDistributesAcrossBuckets) {
 // ---------------------------------------------------------------------------
 // RNG
 // ---------------------------------------------------------------------------
+
+// The byte-at-a-time table CRC that slicing-by-8 replaced: the oracle
+// for on-disk compatibility.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t length) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < length; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  Rng rng(99);
+  std::vector<uint8_t> buf(600);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; start + len <= 530; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + start, len), BytewiseCrc32(buf.data() + start, len))
+          << "start " << start << " len " << len;
+    }
+  }
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+}
+
+TEST(Crc32Test, ExtendContinuesAChecksum) {
+  Rng rng(7);
+  std::vector<uint8_t> buf(512);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t cut : {0, 1, 7, 36, 40, 255, 511, 512}) {
+    EXPECT_EQ(Crc32Extend(Crc32(buf.data(), cut), buf.data() + cut, buf.size() - cut),
+              whole)
+        << "cut " << cut;
+  }
+  EXPECT_EQ(Crc32Extend(0, buf.data(), 0), 0u);
+}
 
 TEST(RngTest, DeterministicFromSeed) {
   Rng a(123), b(123), c(124);

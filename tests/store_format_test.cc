@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/rand.h"
 #include "store/format.h"
 #include "store/segment_table.h"
 
@@ -109,6 +111,89 @@ TEST(BucketFormatTest, DecodeAtOffsetWithinArray) {
   EXPECT_EQ(d2.value().items[0].key, "two");
 }
 
+// Re-seals an edited encoding so it passes the CRC and reaches the parser.
+void Reseal(std::vector<uint8_t>& bytes) {
+  const size_t crc_pos = BucketHeader::kEncodedSize - sizeof(uint32_t);
+  for (size_t i = 0; i < sizeof(uint32_t); ++i) bytes[crc_pos + i] = 0;
+  const uint32_t crc = Crc32(bytes.data(), bytes.size());
+  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
+    bytes[crc_pos + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+}
+
+TEST(BucketViewTest, FindAgreesWithDecodedBucket) {
+  Rng rng(5);
+  for (int trial = 0; trial < 50; ++trial) {
+    Bucket b;
+    b.header.segment_id = static_cast<uint32_t>(trial);
+    const int n = 1 + static_cast<int>(rng.NextBounded(14));
+    for (int i = 0; i < n; ++i) {
+      b.Upsert(512, MakeItem("user" + std::to_string(rng.NextBounded(40)),
+                             static_cast<uint32_t>(rng.NextBounded(3)) * 512,
+                             rng.NextBounded(1ULL << 40),
+                             static_cast<uint8_t>(rng.NextBounded(4))));
+    }
+    auto enc = EncodeBucket(b, 512);
+    ASSERT_TRUE(enc.ok());
+    auto view = BucketView::Parse(enc.value(), 0, 512);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(view.value().header().item_count, b.items.size());
+    for (int k = 0; k < 40; ++k) {
+      const std::string key = "user" + std::to_string(k);
+      auto idx = b.Find(key);
+      auto hit = view.value().Find(key);
+      ASSERT_EQ(idx.has_value(), hit.has_value()) << key;
+      if (!hit) continue;
+      const KeyItem& want = b.items[*idx];
+      EXPECT_EQ(hit->key, want.key);
+      EXPECT_EQ(hit->value_len, want.value_len);
+      EXPECT_EQ(hit->value_offset, want.value_offset);
+      EXPECT_EQ(hit->value_ssd, want.value_ssd);
+    }
+  }
+}
+
+TEST(BucketViewTest, RejectsDamageWithDecodeStatuses) {
+  Bucket b;
+  b.items.push_back(MakeItem("alpha", 100, 5000));
+  b.items.push_back(MakeItem("beta", 7, 9));
+  auto enc = EncodeBucket(b, 128);
+  ASSERT_TRUE(enc.ok());
+  const size_t count_pos = BucketHeader::kEncodedSize - sizeof(uint32_t) - 1 - 2;
+
+  auto expect_both = [](const std::vector<uint8_t>& bytes, const char* msg) {
+    auto view = BucketView::Parse(bytes, 0, 128);
+    auto dec = DecodeBucket(bytes, 0, 128);
+    ASSERT_FALSE(view.ok());
+    ASSERT_FALSE(dec.ok());
+    EXPECT_EQ(view.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(view.status().message(), msg);
+    EXPECT_EQ(dec.status().message(), msg);
+  };
+
+  std::vector<uint8_t> flipped = enc.value();
+  flipped[60] ^= 0x10;
+  expect_both(flipped, "bucket crc mismatch");
+  EXPECT_TRUE(VerifyBucketCrc(enc.value(), 0, 128));
+  EXPECT_FALSE(VerifyBucketCrc(flipped, 0, 128));
+
+  // A sealed bucket claiming more items than its bytes hold: the zero
+  // padding parses as empty keys until the item area runs out.
+  std::vector<uint8_t> overcount = enc.value();
+  overcount[count_pos] = 200;
+  Reseal(overcount);
+  expect_both(overcount, "truncated key item");
+
+  // A sealed item whose key length runs past the bucket end.
+  std::vector<uint8_t> longkey = enc.value();
+  longkey[BucketHeader::kEncodedSize] = 0xff;
+  Reseal(longkey);
+  expect_both(longkey, "truncated key bytes");
+
+  std::vector<uint8_t> tiny(100, 0);
+  expect_both(tiny, "short bucket read");
+}
+
 // ---------------------------------------------------------------------------
 // Bucket mutation helpers
 // ---------------------------------------------------------------------------
@@ -162,13 +247,14 @@ TEST(ValueEntryTest, RoundTrip) {
   e.segment_id = 42;
   e.key = "user123";
   e.value = {9, 8, 7, 6};
-  auto bytes = EncodeValueEntry(e);
+  auto bytes = EncodeValueEntry(e.segment_id, e.key, e.value);
   EXPECT_EQ(bytes.size(), e.EncodedSize());
-  auto d = DecodeValueEntry(bytes, 0);
+  auto d = ParseValueEntry(bytes, 0);
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d.value().segment_id, 42u);
   EXPECT_EQ(d.value().key, "user123");
-  EXPECT_EQ(d.value().value, (std::vector<uint8_t>{9, 8, 7, 6}));
+  EXPECT_EQ(std::vector<uint8_t>(d.value().value.begin(), d.value().value.end()),
+            (std::vector<uint8_t>{9, 8, 7, 6}));
 }
 
 TEST(ValueEntryTest, SequentialParse) {
@@ -179,27 +265,43 @@ TEST(ValueEntryTest, SequentialParse) {
   b.segment_id = 2;
   b.key = "key-two";
   b.value = std::vector<uint8_t>(37, 2);
-  auto blob = EncodeValueEntry(a);
-  auto bb = EncodeValueEntry(b);
+  auto blob = EncodeValueEntry(a.segment_id, a.key, a.value);
+  auto bb = EncodeValueEntry(b.segment_id, b.key, b.value);
   blob.insert(blob.end(), bb.begin(), bb.end());
 
-  auto d1 = DecodeValueEntry(blob, 0);
+  auto d1 = ParseValueEntry(blob, 0);
   ASSERT_TRUE(d1.ok());
-  auto d2 = DecodeValueEntry(blob, d1.value().EncodedSize());
+  auto d2 = ParseValueEntry(blob, d1.value().bytes.size());
   ASSERT_TRUE(d2.ok());
   EXPECT_EQ(d2.value().key, "key-two");
   EXPECT_EQ(d2.value().value.size(), 37u);
+}
+
+TEST(ValueEntryTest, ViewPointsIntoTheEncodedBytes) {
+  const std::vector<uint8_t> value = {1, 2, 3, 4, 5};
+  const std::vector<uint8_t> direct = EncodeValueEntry(9, "key-x", value);
+
+  std::vector<uint8_t> blob(3, 0xee);  // leading bytes of another entry
+  blob.insert(blob.end(), direct.begin(), direct.end());
+  auto v = ParseValueEntry(blob, 3);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.value().segment_id, 9u);
+  EXPECT_EQ(v.value().key, "key-x");
+  EXPECT_EQ(std::vector<uint8_t>(v.value().value.begin(), v.value().value.end()), value);
+  EXPECT_EQ(v.value().bytes.data(), blob.data() + 3);
+  EXPECT_EQ(std::vector<uint8_t>(v.value().bytes.begin(), v.value().bytes.end()), direct);
+  EXPECT_FALSE(ParseValueEntry(blob, blob.size() + 1).ok());
 }
 
 TEST(ValueEntryTest, TruncatedIsCorruption) {
   ValueEntry e;
   e.key = "k";
   e.value = std::vector<uint8_t>(100, 3);
-  auto bytes = EncodeValueEntry(e);
+  auto bytes = EncodeValueEntry(e.segment_id, e.key, e.value);
   bytes.resize(bytes.size() - 10);
-  EXPECT_FALSE(DecodeValueEntry(bytes, 0).ok());
+  EXPECT_FALSE(ParseValueEntry(bytes, 0).ok());
   std::vector<uint8_t> tiny(4, 0);
-  EXPECT_FALSE(DecodeValueEntry(tiny, 0).ok());
+  EXPECT_FALSE(ParseValueEntry(tiny, 0).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include "analysis/balls_into_bins.h"
 #include "analysis/index_memory.h"
+#include "common/hash.h"
 #include "common/units.h"
 #include "sim/platform.h"
 #include "workload/ycsb.h"
@@ -118,6 +119,20 @@ TEST(YcsbTest, KeyNamesAndValuesDeterministic) {
   EXPECT_EQ(v1.size(), 256u);
   EXPECT_EQ(v1, v2);
   EXPECT_NE(v1, v3);
+}
+
+TEST(YcsbTest, ValueBytesArePinned) {
+  // FNV-1a digests of the byte-at-a-time generator's output: any change to
+  // MakeValue's bytes would move every stored value and checker digest.
+  auto digest = [](uint32_t size, uint64_t key, uint32_t version) {
+    YcsbConfig cfg;
+    cfg.value_size = size;
+    auto v = YcsbGenerator(cfg).MakeValue(key, version);
+    return Fnv1a64({reinterpret_cast<const char*>(v.data()), v.size()});
+  };
+  EXPECT_EQ(digest(1024, 7, 0), 0xf0d5c5f633ec5b57ULL);
+  EXPECT_EQ(digest(1000, 12345, 3), 0xbc3c367dcc2fbb92ULL);  // short last word
+  EXPECT_EQ(digest(13, 1, 0), 0xa3e935516732c30cULL);
 }
 
 TEST(YcsbTest, MixNames) {
