@@ -46,14 +46,25 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
+// Both CRC-32 paths: range(1) == 0 is portable slicing-by-8, 1 the
+// PCLMULQDQ folding path that Crc32 dispatches to when the CPU has it.
 void BM_Crc32(benchmark::State& state) {
   std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
   Rng rng(4);
   for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
-  for (auto _ : state) benchmark::DoNotOptimize(Crc32(buf.data(), buf.size()));
+  const bool hardware = state.range(1) != 0;
+  if (hardware && !Crc32HardwareAvailable()) {
+    state.SkipWithError("CPU lacks PCLMULQDQ");
+    return;
+  }
+  state.SetLabel(hardware ? "pclmul" : "slicing-by-8");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hardware ? Crc32ExtendHardware(0, buf.data(), buf.size())
+                                      : Crc32ExtendPortable(0, buf.data(), buf.size()));
+  }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(512)->Arg(4096);
+BENCHMARK(BM_Crc32)->ArgsProduct({{512, 4096}, {0, 1}});
 
 // A full 512 B bucket of YCSB-named keys, as a GET reads it.
 std::vector<uint8_t> EncodedFullBucket() {
@@ -73,6 +84,21 @@ void BM_BucketEncode(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(store::EncodeBucket(b, 512).value().data());
 }
 BENCHMARK(BM_BucketEncode);
+
+// The PUT path's head rewrite on the bytes it read: replace one item of a
+// full bucket view straight into the append buffer.
+void BM_BucketViewEncodeUpsert(benchmark::State& state) {
+  const auto bytes = EncodedFullBucket();
+  const auto view = store::BucketView::Parse(bytes, 0, 512).value();
+  const store::KeyItemView item{"user000000001003", 256, 4096, 0};
+  std::vector<uint8_t> out(512);
+  for (auto _ : state) {
+    view.EncodeUpsert(item, view.header(), out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BucketViewEncodeUpsert);
 
 // The GET-path probe two ways: materialize the bucket and search it, or
 // search a checked view in place. Both verify the CRC.

@@ -276,16 +276,18 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
     }
   };
 
-  // Kick the load.
+  // Kick the load. The open-loop arrival closure is owned here, for the
+  // whole run: scheduled copies only hold it weakly.
+  std::shared_ptr<std::function<void()>> arrival;
   if (options.open_loop_qps > 0) {
     // Poisson arrivals split round-robin across clients. Open loop: the
     // issue slot does not self-replenish; arrivals drive it.
     auto rng = std::make_shared<Rng>(config_.seed ^ 0x9d1);
-    auto arrival = std::make_shared<std::function<void()>>();
+    arrival = std::make_shared<std::function<void()>>();
     auto counter = std::make_shared<uint32_t>(0);
     // Weak self-capture: scheduled copies resolve the closure through the
-    // weak_ptr, so `arrival` frees when Run's local reference dies instead
-    // of leaking as a reference cycle.
+    // weak_ptr, so `arrival` frees when Run returns instead of leaking as a
+    // reference cycle.
     *arrival = [&, st, rng, counter,
                 warrival = std::weak_ptr<std::function<void()>>(arrival)] {
       auto self = warrival.lock();

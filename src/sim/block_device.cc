@@ -1,6 +1,7 @@
 #include "sim/block_device.h"
 
 #include <algorithm>
+#include <bit>
 #include "common/bytes.h"
 #include "sim/fault.h"
 
@@ -14,6 +15,44 @@ Status PageStore::CheckRange(uint64_t offset, uint64_t length) const {
   return Status::Ok();
 }
 
+const uint8_t* PageStore::Find(uint64_t page_no) const {
+  if (slots_.empty()) return nullptr;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(page_no);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (!s.page) return nullptr;
+    if (s.page_no == page_no) return s.page.get();
+  }
+}
+
+uint8_t* PageStore::FindOrInsert(uint64_t page_no) {
+  if (2 * (resident_ + 1) > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(page_no);; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (!s.page) {
+      s.page_no = page_no;
+      s.page.reset(new uint8_t[page_size_]());
+      ++resident_;
+      return s.page.get();
+    }
+    if (s.page_no == page_no) return s.page.get();
+  }
+}
+
+void PageStore::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_ = std::vector<Slot>(old.empty() ? 16 : 2 * old.size());
+  shift_ = static_cast<uint32_t>(64 - std::countr_zero(slots_.size()));
+  const size_t mask = slots_.size() - 1;
+  for (Slot& s : old) {
+    if (!s.page) continue;
+    size_t i = Home(s.page_no);
+    while (slots_[i].page) i = (i + 1) & mask;
+    slots_[i] = std::move(s);
+  }
+}
+
 void PageStore::Write(uint64_t offset, const std::vector<uint8_t>& data,
                       uint64_t length) {
   uint64_t pos = 0;
@@ -21,16 +60,15 @@ void PageStore::Write(uint64_t offset, const std::vector<uint8_t>& data,
     uint64_t page_no = (offset + pos) / page_size_;
     uint64_t in_page = (offset + pos) % page_size_;
     uint64_t chunk = std::min<uint64_t>(page_size_ - in_page, length - pos);
-    auto& page = pages_[page_no];
-    if (page.empty()) page.assign(page_size_, 0);
+    uint8_t* page = FindOrInsert(page_no);
     if (pos < data.size()) {
       uint64_t copy = std::min<uint64_t>(chunk, data.size() - pos);
-      leed::CopyBytes(page.data() + in_page, data.data() + pos, copy);
+      leed::CopyBytes(page + in_page, data.data() + pos, copy);
       if (copy < chunk) {
-        leed::FillBytes(page.data() + in_page + copy, 0, chunk - copy);
+        leed::FillBytes(page + in_page + copy, 0, chunk - copy);
       }
     } else {
-      leed::FillBytes(page.data() + in_page, 0, chunk);
+      leed::FillBytes(page + in_page, 0, chunk);
     }
     pos += chunk;
   }
@@ -45,10 +83,8 @@ std::vector<uint8_t> PageStore::Read(uint64_t offset, uint64_t length) const {
     uint64_t page_no = (offset + out.size()) / page_size_;
     uint64_t in_page = (offset + out.size()) % page_size_;
     uint64_t chunk = std::min<uint64_t>(page_size_ - in_page, length - out.size());
-    auto it = pages_.find(page_no);
-    if (it != pages_.end()) {
-      const uint8_t* src = it->second.data() + in_page;
-      out.insert(out.end(), src, src + chunk);
+    if (const uint8_t* page = Find(page_no)) {
+      out.insert(out.end(), page + in_page, page + in_page + chunk);
     } else {
       out.resize(out.size() + chunk, 0);
     }

@@ -16,7 +16,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -100,7 +99,11 @@ class BlockDevice {
   std::function<void(bool ok, SimTime latency_ns)> io_observer_;
 };
 
-// Sparse in-memory byte store shared by device implementations.
+// Sparse in-memory byte store shared by device implementations. Pages are
+// allocated on first write; never-written bytes read as zero. The page
+// table is a flat open-addressing table (linear probing, power-of-two size,
+// multiplicative hash, at most half full), so a lookup is one multiply and
+// usually one probe. Pages are never freed, so there are no tombstones.
 class PageStore {
  public:
   explicit PageStore(uint64_t capacity_bytes, uint32_t page_size = 4096)
@@ -111,15 +114,27 @@ class PageStore {
   std::vector<uint8_t> Read(uint64_t offset, uint64_t length) const;
 
   uint64_t capacity() const { return capacity_; }
-  uint64_t resident_pages() const { return pages_.size(); }
-  uint64_t resident_bytes() const { return pages_.size() * page_size_; }
+  uint64_t resident_pages() const { return resident_; }
+  uint64_t resident_bytes() const { return resident_ * page_size_; }
 
  private:
+  struct Slot {
+    uint64_t page_no = 0;
+    std::unique_ptr<uint8_t[]> page;  // null: empty slot
+  };
+
+  size_t Home(uint64_t page_no) const {
+    return static_cast<size_t>((page_no * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+  const uint8_t* Find(uint64_t page_no) const;
+  uint8_t* FindOrInsert(uint64_t page_no);  // a new page is zero-filled
+  void Grow();
+
   uint64_t capacity_;
   uint32_t page_size_;
-  // leed-lint: allow(unordered-iter): page table addressed by page number
-  // only (operator[]/find); reads copy out by offset, nothing iterates
-  std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;
+  std::vector<Slot> slots_;  // empty until the first write
+  uint32_t shift_ = 64;      // 64 - log2(slots_.size())
+  uint64_t resident_ = 0;
 };
 
 // Zero-latency synchronous-completion device for unit tests of the log and

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
@@ -39,15 +41,6 @@ class Reader {
     return true;
   }
 
-  bool Get48(uint64_t* v) {
-    if (!Has(6)) return false;
-    *v = 0;
-    for (int i = 0; i < 6; ++i) {
-      *v |= static_cast<uint64_t>(bytes_[pos_++]) << (8 * i);
-    }
-    return true;
-  }
-
   // The next n bytes as a view, or an empty optional past the end.
   std::optional<std::span<const uint8_t>> Take(size_t n) {
     if (!Has(n)) return std::nullopt;
@@ -66,19 +59,6 @@ class Reader {
 
 std::string_view AsChars(std::span<const uint8_t> bytes) {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
-}
-
-// Reads one key item; false if the item area ends inside it.
-bool ReadItem(Reader& r, std::string_view* key, KeyItem* fields) {
-  uint16_t klen = 0;
-  if (!r.Get(&klen) || !r.Get(&fields->value_len) || !r.Get48(&fields->value_offset) ||
-      !r.Get(&fields->value_ssd)) {
-    return false;
-  }
-  auto bytes = r.Take(klen);
-  if (!bytes) return false;
-  *key = AsChars(*bytes);
-  return true;
 }
 
 }  // namespace
@@ -165,13 +145,14 @@ bool VerifyBucketCrc(std::span<const uint8_t> data, size_t at, uint32_t bucket_s
   const uint8_t* b = data.data() + at;
   uint32_t stored = 0;
   leed::CopyBytes(&stored, b + kBucketCrcPos, sizeof(stored));
-  // Checksum the bucket as written — crc slot zeroed — by feeding four
-  // zero bytes in place of the slot, instead of zeroing a copy.
-  static constexpr uint8_t kZeroSlot[sizeof(uint32_t)] = {};
-  constexpr size_t kAfterSlot = kBucketCrcPos + sizeof(uint32_t);
-  uint32_t crc = leed::Crc32(b, kBucketCrcPos);
-  crc = leed::Crc32Extend(crc, kZeroSlot, sizeof(kZeroSlot));
-  crc = leed::Crc32Extend(crc, b + kAfterSlot, bucket_size - kAfterSlot);
+  // Checksum the bucket as written — crc slot zeroed — over a stack copy
+  // of its first bytes with the slot cleared, then the rest in place. One
+  // 64-byte prefix keeps both pieces long enough for the folding CRC.
+  uint8_t prefix[64];
+  const size_t n = std::min<size_t>(bucket_size, sizeof(prefix));
+  leed::CopyBytes(prefix, b, n);
+  leed::FillBytes(prefix + kBucketCrcPos, 0, sizeof(uint32_t));
+  const uint32_t crc = leed::Crc32Extend(leed::Crc32(prefix, n), b + n, bucket_size - n);
   return crc == stored;
 }
 
@@ -182,6 +163,14 @@ Result<BucketView> BucketView::Parse(std::span<const uint8_t> data, size_t at,
   }
   if (!VerifyBucketCrc(data, at, bucket_size)) {
     return Status::Corruption("bucket crc mismatch");
+  }
+  return ParseCrcChecked(data, at, bucket_size);
+}
+
+Result<BucketView> BucketView::ParseCrcChecked(std::span<const uint8_t> data,
+                                               size_t at, uint32_t bucket_size) {
+  if (at + bucket_size > data.size()) {
+    return Status::Corruption("short bucket read");
   }
   const auto bytes = data.subspan(at, bucket_size);
   Reader r(bytes, 0);
@@ -207,33 +196,197 @@ Result<BucketView> BucketView::Parse(std::span<const uint8_t> data, size_t at,
   return v;
 }
 
-std::optional<KeyItem> BucketView::Find(std::string_view key) const {
-  Reader r(items_, 0);
+KeyItemView BucketView::ItemAt(size_t pos) const {
+  // Parse validated the item area, so the fields are read unchecked (in
+  // the host byte order EncodeBucket writes them in).
+  const uint8_t* p = items_.data() + pos;
+  KeyItemView item;
+  uint16_t klen = 0;
+  leed::CopyBytes(&klen, p, sizeof(klen));
+  leed::CopyBytes(&item.value_len, p + 2, sizeof(item.value_len));
+  for (int i = 0; i < 6; ++i) item.value_offset |= static_cast<uint64_t>(p[6 + i]) << (8 * i);
+  item.value_ssd = p[12];
+  item.key = {reinterpret_cast<const char*>(p + KeyItem::kFixedBytes), klen};
+  return item;
+}
+
+std::optional<BucketView::Located> BucketView::Locate(std::string_view key) const {
+  size_t pos = 0;
   for (uint16_t i = 0; i < header_.item_count; ++i) {
-    std::string_view k;
-    KeyItem item;
-    if (!ReadItem(r, &k, &item)) break;
-    if (k == key) {
-      item.key.assign(k);
-      return item;
+    uint16_t klen = 0;
+    leed::CopyBytes(&klen, items_.data() + pos, sizeof(klen));
+    const size_t end = pos + KeyItem::kFixedBytes + klen;
+    if (klen == key.size() &&
+        AsChars(items_.subspan(pos + KeyItem::kFixedBytes, klen)) == key) {
+      return Located{ItemAt(pos), i, pos, end};
     }
+    pos = end;
   }
   return std::nullopt;
+}
+
+std::optional<KeyItem> BucketView::Find(std::string_view key) const {
+  auto hit = Locate(key);
+  if (!hit) return std::nullopt;
+  KeyItem item;
+  item.key.assign(hit->item.key);
+  item.value_len = hit->item.value_len;
+  item.value_offset = hit->item.value_offset;
+  item.value_ssd = hit->item.value_ssd;
+  return item;
+}
+
+bool BucketView::CanUpsert(const KeyItemView& item, uint32_t bucket_size) const {
+  const auto old = Locate(item.key);
+  const uint32_t payload =
+      BucketHeader::kEncodedSize + static_cast<uint32_t>(items_.size());
+  const uint32_t without = payload - (old ? old->item.EncodedSize() : 0u);
+  return without + item.EncodedSize() <= bucket_size;
+}
+
+void BucketView::EncodeUpsert(const KeyItemView& item, const BucketHeader& header,
+                              std::span<uint8_t> out) const {
+  BucketEncoder enc(out);
+  bool ok = false;
+  if (const auto old = Locate(item.key)) {
+    // Replace where it lies: the items before and after are copied whole.
+    ok = enc.AddEncoded(items_.first(old->begin), old->index) && enc.Add(item) &&
+         enc.AddEncoded(items_.subspan(old->end),
+                        static_cast<uint16_t>(item_count() - old->index - 1));
+  } else {
+    ok = enc.Add(item) && enc.AddEncoded(items_, item_count());  // newest first
+  }
+  (void)ok;
+  assert(ok && "EncodeUpsert requires CanUpsert");
+  enc.Finish(header);
 }
 
 Bucket BucketView::ToBucket() const {
   Bucket b;
   b.header = header_;
   b.items.reserve(header_.item_count);
-  Reader r(items_, 0);
-  for (uint16_t i = 0; i < header_.item_count; ++i) {
-    std::string_view k;
+  ForEachItem([&b](const KeyItemView& v) {
     KeyItem item;
-    if (!ReadItem(r, &k, &item)) break;
-    item.key.assign(k);
+    item.key.assign(v.key);
+    item.value_len = v.value_len;
+    item.value_offset = v.value_offset;
+    item.value_ssd = v.value_ssd;
     b.items.push_back(std::move(item));
-  }
+  });
   return b;
+}
+
+BucketEncoder::BucketEncoder(std::span<uint8_t> out)
+    : out_(out), pos_(BucketHeader::kEncodedSize) {}
+
+bool BucketEncoder::Add(const KeyItemView& item) {
+  if (item.EncodedSize() > out_.size() - pos_) return false;
+  uint8_t* p = out_.data() + pos_;
+  const uint16_t klen = static_cast<uint16_t>(item.key.size());
+  leed::CopyBytes(p, &klen, sizeof(klen));
+  leed::CopyBytes(p + 2, &item.value_len, sizeof(item.value_len));
+  for (int i = 0; i < 6; ++i) p[6 + i] = static_cast<uint8_t>(item.value_offset >> (8 * i));
+  p[12] = item.value_ssd;
+  leed::CopyBytes(p + KeyItem::kFixedBytes, item.key.data(), item.key.size());
+  pos_ += item.EncodedSize();
+  ++count_;
+  return true;
+}
+
+bool BucketEncoder::AddEncoded(std::span<const uint8_t> items, uint16_t count) {
+  if (items.size() > out_.size() - pos_) return false;
+  leed::CopyBytes(out_.data() + pos_, items.data(), items.size());
+  pos_ += items.size();
+  count_ = static_cast<uint16_t>(count_ + count);
+  return true;
+}
+
+void BucketEncoder::Finish(const BucketHeader& h) {
+  leed::FillBytes(out_.data() + pos_, 0, out_.size() - pos_);
+  size_t pos = 0;
+  auto put = [this, &pos](const auto& v) {
+    leed::CopyBytes(out_.data() + pos, &v, sizeof(v));
+    pos += sizeof(v);
+  };
+  put(h.segment_id);
+  put(h.tag);
+  put(h.chain_len);
+  put(h.position);
+  put(h.contiguous);
+  put(h.value_ssd_hint);
+  put(h.prev_offset);
+  put(h.prev_ssd);
+  put(h.log_head);
+  put(h.log_tail);
+  put(count_);
+  put(h.owner_store);
+  put(uint32_t{0});  // crc slot: zero while checksumming
+  const uint32_t crc = leed::Crc32(out_.data(), out_.size());
+  leed::CopyBytes(out_.data() + kBucketCrcPos, &crc, sizeof(crc));
+}
+
+std::vector<uint8_t> EncodeContiguousChain(std::span<const KeyItemView> items,
+                                           uint32_t bucket_size,
+                                           const BucketHeader& common, uint64_t base) {
+  // First fit in order: starts[i] is the first item of bucket i.
+  std::vector<size_t> starts{0};
+  uint32_t used = BucketHeader::kEncodedSize;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (used + items[i].EncodedSize() > bucket_size) {
+      starts.push_back(i);
+      used = BucketHeader::kEncodedSize;
+    }
+    used += items[i].EncodedSize();
+  }
+  starts.push_back(items.size());
+  const size_t n = starts.size() - 1;
+  std::vector<uint8_t> blob(n * bucket_size);
+  for (size_t i = 0; i < n; ++i) {
+    BucketEncoder enc(std::span<uint8_t>(blob).subspan(i * bucket_size, bucket_size));
+    for (size_t j = starts[i + 1]; j > starts[i]; --j) enc.Add(items[j - 1]);
+    BucketHeader h = common;
+    const bool more = i + 1 < n;
+    h.chain_len = static_cast<uint8_t>(n - i);
+    h.position = static_cast<uint8_t>(i);
+    h.contiguous = more ? 1 : 0;
+    h.prev_offset = more ? base + (i + 1) * static_cast<uint64_t>(bucket_size) : 0;
+    enc.Finish(h);
+  }
+  return blob;
+}
+
+std::vector<KeyItemView> MergeNewestWins(std::span<const BucketView> chain) {
+  size_t total = 0;
+  for (const BucketView& b : chain) total += b.item_count();
+  std::vector<KeyItemView> items;
+  items.reserve(total);
+  for (const BucketView& b : chain) {
+    b.ForEachItem([&items](const KeyItemView& it) { items.push_back(it); });
+  }
+  // Sort positions by (key, chain position) — a stable sort by key — so
+  // each key's run starts with its newest version.
+  std::vector<uint32_t> order(items.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&items](uint32_t a, uint32_t b) {
+    const int c = items[a].key.compare(items[b].key);
+    return c != 0 ? c < 0 : a < b;
+  });
+  // Keep each key's newest version unless it is a tombstone, then close
+  // the gaps so survivors stay in chain order.
+  std::vector<bool> keep(items.size(), false);
+  for (size_t i = 0; i < order.size();) {
+    const KeyItemView& newest = items[order[i]];
+    keep[order[i]] = !newest.IsTombstone();
+    size_t j = i + 1;
+    while (j < order.size() && items[order[j]].key == newest.key) ++j;
+    i = j;
+  }
+  size_t out = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (keep[i]) items[out++] = items[i];
+  }
+  items.resize(out);
+  return items;
 }
 
 Result<Bucket> DecodeBucket(std::span<const uint8_t> data, size_t at,

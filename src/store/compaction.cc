@@ -1,7 +1,7 @@
 #include "store/compaction.h"
 
 #include <algorithm>
-#include <set>
+#include <span>
 
 namespace leed::store {
 
@@ -38,23 +38,6 @@ bool Compactor::MaybeStart() {
 }
 
 // ---------------------------------------------------------------------------
-// Chain merge
-// ---------------------------------------------------------------------------
-
-std::vector<KeyItem> Compactor::MergeChain(const std::vector<Bucket>& chain) {
-  std::vector<KeyItem> merged;
-  std::set<std::string> seen;
-  for (const auto& b : chain) {  // newest-first
-    for (const auto& it : b.items) {
-      if (!seen.insert(it.key).second) continue;  // shadowed by newer version
-      if (it.IsTombstone()) continue;             // delete marker: drop
-      merged.push_back(it);
-    }
-  }
-  return merged;
-}
-
-// ---------------------------------------------------------------------------
 // Segment collapse (shared by both runs and swap merge-back).
 // done(ok): ok==false means the segment could NOT be relocated (no space /
 // IO error) and still has live data at its old location — the caller must
@@ -88,16 +71,15 @@ void Compactor::CollapseLocked(uint32_t segment_id, bool relocate_values,
   }
   s_.ReadChain(segment_id, e.ssd, e.offset, e.chain_len,
                [this, segment_id, relocate_values, d = std::move(done)](
-                   Status st, std::vector<Bucket> chain) mutable {
+                   Status st, DataStore::Chain chain) mutable {
     if (!st.ok()) {
       s_.UnlockAndPump(segment_id);
       d(false);
       return;
     }
-    auto merged = std::make_shared<std::vector<KeyItem>>(MergeChain(chain));
-    uint64_t total_items = 0;
-    for (const auto& b : chain) total_items += b.items.size();
-    s_.m_.items_dropped->Add(total_items - merged->size());
+    const uint64_t total_items = chain.item_count();
+    auto merged = std::make_shared<Merged>(std::move(chain));
+    s_.m_.items_dropped->Add(total_items - merged->items.size());
     s_.core().Run(
         s_.Cycles(s_.config().costs.compaction_per_item *
                   std::max<uint64_t>(1, total_items)),
@@ -114,16 +96,16 @@ void Compactor::CollapseLocked(uint32_t segment_id, bool relocate_values,
   });
 }
 
-void Compactor::RelocateValues(uint32_t segment_id,
-                               std::shared_ptr<std::vector<KeyItem>> merged,
+void Compactor::RelocateValues(uint32_t segment_id, std::shared_ptr<Merged> merged,
                                size_t index, std::function<void()> done) {
   const uint8_t home_ssd = s_.home().ssd_id;
-  while (index < merged->size() && (*merged)[index].value_ssd == home_ssd) ++index;
-  if (index >= merged->size()) {
+  std::vector<KeyItemView>& items = merged->items;
+  while (index < items.size() && items[index].value_ssd == home_ssd) ++index;
+  if (index >= items.size()) {
     done();
     return;
   }
-  KeyItem& item = (*merged)[index];
+  const KeyItemView& item = items[index];
   if (!s_.HasLogSet(item.value_ssd)) {  // defensive: unknown donor
     RelocateValues(segment_id, merged, index + 1, std::move(done));
     return;
@@ -155,7 +137,7 @@ void Compactor::RelocateValues(uint32_t segment_id,
     }
     // Offset reservation and Append happen in the same event — no other
     // append can interleave in a single-threaded event loop.
-    KeyItem& it = (*merged)[index];
+    KeyItemView& it = merged->items[index];
     const RangeIndex::ValueLoc old_loc{it.value_ssd, it.value_offset,
                                        it.value_len};
     it.value_offset = home.value_log->tail();
@@ -173,14 +155,14 @@ void Compactor::RelocateValues(uint32_t segment_id,
   });
 }
 
-void Compactor::WriteMergedSegment(uint32_t segment_id,
-                                   std::shared_ptr<std::vector<KeyItem>> merged,
+void Compactor::WriteMergedSegment(uint32_t segment_id, std::shared_ptr<Merged> merged,
                                    std::function<void(bool)> done) {
   SegmentTable& tbl = s_.segments();
   const LogSet& home = s_.home();
   const uint32_t bucket_size = s_.config().bucket_size;
+  const std::vector<KeyItemView>& items = merged->items;
 
-  if (merged->empty()) {
+  if (items.empty()) {
     SegmentEntry& e = tbl.At(segment_id);
     e.offset = 0;
     e.chain_len = 0;
@@ -192,40 +174,18 @@ void Compactor::WriteMergedSegment(uint32_t segment_id,
     return;
   }
 
-  // Pack items into buckets first-fit in order: newest items land in the
-  // head bucket, preserving newest-first traversal.
-  std::vector<Bucket> buckets(1);
-  for (auto& item : *merged) {
-    if (!buckets.back().Upsert(bucket_size, item)) {
-      buckets.emplace_back();
-      bool ok = buckets.back().Upsert(bucket_size, item);
-      (void)ok;
-    }
-  }
-  const uint8_t n = static_cast<uint8_t>(buckets.size());
+  // Newest items land in the head bucket, preserving newest-first
+  // traversal.
   const uint64_t base = home.key_log->tail();
-  std::vector<uint8_t> blob;
-  blob.reserve(static_cast<size_t>(n) * bucket_size);
-  for (uint8_t i = 0; i < n; ++i) {
-    BucketHeader& h = buckets[i].header;
-    h.segment_id = segment_id;
-    h.tag = BucketTag(segment_id);
-    h.chain_len = static_cast<uint8_t>(n - i);
-    h.position = i;
-    h.contiguous = (i + 1 < n) ? 1 : 0;
-    h.prev_offset = (i + 1 < n) ? base + static_cast<uint64_t>(i + 1) * bucket_size : 0;
-    h.prev_ssd = home.ssd_id;
-    h.log_head = static_cast<uint32_t>(home.key_log->head());
-    h.log_tail = static_cast<uint32_t>(home.key_log->tail());
-    h.owner_store = static_cast<uint8_t>(s_.config().store_id);
-    auto enc = EncodeBucket(buckets[i], bucket_size);
-    if (!enc.ok()) {
-      s_.UnlockAndPump(segment_id);
-      done(false);
-      return;
-    }
-    blob.insert(blob.end(), enc.value().begin(), enc.value().end());
-  }
+  BucketHeader common;
+  common.segment_id = segment_id;
+  common.tag = BucketTag(segment_id);
+  common.prev_ssd = home.ssd_id;
+  common.log_head = static_cast<uint32_t>(home.key_log->head());
+  common.log_tail = static_cast<uint32_t>(home.key_log->tail());
+  common.owner_store = static_cast<uint8_t>(s_.config().store_id);
+  std::vector<uint8_t> blob = EncodeContiguousChain(items, bucket_size, common, base);
+  const uint8_t n = static_cast<uint8_t>(blob.size() / bucket_size);
   if (blob.size() > home.key_log->free_space()) {
     // Cannot relocate right now; the segment stays where it is and this
     // run must not advance the head over its old buckets.
@@ -234,16 +194,12 @@ void Compactor::WriteMergedSegment(uint32_t segment_id,
     return;
   }
   s_.m_.ssd_writes->Inc();
-  s_.m_.items_live_moved->Add(merged->size());
+  s_.m_.items_live_moved->Add(items.size());
   // The swapped mark may only clear once every value reference is home too
   // (RelocateValues can skip items when the home value log is tight).
-  bool all_values_home = true;
-  for (const auto& item : *merged) {
-    if (item.value_ssd != home.ssd_id) {
-      all_values_home = false;
-      break;
-    }
-  }
+  const bool all_values_home =
+      std::all_of(items.begin(), items.end(),
+                  [&home](const KeyItemView& it) { return it.value_ssd == home.ssd_id; });
   home.key_log->Append(std::move(blob), [this, segment_id, base, n, all_values_home,
                                          d = std::move(done)](log::AppendResult r) mutable {
     bool ok = r.status.ok();
@@ -333,19 +289,26 @@ void Compactor::StartKey(DataStore::OpCallback done) {
 void Compactor::KeyRunWithRegion(std::shared_ptr<KeyRun> run,
                                  std::vector<uint8_t> region) {
   const uint32_t bucket_size = s_.config().bucket_size;
+  // Segments in order of first appearance; `seen` dedupes them.
   std::vector<uint32_t> segs;
-  std::set<uint32_t> uniq;
+  std::vector<bool> seen(s_.config().num_segments, false);
+  auto first_sight = [&seen](uint32_t seg) {
+    if (seg >= seen.size()) seen.resize(seg + 1, false);
+    const bool first = !seen[seg];
+    seen[seg] = true;
+    return first;
+  };
   for (size_t at = 0; at + bucket_size <= region.size(); at += bucket_size) {
     auto b = BucketView::Parse(region, at, bucket_size);
     if (!b.ok()) continue;
     uint32_t seg = b.value().header().segment_id;
-    if (uniq.insert(seg).second) segs.push_back(seg);
+    if (first_sight(seg)) segs.push_back(seg);
   }
   // Swap merge-back: pull up to kSwapMergePerRun parked segments home too.
   size_t merged_in = 0;
   for (uint32_t seg : s_.swapped_segments_) {
     if (merged_in >= kSwapMergePerRun) break;
-    if (uniq.insert(seg).second) {
+    if (first_sight(seg)) {
       segs.push_back(seg);
       ++merged_in;
     }
@@ -426,8 +389,14 @@ struct Compactor::ValueRun {
     uint64_t offset;  // logical value-log offset
     ValueEntryView entry;
   };
-  std::map<uint32_t, std::vector<RegionEntry>> by_segment;
-  std::vector<std::vector<uint32_t>> groups;
+  // Region entries grouped by owning segment (ascending ids), in log order
+  // within a segment; each SegmentRange names one segment's run.
+  std::vector<RegionEntry> entries;
+  struct SegmentRange {
+    uint32_t segment;
+    size_t begin, end;
+  };
+  std::vector<std::vector<SegmentRange>> groups;
   size_t groups_pending = 0;
   bool all_relocated = true;
 };
@@ -494,23 +463,28 @@ void Compactor::ValueRunWithRegion(std::shared_ptr<ValueRun> run,
     auto entry = ParseValueEntry(run->region, pos);
     if (!entry.ok()) break;  // truncated tail entry: stop before it
     uint64_t sz = entry.value().bytes.size();
-    run->by_segment[entry.value().segment_id].push_back(
-        ValueRun::RegionEntry{logical, entry.value()});
+    run->entries.push_back(ValueRun::RegionEntry{logical, entry.value()});
     pos += sz;
     logical += sz;
   }
   run->region_end = logical;
-  if (run->by_segment.empty()) {
+  if (run->entries.empty()) {
     value_running_ = false;
     if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
     run->done(Status::Ok());
     return;
   }
-  std::vector<uint32_t> segs;
-  segs.reserve(run->by_segment.size());
-  for (const auto& [seg, entries] : run->by_segment) {
-    (void)entries;
-    segs.push_back(seg);
+  std::stable_sort(run->entries.begin(), run->entries.end(),
+                   [](const ValueRun::RegionEntry& a, const ValueRun::RegionEntry& b) {
+                     return a.entry.segment_id < b.entry.segment_id;
+                   });
+  std::vector<ValueRun::SegmentRange> segs;
+  for (size_t i = 0; i < run->entries.size();) {
+    const uint32_t seg = run->entries[i].entry.segment_id;
+    size_t j = i + 1;
+    while (j < run->entries.size() && run->entries[j].entry.segment_id == seg) ++j;
+    segs.push_back({seg, i, j});
+    i = j;
   }
   run->groups = Partition(segs, cfg.subcompactions);
   run->groups_pending = run->groups.size();
@@ -521,15 +495,16 @@ void Compactor::ValueRunWithRegion(std::shared_ptr<ValueRun> run,
 }
 
 void Compactor::ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group) {
-  auto& ids = run->groups[group];
-  if (ids.empty()) {
+  auto& ranges = run->groups[group];
+  if (ranges.empty()) {
     ValueRunJoin(run);
     return;
   }
-  uint32_t seg = ids.back();
-  ids.pop_back();
+  const ValueRun::SegmentRange range = ranges.back();
+  const uint32_t seg = range.segment;
+  ranges.pop_back();
 
-  auto locked = [this, run, group, seg]() {
+  auto locked = [this, run, group, range, seg]() {
     const SegmentEntry& e = s_.segments().At(seg);
     if (e.Empty()) {
       // All this segment's region values are dead (segment was emptied).
@@ -538,15 +513,17 @@ void Compactor::ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group) {
       return;
     }
     s_.ReadChain(seg, e.ssd, e.offset, e.chain_len,
-                 [this, run, group, seg](Status st, std::vector<Bucket> chain) {
+                 [this, run, group, range, seg](Status st, DataStore::Chain chain) {
       if (!st.ok()) {
         run->all_relocated = false;
         s_.UnlockAndPump(seg);
         ValueRunGroup(run, group);
         return;
       }
-      auto merged = std::make_shared<std::vector<KeyItem>>(MergeChain(chain));
-      const auto& region_entries = run->by_segment[seg];
+      auto merged = std::make_shared<Merged>(std::move(chain));
+      std::vector<KeyItemView>& items = merged->items;
+      const auto region_entries = std::span(run->entries).subspan(
+          range.begin, range.end - range.begin);
       const uint8_t home_ssd = s_.home().ssd_id;
 
       // Liveness: a region value survives iff a merged item still points at
@@ -559,8 +536,8 @@ void Compactor::ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group) {
       auto batch = std::make_shared<std::vector<uint8_t>>();
       auto rewrites = std::make_shared<std::vector<Rewrite>>();
       for (const auto& re : region_entries) {
-        for (size_t i = 0; i < merged->size(); ++i) {
-          const KeyItem& item = (*merged)[i];
+        for (size_t i = 0; i < items.size(); ++i) {
+          const KeyItemView& item = items[i];
           if (item.key == re.entry.key && item.value_ssd == home_ssd &&
               item.value_offset == re.offset) {
             rewrites->push_back(Rewrite{i, batch->size()});
@@ -570,7 +547,7 @@ void Compactor::ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group) {
         }
       }
       uint64_t cycles = s_.config().costs.compaction_per_item *
-                        std::max<uint64_t>(1, region_entries.size() + merged->size());
+                        std::max<uint64_t>(1, region_entries.size() + items.size());
       s_.core().Run(s_.Cycles(cycles), [this, run, group, seg, merged, batch,
                                         rewrites]() mutable {
         const LogSet& home = s_.home();
@@ -590,7 +567,7 @@ void Compactor::ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group) {
         // Reserve offsets and append in the same event (no interleaving).
         const uint64_t base = home.value_log->tail();
         for (const auto& rw : *rewrites) {
-          KeyItem& item = (*merged)[rw.item_index];
+          KeyItemView& item = merged->items[rw.item_index];
           const RangeIndex::ValueLoc old_loc{item.value_ssd, item.value_offset,
                                              item.value_len};
           item.value_offset = base + rw.relative;
@@ -621,12 +598,12 @@ void Compactor::ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group) {
   if (s_.segments().TryLock(seg)) {
     locked();
   } else {
-    s_.segments().WaitOnLock(seg, [this, run, group, seg, locked] {
+    s_.segments().WaitOnLock(seg, [this, run, group, range, seg, locked] {
       if (s_.segments().TryLock(seg)) {
         locked();
       } else {
         // Lost the wakeup race to another waiter; requeue this segment.
-        run->groups[group].push_back(seg);
+        run->groups[group].push_back(range);
         ValueRunGroup(run, group);
       }
     });

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -65,6 +64,15 @@ class Compactor {
   struct KeyRun;
   struct ValueRun;
 
+  // A segment's newest-wins survivors; `chain` backs their keys.
+  struct Merged {
+    explicit Merged(DataStore::Chain read)
+        : chain(std::move(read)), items(MergeNewestWins(chain.buckets)) {}
+
+    DataStore::Chain chain;
+    std::vector<KeyItemView> items;
+  };
+
   void KeyRunWithRegion(std::shared_ptr<KeyRun> run, std::vector<uint8_t> region);
   void KeyRunGroup(std::shared_ptr<KeyRun> run, size_t group);
   void KeyRunJoin(std::shared_ptr<KeyRun> run);
@@ -81,16 +89,10 @@ class Compactor {
                        std::function<void(bool)> done);
   void CollapseLocked(uint32_t segment_id, bool relocate_values,
                       std::function<void(bool)> done);
-  void RelocateValues(uint32_t segment_id,
-                      std::shared_ptr<std::vector<KeyItem>> merged, size_t index,
-                      std::function<void()> done);
-  void WriteMergedSegment(uint32_t segment_id,
-                          std::shared_ptr<std::vector<KeyItem>> merged,
+  void RelocateValues(uint32_t segment_id, std::shared_ptr<Merged> merged,
+                      size_t index, std::function<void()> done);
+  void WriteMergedSegment(uint32_t segment_id, std::shared_ptr<Merged> merged,
                           std::function<void(bool)> done);
-
-  // Merge a chain's items newest-wins; drops shadowed versions and
-  // tombstones. Chain is newest-first.
-  static std::vector<KeyItem> MergeChain(const std::vector<Bucket>& chain);
 
   void IssueKeyPrefetch();
   void IssueValuePrefetch();

@@ -341,6 +341,9 @@ struct DataStore::PutOp {
   // Final value location, for the range-index upsert at commit.
   uint64_t value_offset = 0;
   uint32_t value_len = 0;
+  // The current chain head as read under the lock, viewed in place.
+  std::vector<uint8_t> head_bytes;
+  std::optional<BucketView> head;
 };
 
 void DataStore::Put(std::string key, std::vector<uint8_t> value, OpCallback callback) {
@@ -382,7 +385,7 @@ void DataStore::PutReadHead(std::shared_ptr<PutOp> op) {
       PutFinish(op, Status::Ok());
       return;
     }
-    PutApply(op, std::nullopt);
+    PutApply(op);
     return;
   }
   const LogSet& logs = log_sets_.at(e.ssd);
@@ -392,27 +395,32 @@ void DataStore::PutReadHead(std::shared_ptr<PutOp> op) {
       PutFinish(op, Status::Corruption("head bucket read failed under lock"));
       return;
     }
-    auto bucket = DecodeBucket(r.data, 0, config_.bucket_size);
-    if (!bucket.ok()) {
-      PutFinish(op, bucket.status());
+    op->head_bytes = std::move(r.data);
+    auto head = BucketView::Parse(op->head_bytes, 0, config_.bucket_size);
+    if (!head.ok()) {
+      PutFinish(op, head.status());
       return;
     }
-    PutApply(op, std::move(bucket).value());
+    op->head = head.value();
+    PutApply(op);
   });
 }
 
-void DataStore::PutApply(std::shared_ptr<PutOp> op, std::optional<Bucket> head) {
+void DataStore::PutApply(std::shared_ptr<PutOp> op) {
   uint64_t cycles = config_.costs.bucket_build;
-  if (head) cycles += config_.costs.bucket_parse_per_item * std::max<size_t>(1, head->items.size());
+  if (op->head) {
+    cycles += config_.costs.bucket_parse_per_item *
+              std::max<uint64_t>(1, op->head->item_count());
+  }
   if (!op->is_del) {
     cycles += config_.costs.value_build_per_kib * (op->value.size() / 1024 + 1);
   }
-  core_.Run(Cycles(cycles), [this, op, h = std::move(head)]() mutable {
+  core_.Run(Cycles(cycles), [this, op] {
     const SegmentEntry& e = segtbl_.At(op->segment);
     const LogSet& target = TargetLogs();
     op->target_ssd = target.ssd_id;
 
-    KeyItem item;
+    KeyItemView item;
     item.key = op->key;
     if (!op->is_del) {
       item.value_len = static_cast<uint32_t>(op->value.size());
@@ -421,7 +429,11 @@ void DataStore::PutApply(std::shared_ptr<PutOp> op, std::optional<Bucket> head) 
 
     // --- Validate everything BEFORE issuing any append, so that a failure
     // never leaves one half of the parallel write pair in flight. ---
-    const bool in_place = h && h->CanUpsert(config_.bucket_size, item);
+    // The head is rewritten in place (Bucket::CanUpsert) when the key
+    // already lives in it or the new item still fits; otherwise a new head
+    // bucket extends the chain.
+    const std::optional<BucketView>& h = op->head;
+    const bool in_place = h && h->CanUpsert(item, config_.bucket_size);
     const uint32_t new_len = in_place ? e.chain_len : (h ? e.chain_len : 0) + 1u;
     if (new_len > segtbl_.max_chain()) {
       m_.puts_failed_full->Inc();
@@ -465,45 +477,40 @@ void DataStore::PutApply(std::shared_ptr<PutOp> op, std::optional<Bucket> head) 
       });
     }
 
-    // --- Build the new chain head. ---
-    Bucket nb;
+    // --- Encode the new chain head straight into the append buffer. ---
+    BucketHeader header;
     if (in_place) {
-      nb = std::move(*h);
-      bool ok = nb.Upsert(config_.bucket_size, item);
-      (void)ok;
-      assert(ok && "CanUpsert validated this");
       // Re-appended head keeps its chain metadata (incl. contiguity of the
       // remainder, which still lives at prev_offset).
+      header = h->header();
     } else {
-      nb.header.tag = BucketTag(HashKey(op->key, 0x5e91e57 + config_.store_id));
-      nb.header.chain_len = static_cast<uint8_t>(new_len);
-      nb.header.position = 0;
-      nb.header.contiguous = 0;
+      header.tag = BucketTag(HashKey(op->key, 0x5e91e57 + config_.store_id));
+      header.chain_len = static_cast<uint8_t>(new_len);
       if (h) {
-        nb.header.prev_offset = e.offset;
-        nb.header.prev_ssd = e.ssd;
+        header.prev_offset = e.offset;
+        header.prev_ssd = e.ssd;
       }
-      bool ok = nb.Upsert(config_.bucket_size, item);
-      (void)ok;
-      assert(ok && "a single item must fit an empty bucket");
     }
     op->new_chain = static_cast<uint8_t>(new_len);
-    nb.header.segment_id = op->segment;
-    nb.header.log_head = static_cast<uint32_t>(target.key_log->head());
-    nb.header.log_tail = static_cast<uint32_t>(target.key_log->tail());
-    nb.header.owner_store = static_cast<uint8_t>(config_.store_id);
-
-    auto encoded = EncodeBucket(nb, config_.bucket_size);
-    if (!encoded.ok()) {
-      // Unreachable for well-formed items; surface rather than hide.
-      op->append_status = encoded.status();
-      if (op->pending_appends == 0) PutFinish(op, encoded.status());
-      return;
+    header.segment_id = op->segment;
+    header.log_head = static_cast<uint32_t>(target.key_log->head());
+    header.log_tail = static_cast<uint32_t>(target.key_log->tail());
+    header.owner_store = static_cast<uint8_t>(config_.store_id);
+    std::vector<uint8_t> encoded(config_.bucket_size);
+    if (in_place) {
+      h->EncodeUpsert(item, header, encoded);
+    } else {
+      BucketEncoder enc(encoded);
+      bool ok = enc.Add(item);
+      (void)ok;
+      assert(ok && "a single item must fit an empty bucket");
+      enc.Finish(header);
     }
+
     op->new_offset = target.key_log->tail();
     op->pending_appends++;
     m_.ssd_writes->Inc();
-    target.key_log->Append(std::move(encoded).value(), [this, op](log::AppendResult r) {
+    target.key_log->Append(std::move(encoded), [this, op](log::AppendResult r) {
       if (!r.status.ok()) op->append_status = r.status;
       if (--op->pending_appends == 0) PutCommit(op);
     });
@@ -555,8 +562,8 @@ struct DataStore::CopyOp {
   ItemSink sink;
   OpCallback done;
   uint32_t next_segment = 0;
-  std::vector<Bucket> chain;
-  std::vector<KeyItem> live;
+  Chain chain;                  // backs the keys of `live`
+  std::vector<KeyItemView> live;
   size_t value_index = 0;
 };
 
@@ -585,23 +592,16 @@ void DataStore::CopyNextSegment(std::shared_ptr<CopyOp> op) {
   }
   const SegmentEntry& e = segtbl_.At(seg);
   ReadChain(seg, e.ssd, e.offset, e.chain_len,
-            [this, op, seg](Status st, std::vector<Bucket> chain) {
+            [this, op, seg](Status st, Chain chain) {
     if (!st.ok()) {
       UnlockAndPump(seg);
       op->done(st);
       return;
     }
     // Newest-wins merge across the chain; keep wanted live items.
-    op->live.clear();
-    std::set<std::string> seen;
-    for (const auto& b : chain) {
-      for (const auto& it : b.items) {
-        if (!seen.insert(it.key).second) continue;
-        if (it.IsTombstone()) continue;
-        if (!op->want(it.key)) continue;
-        op->live.push_back(it);
-      }
-    }
+    op->chain = std::move(chain);
+    op->live = MergeNewestWins(op->chain.buckets);
+    std::erase_if(op->live, [&op](const KeyItemView& it) { return !op->want(it.key); });
     op->value_index = 0;
     CopyEmitValues(op);
   });
@@ -616,7 +616,7 @@ void DataStore::CopyEmitValues(std::shared_ptr<CopyOp> op) {
     sim_.Schedule(0, [this, op] { CopyNextSegment(op); });
     return;
   }
-  const KeyItem& item = op->live[op->value_index];
+  const KeyItemView& item = op->live[op->value_index];
   const LogSet& logs = log_sets_.at(item.value_ssd);
   uint32_t bytes = ValueEntryBytes(static_cast<uint32_t>(item.key.size()),
                                    item.value_len);
@@ -793,23 +793,17 @@ void DataStore::RebuildNextSegment(std::shared_ptr<RebuildOp> op) {
   }
   const SegmentEntry& e = segtbl_.At(seg);
   ReadChain(seg, e.ssd, e.offset, e.chain_len,
-            [this, op, seg](Status st, std::vector<Bucket> chain) {
+            [this, op, seg](Status st, Chain chain) {
               UnlockAndPump(seg);
               if (!st.ok()) {
                 op->done(st, op->live_items);
                 return;
               }
               // Newest-wins merge across the chain; tombstones shadow and
-              // are dropped — same discipline as compaction's MergeChain.
-              std::set<std::string> seen;
-              for (const auto& b : chain) {
-                for (const auto& it : b.items) {
-                  if (!seen.insert(it.key).second) continue;
-                  if (it.IsTombstone()) continue;
-                  op->out->Upsert(it.key,
-                                  {it.value_ssd, it.value_offset, it.value_len});
-                  ++op->live_items;
-                }
+              // are dropped — the same merge compaction uses.
+              for (const KeyItemView& it : MergeNewestWins(chain.buckets)) {
+                op->out->Upsert(it.key, {it.value_ssd, it.value_offset, it.value_len});
+                ++op->live_items;
               }
               ++op->next_segment;
               // Yield between segments, like CopyOut.
@@ -817,7 +811,7 @@ void DataStore::RebuildNextSegment(std::shared_ptr<RebuildOp> op) {
             });
 }
 
-void DataStore::RepairIndexLocation(const std::string& key,
+void DataStore::RepairIndexLocation(std::string_view key,
                                     const RangeIndex::ValueLoc& from,
                                     const RangeIndex::ValueLoc& to) {
   range_index_.Repair(key, from, to);
@@ -828,18 +822,32 @@ void DataStore::RepairIndexLocation(const std::string& key,
 // ---------------------------------------------------------------------------
 
 void DataStore::ReadChain(uint32_t segment_id, uint8_t ssd, uint64_t offset,
-                          uint8_t chain_len,
-                          std::function<void(Status, std::vector<Bucket>)> cb) {
+                          uint8_t chain_len, std::function<void(Status, Chain)> cb) {
   if (chain_len == 0) {
     cb(Status::Ok(), {});
     return;
   }
-  auto acc = std::make_shared<std::vector<Bucket>>();
+  auto acc = std::make_shared<Chain>();
+  acc->buffers.reserve(chain_len);
+  acc->buckets.reserve(chain_len);
+  // Verifies the `count` buckets of the newest buffer and appends their
+  // views; a bad or foreign bucket fails the whole read.
+  auto take = [this, segment_id, acc](uint8_t count, const char* foreign) -> Status {
+    const std::vector<uint8_t>& bytes = acc->buffers.back();
+    for (uint8_t i = 0; i < count; ++i) {
+      auto b = BucketView::Parse(bytes, static_cast<size_t>(i) * config_.bucket_size,
+                                 config_.bucket_size);
+      if (!b.ok()) return b.status();
+      if (b.value().header().segment_id != segment_id) return Status::Corruption(foreign);
+      acc->buckets.push_back(b.value());
+    }
+    return Status::Ok();
+  };
   auto step = std::make_shared<std::function<void(uint8_t, uint64_t, uint8_t)>>();
   // The closure holds itself only weakly; pending IO callbacks hold the
   // strong reference, so the last completion releases the whole chain
   // (capturing `step` strongly here would leak it as a reference cycle).
-  *step = [this, segment_id, acc, wstep = std::weak_ptr<
+  *step = [this, acc, take, wstep = std::weak_ptr<
                std::function<void(uint8_t, uint64_t, uint8_t)>>(step),
            cb](uint8_t cur_ssd, uint64_t cur_off, uint8_t remaining) {
     auto self = wstep.lock();
@@ -847,24 +855,18 @@ void DataStore::ReadChain(uint32_t segment_id, uint8_t ssd, uint64_t offset,
     const LogSet& logs = log_sets_.at(cur_ssd);
     m_.ssd_reads->Inc();
     logs.key_log->Read(cur_off, config_.bucket_size,
-                       [this, segment_id, acc, step = self, cb,
+                       [this, acc, take, step = self, cb,
                         remaining](log::ReadResult r) {
       if (!r.status.ok()) {
         cb(r.status, {});
         return;
       }
-      auto b = DecodeBucket(r.data, 0, config_.bucket_size);
-      if (!b.ok()) {
-        cb(b.status(), {});
+      acc->buffers.push_back(std::move(r.data));
+      if (Status st = take(1, "chain walk hit foreign bucket"); !st.ok()) {
+        cb(st, {});
         return;
       }
-      Bucket bucket = std::move(b).value();
-      if (bucket.header.segment_id != segment_id) {
-        cb(Status::Corruption("chain walk hit foreign bucket"), {});
-        return;
-      }
-      BucketHeader hdr = bucket.header;
-      acc->push_back(std::move(bucket));
+      const BucketHeader& hdr = acc->buckets.back().header();
       if (remaining <= 1) {
         cb(Status::Ok(), std::move(*acc));
         return;
@@ -875,25 +877,15 @@ void DataStore::ReadChain(uint32_t segment_id, uint8_t ssd, uint64_t offset,
         uint64_t bytes = static_cast<uint64_t>(remaining - 1) * config_.bucket_size;
         m_.ssd_reads->Inc();
         rest_logs.key_log->Read(hdr.prev_offset, bytes,
-                                [this, segment_id, acc, cb, remaining](log::ReadResult rr) {
+                                [acc, take, cb, remaining](log::ReadResult rr) {
           if (!rr.status.ok()) {
             cb(rr.status, {});
             return;
           }
-          for (uint8_t i = 0; i + 1 < remaining; ++i) {
-            auto bb = DecodeBucket(rr.data, static_cast<size_t>(i) * config_.bucket_size,
-                                   config_.bucket_size);
-            if (!bb.ok()) {
-              cb(bb.status(), {});
-              return;
-            }
-            if (bb.value().header.segment_id != segment_id) {
-              cb(Status::Corruption("contiguous remainder hit foreign bucket"), {});
-              return;
-            }
-            acc->push_back(std::move(bb).value());
-          }
-          cb(Status::Ok(), std::move(*acc));
+          acc->buffers.push_back(std::move(rr.data));
+          Status st = take(static_cast<uint8_t>(remaining - 1),
+                           "contiguous remainder hit foreign bucket");
+          cb(st, st.ok() ? std::move(*acc) : Chain{});
         });
       } else {
         (*step)(hdr.prev_ssd, hdr.prev_offset, static_cast<uint8_t>(remaining - 1));

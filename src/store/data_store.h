@@ -271,15 +271,13 @@ class DataStore {
   struct PutOp;
   void PutAcquire(std::shared_ptr<PutOp> op);
   void PutReadHead(std::shared_ptr<PutOp> op);
-  void PutApply(std::shared_ptr<PutOp> op, std::optional<Bucket> head);
+  void PutApply(std::shared_ptr<PutOp> op);
   void PutCommit(std::shared_ptr<PutOp> op);
   void PutFinish(std::shared_ptr<PutOp> op, Status status);
 
   // --- COPY machine ---
   struct CopyOp;
   void CopyNextSegment(std::shared_ptr<CopyOp> op);
-  void CopyReadChain(std::shared_ptr<CopyOp> op, uint8_t ssd, uint64_t offset,
-                     uint8_t remaining);
   void CopyEmitValues(std::shared_ptr<CopyOp> op);
 
   // --- SCAN machine ---
@@ -293,15 +291,28 @@ class DataStore {
 
   // Compaction/swap repair: repoint the index entry for `key` from the old
   // value location to the new one (no-op if a newer PUT superseded it).
-  void RepairIndexLocation(const std::string& key, const RangeIndex::ValueLoc& from,
+  void RepairIndexLocation(std::string_view key, const RangeIndex::ValueLoc& from,
                            const RangeIndex::ValueLoc& to);
 
-  // Chain read helper shared with the compactor: reads the full chain of a
-  // segment into buckets (newest-first). Must be called with seg locked or
-  // from a context that tolerates relocation retries.
+  // A segment's chain as read from the key log, newest bucket first. The
+  // views point into `buffers`, which the chain keeps alive (moving it
+  // keeps them valid).
+  struct Chain {
+    std::vector<std::vector<uint8_t>> buffers;
+    std::vector<BucketView> buckets;
+
+    uint64_t item_count() const {
+      uint64_t n = 0;
+      for (const BucketView& b : buckets) n += b.item_count();
+      return n;
+    }
+  };
+
+  // Chain read helper shared with the compactor: reads and verifies the
+  // full chain of a segment. Must be called with seg locked or from a
+  // context that tolerates relocation retries.
   void ReadChain(uint32_t segment_id, uint8_t ssd, uint64_t offset,
-                 uint8_t chain_len,
-                 std::function<void(Status, std::vector<Bucket>)> cb);
+                 uint8_t chain_len, std::function<void(Status, Chain)> cb);
 
   void UnlockAndPump(uint32_t segment_id);
 

@@ -102,13 +102,31 @@ struct Bucket {
 };
 
 // Serialize to exactly bucket_size bytes. Dies (Status) if oversized.
+// Bucket, EncodeBucket and DecodeBucket are the reference codec: tests and
+// microbenchmarks check the in-place encoder and views below against them;
+// the store's own runtime paths never materialize a Bucket.
 Result<std::vector<uint8_t>> EncodeBucket(const Bucket& bucket, uint32_t bucket_size);
+
+// One key item where it lies in an encoded bucket: the fixed fields copied
+// out, the key viewed in place. Fields may be edited (compaction moves
+// values); the key must stay backed by the bucket bytes.
+struct KeyItemView {
+  std::string_view key;
+  uint32_t value_len = 0;
+  uint64_t value_offset = 0;
+  uint8_t value_ssd = 0;
+
+  bool IsTombstone() const { return value_len == 0; }
+  uint32_t EncodedSize() const {
+    return KeyItem::kFixedBytes + static_cast<uint32_t>(key.size());
+  }
+};
 
 // A checked, non-owning view of one encoded bucket. Parse verifies the CRC
 // and bounds-checks every key item where the bytes lie; lookups then read
-// keys straight out of the buffer, so searching a bucket allocates nothing
-// per item. The GET path searches through views; DecodeBucket is Parse
-// plus ToBucket. The viewed bytes must outlive the view.
+// keys straight out of the buffer, so searching or merging buckets
+// allocates nothing per item. DecodeBucket is Parse plus ToBucket. The
+// viewed bytes must outlive the view.
 class BucketView {
  public:
   BucketView() = default;
@@ -116,19 +134,103 @@ class BucketView {
   // Same contract and statuses as DecodeBucket.
   static Result<BucketView> Parse(std::span<const uint8_t> data, size_t at,
                                   uint32_t bucket_size);
+  // Parse for a caller that has already run VerifyBucketCrc on the same
+  // bytes (the recovery scan counts CRC rejects on their own): the
+  // structural checks alone, so each bucket is checksummed once.
+  static Result<BucketView> ParseCrcChecked(std::span<const uint8_t> data,
+                                            size_t at, uint32_t bucket_size);
 
   const BucketHeader& header() const { return header_; }
+  uint16_t item_count() const { return header_.item_count; }
 
   // Newest item for key (Bucket::Find semantics), copied out.
   std::optional<KeyItem> Find(std::string_view key) const;
+
+  // Bucket::CanUpsert: would `item` fit, replacing its key's version here
+  // if there is one and prepending otherwise?
+  bool CanUpsert(const KeyItemView& item, uint32_t bucket_size) const;
+  // Writes this bucket with `item` upserted (Bucket::Upsert semantics)
+  // under `header` into `out` (one bucket). Requires CanUpsert. The other
+  // items are copied as encoded byte runs.
+  void EncodeUpsert(const KeyItemView& item, const BucketHeader& header,
+                    std::span<uint8_t> out) const;
+
+  // Calls fn(const KeyItemView&) for every item, newest first.
+  template <typename Fn>
+  void ForEachItem(Fn&& fn) const {
+    size_t pos = 0;
+    for (uint16_t i = 0; i < header_.item_count; ++i) {
+      const KeyItemView item = ItemAt(pos);
+      pos += item.EncodedSize();
+      fn(item);
+    }
+  }
 
   // Owning copy of the header and every item.
   Bucket ToBucket() const;
 
  private:
+  // The newest item for a key, with its index and its byte range
+  // [begin, end) within the item area.
+  struct Located {
+    KeyItemView item;
+    uint16_t index = 0;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+  std::optional<Located> Locate(std::string_view key) const;
+
+  // The item starting at byte `pos` of the (already validated) item area.
+  KeyItemView ItemAt(size_t pos) const;
+
   BucketHeader header_;
   std::span<const uint8_t> items_;  // validated for header_.item_count items
 };
+
+// Writes one bucket straight into its destination (typically a slice of
+// the key-log append buffer): Add/AddEncoded append items newest first
+// after the header slot, and Finish writes the header, zero-fills the rest
+// and stores the CRC. The bytes equal EncodeBucket of the equivalent
+// Bucket. Note that Bucket::Upsert *prepends*, so a Bucket filled by
+// successive Upserts holds its items in reverse insertion order.
+class BucketEncoder {
+ public:
+  // `out` is exactly one bucket (bucket_size bytes).
+  explicit BucketEncoder(std::span<uint8_t> out);
+
+  // Appends one item; false (and nothing written) if it does not fit.
+  bool Add(const KeyItemView& item);
+  // Appends `count` already-encoded items verbatim (a run of another
+  // bucket's item area, cut on item boundaries).
+  bool AddEncoded(std::span<const uint8_t> items, uint16_t count);
+
+  // Writes `header` with item_count set to the items added and the CRC of
+  // the finished bucket.
+  void Finish(const BucketHeader& header);
+
+ private:
+  std::span<uint8_t> out_;
+  size_t pos_;
+  uint16_t count_ = 0;
+};
+
+// Compaction's segment rewrite: packs items (newest first) into buckets
+// first-fit in order and encodes them back to back, as the contiguous array
+// that gets appended at key-log offset `base`. Each bucket carries
+// `common`'s fields plus its own chain_len, position, contiguity and
+// prev_offset (the next bucket of the array). Byte-equal to filling Buckets
+// by successive Upserts, so each bucket holds its run of items reversed.
+std::vector<uint8_t> EncodeContiguousChain(std::span<const KeyItemView> items,
+                                           uint32_t bucket_size,
+                                           const BucketHeader& common, uint64_t base);
+
+// Newest-wins merge of a chain given newest bucket first: for each key the
+// first version in chain order survives unless it is a tombstone; shadowed
+// versions and tombstones are dropped. Survivors keep chain order, and
+// their keys point into the buckets' bytes. The one merge behind key
+// compaction, value-compaction liveness, swap merge-back, COPY and the
+// range-index rebuild.
+std::vector<KeyItemView> MergeNewestWins(std::span<const BucketView> chain);
 
 // Parse one bucket from `data` at byte offset `at` (bucket_size bytes).
 // Verifies the bucket CRC first; a mismatch (torn append, bit rot, or a

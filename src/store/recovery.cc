@@ -86,15 +86,15 @@ void Repoint(DataStore& store, RecoveryRun& run, const BucketHeader& h,
 
 // Track how far into each value log an adopted bucket's live items reach,
 // so the value tails can be extended to cover post-checkpoint appends.
-void TrackValueEnds(RecoveryRun& run, const Bucket& b) {
-  for (const auto& it : b.items) {
-    if (it.IsTombstone()) continue;
+void TrackValueEnds(RecoveryRun& run, const BucketView& b) {
+  b.ForEachItem([&run](const KeyItemView& it) {
+    if (it.IsTombstone()) return;
     uint64_t end = it.value_offset +
                    ValueEntryBytes(static_cast<uint32_t>(it.key.size()),
                                    it.value_len);
     uint64_t& max_end = run.value_ext[it.value_ssd];
     max_end = std::max(max_end, end);
-  }
+  });
 }
 
 void NextLog(std::shared_ptr<RecoveryRun> run) {
@@ -182,34 +182,34 @@ void ScanNextRegion(std::shared_ptr<RecoveryRun> run) {
         run->stats.crc_rejected++;
         continue;
       }
-      auto decoded = DecodeBucket(r.data, at, bucket_size);
-      if (!decoded.ok()) {
+      auto parsed = BucketView::ParseCrcChecked(r.data, at, bucket_size);
+      if (!parsed.ok()) {
         run->stats.torn_buckets_ignored++;
         continue;
       }
-      const Bucket& b = decoded.value();
+      const BucketHeader& h = parsed.value().header();
       run->stats.buckets_scanned++;
-      if (!SelfIdentityOk(b.header, start + at, bucket_size)) {
+      if (!SelfIdentityOk(h, start + at, bucket_size)) {
         run->stats.torn_buckets_ignored++;
         continue;
       }
       // Swap logs are shared: sibling stores' buckets pass every other
       // check but must not repoint this store's SegTbl.
-      if (b.header.owner_store != own_store) {
+      if (h.owner_store != own_store) {
         run->stats.foreign_buckets_skipped++;
         continue;
       }
       // Only chain heads re-point the SegTbl; mid-chain buckets of a
       // collapsed array carry position > 0 and are reachable via the head.
-      if (b.header.position != 0) {
+      if (h.position != 0) {
         run->stats.stale_copies_skipped++;
         continue;
       }
-      if (b.header.segment_id >= store.config().num_segments) {
+      if (h.segment_id >= store.config().num_segments) {
         run->stats.torn_buckets_ignored++;
         continue;
       }
-      Repoint(store, *run, b.header, start + at, b.header.chain_len, ssd);
+      Repoint(store, *run, h, start + at, h.chain_len, ssd);
     }
     run->cursor = start + aligned;
     ScanNextRegion(run);
@@ -266,14 +266,14 @@ void ScanExtended(std::shared_ptr<RecoveryRun> run) {
         at += bucket_size;
         continue;
       }
-      auto decoded = DecodeBucket(r.data, at, bucket_size);
-      if (!decoded.ok()) {  // CRC passed but unparsable: treat as the end
+      auto parsed = BucketView::ParseCrcChecked(r.data, at, bucket_size);
+      if (!parsed.ok()) {  // CRC passed but unparsable: treat as the end
         run->stats.torn_buckets_ignored++;
         NextLog(run);
         return;
       }
-      const Bucket& b = decoded.value();
-      const BucketHeader& h = b.header;
+      const BucketView& b = parsed.value();
+      const BucketHeader& h = b.header();
       run->consec_bad = 0;
       if (run->in_blob) {
         const bool member =

@@ -1,0 +1,186 @@
+// Pins the store's write path to a constant number of heap allocations per
+// operation, whatever the number of items per bucket: a key-compaction
+// collapse of a maximum-length chain and a PUT that rewrites its chain
+// head merge, pack and encode on the bytes they read, never one object per
+// key item. The same idea as the EventFitsInline static_asserts, checked
+// at run time: this binary replaces the global operator new with a
+// counting one.
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "log/circular_log.h"
+#include "sim/block_device.h"
+#include "sim/cpu_model.h"
+#include "sim/simulator.h"
+#include "store/data_store.h"
+#include "test_util.h"
+
+namespace {
+uint64_t g_allocs = 0;
+
+void* CountedAlloc(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace leed::store {
+namespace {
+
+using testutil::RunUntilFlag;
+using testutil::SyncPut;
+using testutil::TestValue;
+
+constexpr uint32_t kBucketSize = 1024;
+constexpr uint64_t kLogBytes = 2 << 20;
+
+// One store whose every key lands in a single segment, so PUTs of fresh
+// keys grow one chain bucket by bucket.
+class WritePathAllocs {
+ public:
+  explicit WritePathAllocs(size_t key_len)
+      : device_(sim_, 64ull << 20, 512), core_(sim_, 3.0), key_len_(key_len) {
+    StoreConfig cfg;
+    cfg.num_segments = 1;
+    cfg.bucket_size = kBucketSize;
+    cfg.chain_bits = 4;                  // chains of up to 15 buckets
+    cfg.compaction_threshold = 0.99;     // only forced compactions run
+    cfg.compaction_chunk = 8ull << 20;
+    cfg.subcompactions = 1;
+    key_log_ = std::make_unique<log::CircularLog>(device_, 0, kLogBytes);
+    value_log_ = std::make_unique<log::CircularLog>(device_, kLogBytes, kLogBytes);
+    ds_ = std::make_unique<DataStore>(sim_, core_,
+                                      LogSet{0, key_log_.get(), value_log_.get()}, cfg);
+    // Make every page of both logs resident up front, so the device's page
+    // table never grows during a measured op.
+    sim::IoRequest touch;
+    touch.type = sim::IoType::kWrite;
+    touch.length = 2 * kLogBytes;
+    EXPECT_TRUE(device_.Submit(std::move(touch), [](sim::IoResult) {}).ok());
+    sim_.Run();
+  }
+
+  std::string Key(int i) const {
+    std::string k = "user" + std::to_string(1000000 + i);
+    k.resize(key_len_, 'x');
+    return k;
+  }
+
+  // Items that fit one bucket with keys of this length.
+  int ItemsPerBucket() const {
+    return static_cast<int>((kBucketSize - BucketHeader::kEncodedSize) /
+                            (KeyItem::kFixedBytes + key_len_));
+  }
+
+  // Fresh keys until the segment's chain has its maximum length and every
+  // bucket, the head included, is full.
+  void FillChain() {
+    const uint32_t max_chain = ds_->segments().max_chain();
+    for (; next_key_ < static_cast<int>(max_chain) * ItemsPerBucket(); ++next_key_) {
+      ASSERT_TRUE(SyncPut(sim_, *ds_, Key(next_key_), TestValue(next_key_, 64)).ok());
+    }
+    ASSERT_EQ(ds_->segments().At(0).chain_len, max_chain);
+  }
+
+  // Allocations made by one PUT that rewrites the full head bucket (its key
+  // is the head's newest), start to finish.
+  uint64_t PutAllocs() {
+    std::string key = Key(next_key_ - 1);  // lives in the head bucket
+    std::vector<uint8_t> value = TestValue(7, 64);
+    bool done = false;
+    const uint64_t before = g_allocs;
+    ds_->Put(std::move(key), std::move(value), [&done](Status st) {
+      EXPECT_TRUE(st.ok());
+      done = true;
+    });
+    EXPECT_TRUE(RunUntilFlag(sim_, done));
+    return g_allocs - before;
+  }
+
+  // Allocations made by a forced key compaction that collapses the chain.
+  uint64_t CollapseAllocs() {
+    const uint64_t collapsed = ds_->stats().segments_collapsed;
+    bool done = false;
+    const uint64_t before = g_allocs;
+    ds_->ForceKeyCompaction([&done](Status st) {
+      EXPECT_TRUE(st.ok());
+      done = true;
+    });
+    EXPECT_TRUE(RunUntilFlag(sim_, done));
+    const uint64_t allocs = g_allocs - before;
+    sim_.Run();  // the prefetch the run issued
+    EXPECT_EQ(ds_->stats().segments_collapsed, collapsed + 1);
+    return allocs;
+  }
+
+ private:
+  sim::Simulator sim_;
+  sim::MemBlockDevice device_;
+  sim::CpuCore core_;
+  size_t key_len_;
+  std::unique_ptr<log::CircularLog> key_log_;
+  std::unique_ptr<log::CircularLog> value_log_;
+  std::unique_ptr<DataStore> ds_;
+  int next_key_ = 0;
+};
+
+// Long keys give 3 items per bucket, short ones 34; every key is past the
+// small-string limit, so a per-item key copy would show.
+constexpr size_t kFewItemsKeyLen = 300;
+constexpr size_t kManyItemsKeyLen = 16;
+
+// Enough for the op's own state, IO buffers, closures and events (11 and
+// 123 when written); one allocation per key item would add 34 per bucket
+// on the many-items side.
+constexpr uint64_t kPutBudget = 16;
+constexpr uint64_t kCollapseBudget = 140;
+
+TEST(WritePathAllocTest, PutHeadRewriteIsConstant) {
+  WritePathAllocs few(kFewItemsKeyLen);
+  WritePathAllocs many(kManyItemsKeyLen);
+  ASSERT_EQ(few.ItemsPerBucket(), 3);
+  ASSERT_EQ(many.ItemsPerBucket(), 34);
+  few.FillChain();
+  many.FillChain();
+  few.PutAllocs();  // warm the event loop's slabs on both sides
+  many.PutAllocs();
+  const uint64_t a = few.PutAllocs();
+  const uint64_t b = many.PutAllocs();
+  EXPECT_EQ(a, b);
+  EXPECT_LE(b, kPutBudget);
+}
+
+TEST(WritePathAllocTest, MaxChainCollapseIsConstant) {
+  WritePathAllocs few(kFewItemsKeyLen);
+  WritePathAllocs many(kManyItemsKeyLen);
+  few.FillChain();
+  many.FillChain();
+  const uint64_t a = few.CollapseAllocs();
+  const uint64_t b = many.CollapseAllocs();
+  EXPECT_EQ(a, b);
+  EXPECT_LE(b, kCollapseBudget);
+}
+
+}  // namespace
+}  // namespace leed::store

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
+#include "common/rand.h"
+
 #include "sim/block_device.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -62,6 +68,44 @@ TEST(PageStoreTest, OverwriteReplacesBytes) {
   EXPECT_EQ(out[20], 2);
   EXPECT_EQ(out[29], 2);
   EXPECT_EQ(out[30], 1);
+}
+
+// Random writes (page-straddling, some with short data, leaving holes)
+// against a byte-map oracle, across many page-table growths.
+TEST(PageStoreTest, RandomizedAgainstMapOracle) {
+  constexpr uint64_t kCapacity = 1 << 20;
+  constexpr uint32_t kPage = 256;
+  PageStore store(kCapacity, kPage);
+  std::map<uint64_t, uint8_t> oracle;  // written bytes; absent reads as 0
+  std::set<uint64_t> pages;
+  Rng rng(testutil::TestSeed(0x9a6e));
+  auto check = [&](uint64_t offset, uint64_t length) {
+    const auto got = store.Read(offset, length);
+    ASSERT_EQ(got.size(), length);
+    for (uint64_t i = 0; i < length; ++i) {
+      auto it = oracle.find(offset + i);
+      ASSERT_EQ(got[i], it == oracle.end() ? 0 : it->second) << "byte " << offset + i;
+    }
+  };
+  for (int op = 0; op < 600; ++op) {
+    const uint64_t length = 1 + rng.NextBounded(3 * kPage);
+    const uint64_t offset = rng.NextBounded(kCapacity - length);
+    // Every fourth write declares more bytes than it carries; the rest of
+    // the declared range is written as zeros.
+    const uint64_t carried = op % 4 == 0 ? rng.NextBounded(length + 1) : length;
+    std::vector<uint8_t> data(carried);
+    for (auto& b : data) b = static_cast<uint8_t>(1 + rng.NextBounded(255));
+    store.Write(offset, data, length);
+    for (uint64_t i = 0; i < length; ++i) oracle[offset + i] = i < carried ? data[i] : 0;
+    for (uint64_t p = offset / kPage; p <= (offset + length - 1) / kPage; ++p) pages.insert(p);
+    ASSERT_EQ(store.resident_pages(), pages.size());
+    const uint64_t rlen = 1 + rng.NextBounded(3 * kPage);
+    check(rng.NextBounded(kCapacity - rlen), rlen);
+  }
+  // Several growths happened (the table starts at 16 slots, half full).
+  EXPECT_GT(pages.size(), 256u);
+  EXPECT_EQ(store.resident_bytes(), pages.size() * kPage);
+  for (uint64_t offset = 0; offset < kCapacity; offset += 64 * 1024) check(offset, 64 * 1024);
 }
 
 TEST(MemBlockDeviceTest, CompletionIsAsynchronousButImmediate) {

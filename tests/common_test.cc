@@ -139,12 +139,34 @@ TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
   for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
   for (size_t start = 0; start < 8; ++start) {
     for (size_t len = 0; start + len <= 530; ++len) {
-      ASSERT_EQ(Crc32(buf.data() + start, len), BytewiseCrc32(buf.data() + start, len))
+      const uint32_t want = BytewiseCrc32(buf.data() + start, len);
+      ASSERT_EQ(Crc32ExtendPortable(0, buf.data() + start, len), want)
+          << "start " << start << " len " << len;
+      ASSERT_EQ(Crc32(buf.data() + start, len), want)
           << "start " << start << " len " << len;
     }
   }
   const char* check = "123456789";
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+}
+
+// The PCLMULQDQ folding path against slicing-by-8: every length through
+// several fold blocks and both tail shapes, every alignment, continuing
+// from a fresh and from a random checksum.
+TEST(Crc32Test, HardwareMatchesPortable) {
+  if (!Crc32HardwareAvailable()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  Rng rng(1234);
+  std::vector<uint8_t> buf(1100 + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (const uint32_t seed : {0u, static_cast<uint32_t>(rng.Next())}) {
+    for (size_t start = 0; start < 8; ++start) {
+      for (size_t len = 0; len <= 1100; ++len) {
+        ASSERT_EQ(Crc32ExtendHardware(seed, buf.data() + start, len),
+                  Crc32ExtendPortable(seed, buf.data() + start, len))
+            << "seed " << seed << " start " << start << " len " << len;
+      }
+    }
+  }
 }
 
 TEST(Crc32Test, ExtendContinuesAChecksum) {

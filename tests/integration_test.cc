@@ -339,6 +339,30 @@ TEST(IntegrationTest, RunHarnessProducesThroughputAndEnergy) {
   EXPECT_EQ(r.errors, 0u);
 }
 
+// Poisson open loop well below the knee: achieved throughput tracks the
+// offered rate. (The arrival closure must outlive the setup block that
+// schedules it, or the run completes nothing.)
+TEST(IntegrationTest, OpenLoopAchievesOfferedRateBelowKnee) {
+  ClusterSim cluster(SmallLeedCluster());
+  cluster.Bootstrap();
+  cluster.Preload(500, 256);
+
+  workload::YcsbConfig wc;
+  wc.mix = workload::Mix::kB;
+  wc.num_keys = 500;
+  wc.value_size = 256;
+  workload::YcsbGenerator gen(wc);
+
+  ClusterSim::DriveOptions opt;
+  opt.open_loop_qps = 30'000;
+  opt.warmup = 20 * kMillisecond;
+  opt.duration = 200 * kMillisecond;
+  RunResult r = cluster.Run(gen, opt);
+
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_NEAR(r.throughput_qps, opt.open_loop_qps, 0.05 * opt.open_loop_qps);
+}
+
 TEST(IntegrationTest, TimelineBucketsCoverRun) {
   ClusterSim cluster(SmallLeedCluster());
   cluster.Bootstrap();

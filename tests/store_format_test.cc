@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -236,6 +237,227 @@ TEST(BucketUpsertTest, FindReturnsNewest) {
   ASSERT_TRUE(idx.has_value());
   EXPECT_EQ(b.items[*idx].value_offset, 1u);
   EXPECT_FALSE(b.Find("missing").has_value());
+}
+
+// ---------------------------------------------------------------------------
+// In-place encoder and view merge, checked against the reference codec
+// ---------------------------------------------------------------------------
+
+KeyItemView ViewOf(const KeyItem& it) {
+  return {it.key, it.value_len, it.value_offset, it.value_ssd};
+}
+
+BucketHeader SampleHeader() {
+  BucketHeader h;
+  h.segment_id = 41;
+  h.tag = 0x5eed;
+  h.chain_len = 2;
+  h.contiguous = 1;
+  h.value_ssd_hint = 3;
+  h.prev_offset = 0x1234500;
+  h.prev_ssd = 1;
+  h.log_head = 4096;
+  h.log_tail = 81920;
+  h.owner_store = 2;
+  return h;
+}
+
+std::vector<uint8_t> Reference(const Bucket& b, uint32_t bucket_size) {
+  auto enc = EncodeBucket(b, bucket_size);
+  EXPECT_TRUE(enc.ok());
+  return enc.value();
+}
+
+// A head bucket of six 16-byte keys (the YCSB key shape), as read.
+Bucket SixItemHead() {
+  Bucket b;
+  b.header = SampleHeader();
+  for (int i = 0; i < 6; ++i) {
+    b.Upsert(512, MakeItem("user00000000010" + std::to_string(i), 256,
+                           static_cast<uint64_t>(i) * 300, 1));
+  }
+  return b;
+}
+
+TEST(BucketEncoderTest, ReplaceInPlaceMatchesUpsert) {
+  const Bucket head = SixItemHead();
+  const auto bytes = Reference(head, 512);
+  const BucketView view = BucketView::Parse(bytes, 0, 512).value();
+  for (size_t k = 0; k < head.items.size(); ++k) {  // first, middle, last
+    const KeyItem repl = MakeItem(head.items[k].key, 777, 0xabcdef0 + k, 3);
+    Bucket want = head;
+    ASSERT_TRUE(view.CanUpsert(ViewOf(repl), 512));
+    ASSERT_TRUE(want.Upsert(512, repl));
+    want.header.log_tail = 99999;
+    std::vector<uint8_t> got(512, 0xee);  // every byte must be rewritten
+    view.EncodeUpsert(ViewOf(repl), want.header, got);
+    EXPECT_EQ(got, Reference(want, 512)) << "replaced item " << k;
+  }
+}
+
+TEST(BucketEncoderTest, PrependMatchesUpsertUpToExactlyFull) {
+  // 128 B buckets: 36 B header + 4 items of 13 + 10 B fill it exactly.
+  Bucket head;
+  head.header = SampleHeader();
+  head.Upsert(128, MakeItem("key-aaaaaa", 10, 1));
+  head.Upsert(128, MakeItem("key-bbbbbb", 20, 2));
+  for (const char* key : {"key-cccccc", "key-dddddd"}) {
+    const auto bytes = Reference(head, 128);
+    const BucketView view = BucketView::Parse(bytes, 0, 128).value();
+    const KeyItem add = MakeItem(key, 30, 3, 2);
+    Bucket want = head;
+    ASSERT_TRUE(view.CanUpsert(ViewOf(add), 128));
+    ASSERT_TRUE(want.Upsert(128, add));
+    std::vector<uint8_t> got(128, 0xee);
+    view.EncodeUpsert(ViewOf(add), want.header, got);
+    EXPECT_EQ(got, Reference(want, 128)) << key;
+    head = want;
+  }
+  EXPECT_EQ(head.PayloadBytes(), 128u);
+  const auto full = Reference(head, 128);
+  const BucketView view = BucketView::Parse(full, 0, 128).value();
+  EXPECT_FALSE(view.CanUpsert(ViewOf(MakeItem("key-eeeeee", 1, 1)), 128));
+  EXPECT_TRUE(view.CanUpsert(ViewOf(MakeItem("key-aaaaaa", 1, 1)), 128));
+}
+
+TEST(BucketEncoderTest, NewChainHeadMatchesReference) {
+  const KeyItem item = MakeItem("user000000000042", 1024, 0x7777777, 2);
+  Bucket want;
+  want.header = SampleHeader();
+  ASSERT_TRUE(want.Upsert(512, item));
+  std::vector<uint8_t> got(512, 0xee);
+  BucketEncoder enc(got);
+  ASSERT_TRUE(enc.Add(ViewOf(item)));
+  enc.Finish(want.header);
+  EXPECT_EQ(got, Reference(want, 512));
+  EXPECT_TRUE(VerifyBucketCrc(got, 0, 512));
+}
+
+// Compaction's rewrite against Buckets packed by Upsert, first fit.
+std::vector<uint8_t> ReferenceChain(const std::vector<KeyItem>& items,
+                                    uint32_t bucket_size, const BucketHeader& common,
+                                    uint64_t base) {
+  std::vector<Bucket> buckets(1);
+  for (const auto& item : items) {
+    if (!buckets.back().Upsert(bucket_size, item)) {
+      buckets.emplace_back();
+      EXPECT_TRUE(buckets.back().Upsert(bucket_size, item));
+    }
+  }
+  std::vector<uint8_t> blob;
+  const size_t n = buckets.size();
+  for (size_t i = 0; i < n; ++i) {
+    BucketHeader& h = buckets[i].header;
+    h = common;
+    h.chain_len = static_cast<uint8_t>(n - i);
+    h.position = static_cast<uint8_t>(i);
+    h.contiguous = i + 1 < n ? 1 : 0;
+    h.prev_offset = i + 1 < n ? base + (i + 1) * bucket_size : 0;
+    const auto enc = Reference(buckets[i], bucket_size);
+    blob.insert(blob.end(), enc.begin(), enc.end());
+  }
+  return blob;
+}
+
+TEST(BucketEncoderTest, ContiguousChainMatchesUpsertPacking) {
+  const BucketHeader common = SampleHeader();
+  // Four 23-byte items fill the first 128 B bucket exactly; the rest
+  // spill into the next.
+  std::vector<KeyItem> items;
+  for (int i = 0; i < 4; ++i) items.push_back(MakeItem("exact-" + std::to_string(1000 + i), 5, i));
+  items.push_back(MakeItem("spill-a", 7, 70, 1));
+  items.push_back(MakeItem("spill-bbbbbbbbbbbb", 0, 0));
+  std::vector<KeyItemView> views;
+  for (const auto& it : items) views.push_back(ViewOf(it));
+  auto got = EncodeContiguousChain(views, 128, common, 1 << 20);
+  EXPECT_EQ(got.size(), 2u * 128);
+  EXPECT_EQ(got, ReferenceChain(items, 128, common, 1 << 20));
+
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    items.clear();
+    views.clear();
+    const int n = 1 + static_cast<int>(rng.NextBounded(120));
+    for (int i = 0; i < n; ++i) {
+      items.push_back(MakeItem(std::string(1 + rng.NextBounded(30), 'k') + std::to_string(i),
+                               static_cast<uint32_t>(rng.NextBounded(4)) * 100,
+                               rng.NextBounded(1ULL << 40),
+                               static_cast<uint8_t>(rng.NextBounded(3))));
+    }
+    for (const auto& it : items) views.push_back(ViewOf(it));
+    EXPECT_EQ(EncodeContiguousChain(views, 512, common, 4096 * trial),
+              ReferenceChain(items, 512, common, 4096 * trial))
+        << "trial " << trial;
+  }
+}
+
+// The set-based merge the view merge replaced: the oracle.
+std::vector<KeyItem> ReferenceMerge(const std::vector<Bucket>& chain) {
+  std::vector<KeyItem> merged;
+  std::set<std::string> seen;
+  for (const auto& b : chain) {
+    for (const auto& it : b.items) {
+      if (!seen.insert(it.key).second || it.IsTombstone()) continue;
+      merged.push_back(it);
+    }
+  }
+  return merged;
+}
+
+// Encodes each bucket and parses views over the bytes (kept in `store`).
+std::vector<BucketView> Views(const std::vector<Bucket>& chain,
+                              std::vector<std::vector<uint8_t>>* store) {
+  std::vector<BucketView> views;
+  store->reserve(chain.size());
+  for (const auto& b : chain) {
+    store->push_back(Reference(b, 512));
+    views.push_back(BucketView::Parse(store->back(), 0, 512).value());
+  }
+  return views;
+}
+
+TEST(MergeNewestWinsTest, NewestWinsAndTombstonesShadow) {
+  std::vector<Bucket> chain(3);  // newest first
+  chain[0].items = {MakeItem("a", 3, 300), MakeItem("c", 0, 0)};
+  chain[1].items = {MakeItem("b", 2, 200), MakeItem("a", 2, 201), MakeItem("d", 1, 100)};
+  chain[2].items = {MakeItem("c", 1, 101), MakeItem("a", 1, 102), MakeItem("e", 0, 0)};
+  std::vector<std::vector<uint8_t>> bytes;
+  const auto merged = MergeNewestWins(Views(chain, &bytes));
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged[0].key, "a");
+  EXPECT_EQ(merged[0].value_offset, 300u);  // the newest version
+  EXPECT_EQ(merged[1].key, "b");
+  EXPECT_EQ(merged[2].key, "d");
+  // "c" is shadowed by its newer tombstone, and "e" is one.
+  // Keys point into the bucket bytes, not into copies.
+  const auto* lo = bytes[0].data();
+  EXPECT_TRUE(reinterpret_cast<const uint8_t*>(merged[0].key.data()) >= lo &&
+              reinterpret_cast<const uint8_t*>(merged[0].key.data()) < lo + 512);
+}
+
+TEST(MergeNewestWinsTest, AgreesWithSetMergeOnRandomChains) {
+  Rng rng(23);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<Bucket> chain(1 + rng.NextBounded(15));
+    for (auto& b : chain) {
+      const int n = static_cast<int>(rng.NextBounded(12));
+      for (int i = 0; i < n; ++i) {
+        b.Upsert(512, MakeItem("user" + std::to_string(rng.NextBounded(30)),
+                               static_cast<uint32_t>(rng.NextBounded(3)) * 64,
+                               rng.NextBounded(1ULL << 40)));
+      }
+    }
+    std::vector<std::vector<uint8_t>> bytes;
+    const auto got = MergeNewestWins(Views(chain, &bytes));
+    const auto want = ReferenceMerge(chain);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].key, want[i].key);
+      EXPECT_EQ(got[i].value_len, want[i].value_len);
+      EXPECT_EQ(got[i].value_offset, want[i].value_offset);
+      EXPECT_EQ(got[i].value_ssd, want[i].value_ssd);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
