@@ -30,7 +30,6 @@
 
 #include "bench/bench_util.h"
 #include "common/rand.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
 
@@ -219,7 +218,7 @@ uint64_t RunScheduleCancelChurn(uint64_t ops, uint32_t concurrency) {
   return sim.events_executed();
 }
 
-// Tier A scaling (docs/PARALLEL_SIM.md): a fleet of independent churn
+// Seed-sweep scaling (docs/PARALLEL_SIM.md): a fleet of independent churn
 // simulations fanned across the seed-parallel sweep pool — the shape of
 // every multi-seed harness in the tree. The jobs=1 pass is the serial
 // baseline, so for this case the "legacy" column is that baseline and
@@ -231,40 +230,6 @@ uint64_t RunSeedSweep(uint32_t jobs, uint64_t events_per_sim, uint32_t sims) {
                     std::memory_order_relaxed);
   });
   return total.load(std::memory_order_relaxed);
-}
-
-// Tier B scaling: the same churn load split into shard-pure streams on a
-// ShardedRunner — per-shard Simulators under conservative-lookahead
-// windows, real worker threads, no cross-shard traffic. jobs=1 is again
-// the baseline, so "speedup" is the intra-simulation scaling factor (it
-// also prices the window/barrier overhead: a regression here means the
-// horizon machinery got slower, even on one core).
-uint64_t RunShardedChurn(uint32_t jobs, uint64_t events_per_shard,
-                         uint32_t shards, uint32_t depth) {
-  // Lookahead well above the chains' max reschedule offset (128): each
-  // window batches a few full reschedule generations per shard, so the
-  // barrier cost amortizes the way a real fabric-latency lookahead would.
-  sim::ShardedRunner runner(shards, /*lookahead=*/512, jobs);
-  struct ShardState {
-    uint64_t remaining = 0;
-    uint64_t sink = 0;
-    Rng rng{0x51c0};
-  };
-  std::vector<ShardState> st(shards);
-  std::vector<std::vector<ChurnChain<sim::Simulator>>> chains;
-  chains.reserve(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    st[s].remaining = events_per_shard;
-    chains.emplace_back(depth, ChurnChain<sim::Simulator>{
-                                   runner.shard(s), &st[s].remaining,
-                                   &st[s].rng, &st[s].sink});
-    for (auto& c : chains.back()) c.Fire();
-  }
-  runner.Run();
-  uint64_t sink = 0;
-  for (const auto& s : st) sink += s.sink;
-  if (sink == 0x1eedbad) std::printf("(unreachable)\n");
-  return runner.events_executed();
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +324,7 @@ int main() {
              return RunScheduleCancelChurn<LegacySimulator>(kOps, 64);
            }));
 
-  // Parallel legs: "legacy" is the jobs=1 serial baseline of the same
+  // Parallel leg: "legacy" is the jobs=1 serial baseline of the same
   // workload, so "speedup" is the parallel scaling factor. CI's perf gate
   // requires parallel_scaling_jobs4 >= 1.5 on its 4-core runners
   // (docs/PARALLEL_SIM.md); on fewer cores expect ~1.0.
@@ -368,10 +333,6 @@ int main() {
   add_case("parallel_scaling_jobs4",
            MeasureEps([] { return RunSeedSweep(4, kSweepEvents, kSweepSims); }),
            MeasureEps([] { return RunSeedSweep(1, kSweepEvents, kSweepSims); }));
-  add_case(
-      "sharded_runner_jobs4",
-      MeasureEps([] { return RunShardedChurn(4, kEvents / 8, 4, 256); }),
-      MeasureEps([] { return RunShardedChurn(1, kEvents / 8, 4, 256); }));
 
   WriteSimcoreJson(results);
   return 0;

@@ -36,7 +36,6 @@ ClusterConfig NemesisCluster(const NemesisOptions& opt, uint64_t seed,
   cfg.num_nodes = 3;
   cfg.num_clients = opt.num_clients;
   cfg.seed = seed;
-  cfg.sharded = opt.sharded;
   // Never the process-wide defaults: seeds may run on parallel sweep
   // workers, so all observability state must be per-seed.
   cfg.node.metrics_registry = registry;
@@ -54,7 +53,6 @@ ClusterConfig NemesisCluster(const NemesisOptions& opt, uint64_t seed,
   cfg.node.engine.offload_enabled = opt.offload;
   cfg.node.test_only_serve_dirty_reads = opt.unsafe_dirty_reads;
   cfg.node.test_only_serve_torn_scans = opt.unsafe_torn_scans;
-  cfg.node.test_only_cross_shard_touch = opt.cross_shard_touch;
 
   cfg.client.stores_per_ssd = 2;
   cfg.client.request_timeout = 10 * kMillisecond;
@@ -330,9 +328,8 @@ NemesisResult RunNemesisSweep(const NemesisOptions& options) {
   // Seeds are independent simulations (per-seed registry/ring, seed-named
   // dump files), so the sweep runs on the seed-parallel pool. Every worker
   // writes only its own index-addressed slot — result.seeds[i] is owned by
-  // the worker holding index i for the round, the same ownership-not-locks
-  // discipline the shard annotations (common/shard_annotations.h) name,
-  // with TaskPool's round barrier as the happens-before edge back to this
+  // the worker holding index i for the round (ownership, not locks), with
+  // TaskPool's round barrier as the happens-before edge back to this
   // thread. Aggregation and verbose reporting happen afterwards in seed
   // order, so any --jobs value yields byte-identical output
   // (docs/PARALLEL_SIM.md).

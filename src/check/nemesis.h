@@ -90,13 +90,6 @@ struct NemesisOptions {
   // the scan-aware checker.
   bool unsafe_torn_scans = false;
 
-  // TEST-ONLY mutation switch (NodeConfig::test_only_cross_shard_touch):
-  // every node dispatches received messages under the wrong shard's
-  // context. With `sharded` set, a debug build's ShardAccessChecker must
-  // abort on the very first message — the end-to-end self-test of the
-  // shard-purity race detector (docs/PARALLEL_SIM.md).
-  bool cross_shard_touch = false;
-
   // Non-empty: violating (minimized, per-key) sub-histories plus the full
   // violating history are written here for triage.
   std::string dump_dir;
@@ -111,10 +104,6 @@ struct NemesisOptions {
   // per-seed registries/rings and index-addressed results, so every jobs
   // value produces byte-identical histories, dumps, and aggregates.
   uint32_t jobs = 1;
-  // Run each seed's ClusterSim with the sharded event loop
-  // (ClusterConfig::sharded). Byte-identical to the default loop — the
-  // replay gate diffs the two.
-  bool sharded = false;
 
   // Accept seeds whose recovery abandoned copies (copies_abandoned > 0 —
   // an arc with no surviving source, i.e. real data loss). Off by default:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/shard_check.h"
 #include "store/superblock.h"
 
 namespace leed::engine {
@@ -142,12 +141,9 @@ IoEngine::IoEngine(sim::Simulator& simulator, sim::CpuModel& cpu,
         sim_, config_.checkpoint_period, [this] { WriteCheckpoints(); });
     checkpoint_timer_->Start();
   }
-  // The engine inherits its owning node's shard (it is constructed inside
-  // the node's ShardGuard). Compiles out under NDEBUG.
-  LEED_REGISTER_SHARD_OWNER(sim_, this, config_.metrics_prefix);
 }
 
-IoEngine::~IoEngine() { LEED_UNREGISTER_SHARD_OWNER(sim_, this); }
+IoEngine::~IoEngine() = default;
 
 void IoEngine::Quiesce() {
   if (swap_timer_) swap_timer_->Stop();
@@ -321,7 +317,6 @@ void IoEngine::set_data_swap_enabled(bool on) {
 }
 
 void IoEngine::Submit(Request req) {
-  LEED_ASSERT_SHARD(sim_, this, "IoEngine::Submit");
   m_.submitted->Inc();
   req.enqueued_at = sim_.Now();
   req.trace_id = next_op_seq_++;
@@ -371,7 +366,6 @@ void IoEngine::Submit(Request req) {
 
 bool IoEngine::TrySubmitOffload(Request& req) {
   if (!config_.offload_enabled || req.type != OpType::kGet) return false;
-  LEED_ASSERT_SHARD(sim_, this, "IoEngine::TrySubmitOffload");
   const uint32_t ssd = ssd_of_store(req.store_id);
   if (per_ssd_[ssd]->failed) return false;
   store::DataStore& ds = *stores_[req.store_id];

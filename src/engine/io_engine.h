@@ -149,7 +149,7 @@ class IoEngine : public StorageService {
     return static_cast<uint32_t>(stores_.size());
   }
   // SCAN: LEED stores carry a DRAM range index, so the engine supports
-  // ordered snapshots (one synchronous event on the owning shard).
+  // ordered snapshots (one synchronous event).
   bool SupportsScan() const override { return true; }
   std::vector<store::ScanLoc> ScanSnapshot(uint32_t store_id,
                                            std::string_view start,

@@ -4,7 +4,6 @@
 
 #include "common/hash.h"
 #include "replication/chain.h"
-#include "sim/shard_check.h"
 
 namespace leed {
 
@@ -31,14 +30,9 @@ Client::Client(sim::Simulator& simulator, sim::Network& network,
     scheduler_->AttachMetrics(scope.Sub("sched"));
     backoff_us_ = scope.GetCounter("backoff_us");
   }
-  // Claim this client for the current shard (ClusterSim constructs each
-  // client inside its ShardGuard). Compiles out under NDEBUG.
-  LEED_REGISTER_SHARD_OWNER(
-      sim_, this,
-      config_.metrics_prefix.empty() ? "client" : config_.metrics_prefix);
 }
 
-Client::~Client() { LEED_UNREGISTER_SHARD_OWNER(sim_, this); }
+Client::~Client() = default;
 
 void Client::AdoptView(cluster::ClusterView view) {
   if (view.epoch <= view_.epoch) return;
@@ -213,7 +207,6 @@ void Client::Issue(std::shared_ptr<Inflight> op) {
 }
 
 void Client::OnMessage(sim::Message msg) {
-  LEED_ASSERT_SHARD(sim_, this, "Client::OnMessage");
   if (auto* view = std::any_cast<cluster::ViewUpdateMsg>(&msg.payload)) {
     AdoptView(std::move(view->view));
     return;

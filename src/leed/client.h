@@ -28,7 +28,6 @@
 #include "cluster/wire.h"
 #include "common/histogram.h"
 #include "common/rand.h"
-#include "common/shard_annotations.h"
 #include "engine/token_bucket.h"
 #include "flowctl/scheduler.h"
 #include "leed/wire.h"
@@ -68,9 +67,7 @@ struct ClientConfig {
   // one shared log across its clients when ClusterConfig::record_history is
   // set). Retries stay inside one recorded op: the interval runs from first
   // issue to final completion, which is exactly the client-visible window.
-  check::HistoryLog* history LEED_SHARD_SHARED(
-      "one log totally orders invokes/responses across every client; "
-      "records happen inside sequenced dispatch only") = nullptr;
+  check::HistoryLog* history = nullptr;
   uint32_t history_client_id = 0;
 };
 
@@ -83,11 +80,7 @@ struct ClientStats {
   Histogram latency_us;        // first issue -> final completion
 };
 
-// Shard-affine (docs/PARALLEL_SIM.md): response/view dispatch must run on
-// the client's shard. Op entry (Get/Put/Del) is exempt on purpose — the
-// drive loop's first issues come from the run context (shard 0), like an
-// application thread handing work to the library.
-class LEED_SHARD_AFFINE Client {
+class Client {
  public:
   using GetCallback =
       std::function<void(Status, std::vector<uint8_t>, SimTime latency_ns)>;

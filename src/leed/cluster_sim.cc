@@ -4,42 +4,11 @@
 
 #include "obs/metrics.h"
 #include "sim/power.h"
-#include "sim/shard_check.h"
 
 namespace leed {
 
-uint32_t ClusterSim::NodeShard(uint32_t node_id) const {
-  return 1 + (config_.num_nodes ? node_id % config_.num_nodes : 0);
-}
-
-uint32_t ClusterSim::ClientShard(uint32_t client_idx) const {
-  return 1 + config_.num_nodes + client_idx;
-}
-
 ClusterSim::ClusterSim(ClusterConfig config) : config_(std::move(config)) {
   sim_ = std::make_unique<sim::Simulator>();
-  if (config_.sharded) {
-    // Lookahead must lower-bound every cross-shard interaction. All
-    // cross-participant effects travel the fabric, and DeliverOne's base
-    // term is the max of the two endpoints' stacks, so the smallest
-    // base latency any NIC in this deployment declares is conservative.
-    SimTime lookahead = std::min({config_.node.platform.nic.base_latency_ns,
-                                  config_.client.nic.base_latency_ns,
-                                  sim::NicSpec{}.base_latency_ns});
-    if (lookahead < 1) lookahead = 1;
-    sim_->EnableSharding(1 + config_.num_nodes + config_.num_clients,
-                         lookahead);
-#ifndef NDEBUG
-    // Debug builds arm the dynamic half of the shard-purity contract:
-    // nodes, clients, and engines register their owner shard as they are
-    // constructed below, and LEED_ASSERT_SHARD hooks in their dispatch
-    // paths verify every access. Fatal by default — a violation prints its
-    // deterministic report and aborts (CI's sharded nemesis smoke relies on
-    // the nonzero exit).
-    shard_checker_ = std::make_unique<sim::ShardAccessChecker>(*sim_);
-    shard_checker_->set_trace(config_.node.trace);
-#endif
-  }
   net_ = std::make_unique<sim::Network>(*sim_);
   // Fabric counters live beside the per-node trees: "net.*" in the same
   // registry the nodes will register under.
@@ -54,32 +23,21 @@ ClusterSim::ClusterSim(ClusterConfig config) : config_(std::move(config)) {
   cpc.trace = config_.node.trace;
   cp_ = std::make_unique<cluster::ControlPlane>(*sim_, *net_, cpc);
 
-  // Read outside the per-node guards below: the control plane is shard 0's
-  // object, and the shard-purity lint holds guard regions to that.
   const sim::EndpointId cp_ep = cp_->endpoint();
   for (uint32_t i = 0; i < config_.num_nodes; ++i) {
-    // Everything a node schedules during construction (device init, timer
-    // seeds) belongs to its shard, as do its network deliveries.
-    sim::Simulator::ShardGuard shard(*sim_, NodeShard(i));
     NodeConfig nc = config_.node;
     nc.engine.external_ssds = NodeDevices(i);
     auto n = std::make_unique<Node>(*sim_, *net_, cp_ep, std::move(nc),
                                     i, config_.seed + 1000 + i);
-    net_->SetEndpointShard(n->endpoint(), NodeShard(i));
     node_endpoints_[i] = n->endpoint();
-    // LEED_CROSS_SHARD_OK: pre-Run control-plane wiring on the driver; the
-    // guard only scopes the node's own construction.
     cp_->RegisterNode(i, n->endpoint());
     n->set_node_endpoints(&node_endpoints_);
-    // LEED_CROSS_SHARD_OK: the container lives on the driver; the element
-    // it now owns is the shard-affine object.
     nodes_.push_back(std::move(n));
   }
   if (config_.record_history) {
     history_ = std::make_unique<check::HistoryLog>(config_.history_max_ops);
   }
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
-    sim::Simulator::ShardGuard shard(*sim_, ClientShard(c));
     ClientConfig cc = config_.client;
     cc.metrics_registry = config_.node.metrics_registry;
     cc.metrics_prefix = "client" + std::to_string(c);
@@ -90,10 +48,7 @@ ClusterSim::ClusterSim(ClusterConfig config) : config_(std::move(config)) {
     cc.history_client_id = c;
     auto cl = std::make_unique<Client>(*sim_, *net_, cp_ep,
                                        &node_endpoints_, std::move(cc));
-    net_->SetEndpointShard(cl->endpoint(), ClientShard(c));
-    // LEED_CROSS_SHARD_OK: pre-Run control-plane wiring on the driver.
     cp_->RegisterClient(cl->endpoint());
-    // LEED_CROSS_SHARD_OK: driver-side container bookkeeping.
     clients_.push_back(std::move(cl));
   }
 }
@@ -111,10 +66,7 @@ void ClusterSim::Bootstrap() {
     const uint64_t pos = total ? k * (UINT64_MAX / total) : 0;
     cp_->Bootstrap(node_id, store, pos);
   }
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    sim::Simulator::ShardGuard shard(*sim_, NodeShard(i));
-    nodes_[i]->Start();
-  }
+  for (auto& n : nodes_) n->Start();
   cp_->Start();
   // Deliver the initial view everywhere.
   sim_->RunUntil(sim_->Now() + 5 * kMillisecond);
@@ -140,10 +92,6 @@ void ClusterSim::Preload(uint64_t num_keys, uint32_t value_size) {
         const cluster::VNodeInfo* info = cp_->view().Find(v);
         if (!info) continue;
         ++completed;  // decremented on completion below via counter trick
-        // A preload write belongs to the owner's shard: the store events it
-        // schedules are that node's work, and the debug shard checker holds
-        // DirectPut to the same contract as the network path.
-        sim::Simulator::ShardGuard shard(*sim_, NodeShard(info->owner_node));
         nodes_[info->owner_node]->DirectPut(
             info->local_store, key, value,
             [&completed](Status) { --completed; });
@@ -203,16 +151,18 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
   };
   auto st = std::make_shared<DriveState>();
 
-  // One closed-loop issue slot: draw an op, send it, reissue on completion.
-  std::function<void(uint32_t)> issue_op = [&, st](uint32_t client_idx) {
+  // One issue path for both arrival processes: draw an op, send it on
+  // `client_idx`, account for it on completion, then call `*then` (if set)
+  // while the run is live. The closed loop passes "reissue"; Poisson
+  // arrivals pass nothing.
+  using Then = std::function<void(uint32_t)>;
+  auto issue_one = [&, st](uint32_t client_idx, const Then* then) {
     if (sim_->Now() >= end) return;
     Client& cl = *clients_[client_idx];
     workload::Op op = generator.Next();
     std::string key = workload::YcsbGenerator::KeyName(op.key_id);
 
-    auto on_done = [this, st, client_idx, &issue_op](Status s, SimTime) {
-      if (st->measuring && sim_->Now() <= 0) {
-      }
+    auto on_done = [st, client_idx, then](Status s) {
       if (st->measuring) {
         if (s.ok() || s.IsNotFound()) {
           st->completed_measured++;
@@ -221,7 +171,7 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
           st->errors++;
         }
       }
-      if (!st->stopped) issue_op(client_idx);
+      if (then && !st->stopped) (*then)(client_idx);
     };
 
     switch (op.kind) {
@@ -229,7 +179,7 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
         cl.Get(std::move(key), [st, on_done](Status s, std::vector<uint8_t>,
                                              SimTime lat) {
           if (st->measuring) st->latency.Record(ToMicros(lat));
-          on_done(std::move(s), lat);
+          on_done(std::move(s));
         });
         break;
       case workload::OpKind::kUpdate:
@@ -237,7 +187,7 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
         cl.Put(std::move(key), generator.MakeValue(op.key_id, 1),
                [st, on_done](Status s, SimTime lat) {
                  if (st->measuring) st->latency.Record(ToMicros(lat));
-                 on_done(std::move(s), lat);
+                 on_done(std::move(s));
                });
         break;
       case workload::OpKind::kScan:
@@ -248,7 +198,7 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
                     st->latency.Record(ToMicros(lat));
                     st->scan_items += items.size();
                   }
-                  on_done(std::move(s), lat);
+                  on_done(std::move(s));
                 });
         break;
       case workload::OpKind::kReadModifyWrite: {
@@ -260,7 +210,7 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
                                                    SimTime) mutable {
           if (!s.ok() && !s.IsNotFound()) {
             if (st->measuring) st->latency.Record(ToMicros(sim_->Now() - began));
-            on_done(std::move(s), 0);
+            on_done(std::move(s));
             return;
           }
           clients_[client_idx]->Put(
@@ -268,13 +218,14 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
               [this, st, on_done, began](Status s2, SimTime) {
                 if (st->measuring)
                   st->latency.Record(ToMicros(sim_->Now() - began));
-                on_done(std::move(s2), 0);
+                on_done(std::move(s2));
               });
         });
         break;
       }
     }
   };
+  const Then reissue = [&](uint32_t c) { issue_one(c, &reissue); };
 
   // Kick the load. The open-loop arrival closure is owned here, for the
   // whole run: scheduled copies only hold it weakly.
@@ -285,10 +236,11 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
     auto rng = std::make_shared<Rng>(config_.seed ^ 0x9d1);
     arrival = std::make_shared<std::function<void()>>();
     auto counter = std::make_shared<uint32_t>(0);
+    const double mean_gap_ns = 1e9 / options.open_loop_qps;
     // Weak self-capture: scheduled copies resolve the closure through the
     // weak_ptr, so `arrival` frees when Run returns instead of leaking as a
     // reference cycle.
-    *arrival = [&, st, rng, counter,
+    *arrival = [&, st, rng, counter, mean_gap_ns,
                 warrival = std::weak_ptr<std::function<void()>>(arrival)] {
       auto self = warrival.lock();
       if (!self) return;
@@ -297,43 +249,9 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
       // Deep saturation guard: past ~5K in-flight ops per client the
       // system is hopelessly overdriven; further arrivals only burn memory.
       // Dropped arrivals show up as the offered/achieved gap.
-      if (clients_[client_idx]->outstanding() > 5'000) {
-        double mean_gap = 1e9 / options.open_loop_qps;
-        sim_->Schedule(static_cast<SimTime>(rng->NextExponential(mean_gap)),
-                       *self);
-        return;
+      if (clients_[client_idx]->outstanding() <= 5'000) {
+        issue_one(client_idx, nullptr);
       }
-      // Single-shot issue: like issue_op but without reissue-on-complete.
-      Client& cl = *clients_[client_idx];
-      workload::Op op = generator.Next();
-      std::string key = workload::YcsbGenerator::KeyName(op.key_id);
-      auto record = [this, st](Status s, SimTime lat) {
-        if (!st->measuring) return;
-        if (s.ok() || s.IsNotFound()) {
-          st->completed_measured++;
-          st->bucket_count++;
-        } else {
-          st->errors++;
-        }
-        st->latency.Record(ToMicros(lat));
-      };
-      if (op.kind == workload::OpKind::kRead) {
-        cl.Get(std::move(key),
-               [record](Status s, std::vector<uint8_t>, SimTime lat) {
-                 record(std::move(s), lat);
-               });
-      } else if (op.kind == workload::OpKind::kScan) {
-        cl.Scan(std::move(key), op.scan_len,
-                [st, record](Status s, std::vector<store::ScanItem> items,
-                             SimTime lat) {
-                  if (st->measuring) st->scan_items += items.size();
-                  record(std::move(s), lat);
-                });
-      } else {
-        cl.Put(std::move(key), generator.MakeValue(op.key_id, 1),
-               [record](Status s, SimTime lat) { record(std::move(s), lat); });
-      }
-      double mean_gap_ns = 1e9 / options.open_loop_qps;
       sim_->Schedule(static_cast<SimTime>(rng->NextExponential(mean_gap_ns)),
                      *self);
     };
@@ -341,7 +259,7 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
   } else {
     for (uint32_t c = 0; c < clients_.size(); ++c) {
       for (uint32_t s = 0; s < options.concurrency_per_client; ++s) {
-        sim_->Schedule(0, [&issue_op, c] { issue_op(c); });
+        sim_->Schedule(0, [&reissue, c] { reissue(c); });
       }
     }
   }
@@ -411,23 +329,17 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
 
 uint32_t ClusterSim::JoinNode() {
   const uint32_t node_id = static_cast<uint32_t>(nodes_.size());
-  const sim::EndpointId cp_ep = cp_->endpoint();  // shard 0's object; read pre-guard
-  sim::Simulator::ShardGuard shard(*sim_, NodeShard(node_id));
   NodeConfig nc = config_.node;
   nc.engine.external_ssds = NodeDevices(node_id);
-  auto n = std::make_unique<Node>(*sim_, *net_, cp_ep, std::move(nc),
-                                  node_id, config_.seed + 1000 + node_id);
-  net_->SetEndpointShard(n->endpoint(), NodeShard(node_id));
+  auto n = std::make_unique<Node>(*sim_, *net_, cp_->endpoint(),
+                                  std::move(nc), node_id,
+                                  config_.seed + 1000 + node_id);
   node_endpoints_[node_id] = n->endpoint();
-  // LEED_CROSS_SHARD_OK: driver-side join wiring (see constructor).
   cp_->RegisterNode(node_id, n->endpoint());
   n->set_node_endpoints(&node_endpoints_);
   n->Start();
   const uint32_t stores = n->storage().num_stores();
-  // LEED_CROSS_SHARD_OK: driver-side container bookkeeping.
   nodes_.push_back(std::move(n));
-  // LEED_CROSS_SHARD_OK: the join protocol starts on the control plane's
-  // shard; its first event lands there via the control endpoint.
   for (uint32_t s = 0; s < stores; ++s) cp_->StartJoin(node_id, s);
   return node_id;
 }
@@ -477,17 +389,13 @@ void ClusterSim::RestartNode(uint32_t node_id) {
   if (!nodes_[node_id]->crashed()) return;
   faults_->ReviveNode(node_id);
 
-  const sim::EndpointId cp_ep = cp_->endpoint();  // shard 0's object; read pre-guard
-  sim::Simulator::ShardGuard shard(*sim_, NodeShard(node_id));
   NodeConfig nc = config_.node;
   nc.engine.external_ssds = NodeDevices(node_id);
-  auto fresh = std::make_unique<Node>(*sim_, *net_, cp_ep,
+  auto fresh = std::make_unique<Node>(*sim_, *net_, cp_->endpoint(),
                                       std::move(nc), node_id,
                                       config_.seed + 1000 + node_id);
-  net_->SetEndpointShard(fresh->endpoint(), NodeShard(node_id));
   node_endpoints_[node_id] = fresh->endpoint();
   fresh->set_node_endpoints(&node_endpoints_);
-  // LEED_CROSS_SHARD_OK: driver-side restart wiring (see constructor).
   cp_->RegisterNode(node_id, fresh->endpoint());
   graveyard_.push_back(std::move(nodes_[node_id]));
   nodes_[node_id] = std::move(fresh);
@@ -498,11 +406,8 @@ void ClusterSim::RestartNode(uint32_t node_id) {
     // tell the control plane, and rejoin the ring through the normal join
     // path so chain repair re-replicates anything this node missed.
     n->Start();
-    // LEED_CROSS_SHARD_OK: this completion runs long after the guard above
-    // is gone; the lexical guard region over-approximates.
     cp_->ReviveNode(node_id, n->endpoint());
     const uint32_t stores = n->storage().num_stores();
-    // LEED_CROSS_SHARD_OK: join protocol starts on the control plane's shard.
     for (uint32_t s = 0; s < stores; ++s) cp_->StartJoin(node_id, s);
   });
 }

@@ -14,7 +14,6 @@
 
 #include "cluster/control_plane.h"
 #include "common/histogram.h"
-#include "common/shard_annotations.h"
 #include "leed/client.h"
 #include "leed/node.h"
 #include "sim/fault.h"
@@ -35,13 +34,6 @@ struct ClusterConfig {
   // shared HistoryLog (client i records as history client i).
   bool record_history = false;
   size_t history_max_ops = 1u << 20;
-  // Sharded event execution (docs/PARALLEL_SIM.md): partition the event
-  // loop into per-participant shards (control plane, each node, each
-  // client) synchronized at the fabric's minimum NIC base latency.
-  // Dispatch order — and therefore every metric, trace, and history byte —
-  // stays identical to the default single-queue mode; CI's replay gate
-  // enforces that rather than assumes it. Off by default.
-  bool sharded = false;
 };
 
 struct RunResult {
@@ -120,11 +112,6 @@ class ClusterSim {
   void ArmFaultPlan(const sim::FaultPlan& plan);
   sim::FaultInjector& faults() { return *faults_; }
 
-  // Debug-build shard-access checker (sim/shard_check.h): armed by the
-  // constructor iff `ClusterConfig::sharded` and !NDEBUG, null otherwise.
-  // Fatal by default; tests flip set_fatal(false) to inspect Report().
-  sim::ShardAccessChecker* shard_checker() const { return shard_checker_.get(); }
-
   sim::Simulator& simulator() { return *sim_; }
   sim::Network& network() { return *net_; }
   cluster::ControlPlane& control_plane() { return *cp_; }
@@ -144,12 +131,6 @@ class ClusterSim {
  private:
   std::vector<std::vector<SimTime>> SnapshotBusy() const;
   void PumpUntilIdleOr(SimTime deadline);
-  // Shard layout under ClusterConfig::sharded: 0 is the control plane,
-  // 1..num_nodes the storage nodes, then the clients. Nodes joined past
-  // the initial count fold onto an original node's shard (the shard count
-  // is fixed at construction).
-  uint32_t NodeShard(uint32_t node_id) const;
-  uint32_t ClientShard(uint32_t client_idx) const;
   // Create (or return the surviving) devices for `node_id`'s LEED engine;
   // empty for baseline stacks. Owned here so they outlive node objects.
   std::vector<sim::SimSsd*> NodeDevices(uint32_t node_id);
@@ -157,20 +138,12 @@ class ClusterSim {
   ClusterConfig config_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<sim::Network> net_;
-  // Declared before the affine objects below: their destructors unregister
-  // through the simulator's checker hook, so the checker must outlive them.
-  std::unique_ptr<sim::ShardAccessChecker> shard_checker_;
-  std::unique_ptr<sim::FaultInjector> faults_ LEED_SHARD_SHARED(
-      "fault RNG and net fault tables are consulted during sequenced "
-      "dispatch only; draws happen in global (when, seq) order");
-  std::unique_ptr<cluster::ControlPlane> cp_ LEED_SHARD_AFFINE;  // shard 0
-  std::unique_ptr<check::HistoryLog> history_ LEED_SHARD_SHARED(
-      "one log totally orders all clients' ops; appends happen inside "
-      "sequenced dispatch only");
-  std::vector<std::unique_ptr<Node>> nodes_ LEED_SHARD_AFFINE;      // [i] on NodeShard(i)
-  std::vector<std::unique_ptr<Client>> clients_ LEED_SHARD_AFFINE;  // [c] on ClientShard(c)
-  std::map<uint32_t, sim::EndpointId> node_endpoints_ LEED_SHARD_SHARED(
-      "written by driver-side membership wiring, read-only during dispatch");
+  std::unique_ptr<sim::FaultInjector> faults_;
+  std::unique_ptr<cluster::ControlPlane> cp_;
+  std::unique_ptr<check::HistoryLog> history_;
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::unique_ptr<Client>> clients_;
+  std::map<uint32_t, sim::EndpointId> node_endpoints_;
   // Per-node simulated SSDs for the kLeed stack ([node][ssd]); crash-
   // restart hands the same devices to the replacement node.
   std::vector<std::vector<std::unique_ptr<sim::SimSsd>>> node_ssds_;

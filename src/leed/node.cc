@@ -1,9 +1,7 @@
 #include "leed/node.h"
 
 #include <algorithm>
-#include <optional>
 
-#include "sim/shard_check.h"
 
 namespace leed {
 
@@ -71,13 +69,9 @@ Node::Node(sim::Simulator& simulator, sim::Network& network,
         sim_, *cpu_, config_.baseline, seed ^ 0xba5e);
     storage_ = baseline_.get();
   }
-  // Claim this node for the current shard (ClusterSim constructs each node
-  // inside its ShardGuard). Compiles out under NDEBUG; in debug builds it
-  // is one null check until a ShardAccessChecker is armed.
-  LEED_REGISTER_SHARD_OWNER(sim_, this, "node" + std::to_string(node_id_));
 }
 
-Node::~Node() { LEED_UNREGISTER_SHARD_OWNER(sim_, this); }
+Node::~Node() = default;
 
 NodeStats Node::stats() const {
   NodeStats s;
@@ -209,7 +203,6 @@ const cluster::VNodeInfo* Node::OwnedVNode(VNodeId id) const {
 
 void Node::OnMessage(sim::Message msg) {
   if (failed_) return;  // fail-stop: silently drop
-  LEED_ASSERT_SHARD(sim_, this, "Node::OnMessage");
   // Host-bypass offload: the NIC offload engine filters incoming frames
   // before the DPU network stack ever polls them, so an offloadable GET
   // costs no rx cycles; anything it punts takes the normal charged path.
@@ -218,20 +211,12 @@ void Node::OnMessage(sim::Message msg) {
       if (TryOffloadGet(*req)) return;
     }
   }
-  // TEST-ONLY mutation (NodeConfig::test_only_cross_shard_touch): run the
-  // rx-charge continuation under the next shard's context, so Dispatch's
-  // field accesses happen off the owner shard without changing event order.
-  std::optional<sim::Simulator::ShardGuard> wrong_shard;
-  if (config_.test_only_cross_shard_touch) {
-    wrong_shard.emplace(sim_, sim_.current_shard() + 1);
-  }
   NetCore().Run(config_.net_rx_cycles,
                 [this, m = std::move(msg)]() mutable { Dispatch(std::move(m)); });
 }
 
 void Node::Dispatch(sim::Message msg) {
   if (failed_) return;
-  LEED_ASSERT_SHARD(sim_, this, "Node::Dispatch");
   if (auto* req = std::any_cast<ClientRequestMsg>(&msg.payload)) {
     HandleClientRequest(std::move(*req));
     return;
@@ -481,8 +466,8 @@ void Node::HandleScan(ClientRequestMsg req, uint32_t attempt) {
     return;
   }
 
-  // Atomic snapshot of the range index (synchronous: one sim event, same
-  // shard). The fetch phase below may observe kBusy if compaction moves a
+  // Atomic snapshot of the range index (synchronous: one sim event). The
+  // fetch phase below may observe kBusy if compaction moves a
   // value afterwards, but never a torn mix of index generations.
   std::vector<store::ScanLoc> snapshot =
       storage_->ScanSnapshot(info->local_store, req.key, req.scan_limit);
@@ -1174,7 +1159,6 @@ void Node::HandleCopyItem(cluster::CopyItemMsg item) {
 
 void Node::DirectPut(uint32_t local_store, std::string key,
                      std::vector<uint8_t> value, std::function<void(Status)> done) {
-  LEED_ASSERT_SHARD(sim_, this, "Node::DirectPut");
   if (leed_engine_) {
     leed_engine_->data_store(local_store).Put(std::move(key), std::move(value),
                                               std::move(done));

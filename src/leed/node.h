@@ -26,7 +26,6 @@
 
 #include "baselines/executor.h"
 #include "cluster/control_plane.h"
-#include "common/shard_annotations.h"
 #include "cluster/membership.h"
 #include "cluster/wire.h"
 #include "engine/io_engine.h"
@@ -64,13 +63,6 @@ struct NodeConfig {
   // The nemesis sweep must flag this as non-linearizable; it is the
   // end-to-end proof the scan-aware checker can see the bug.
   bool test_only_serve_torn_scans = false;
-  // TEST-ONLY (mutation switch for the shard-purity harness,
-  // docs/PARALLEL_SIM.md): dispatch every received message under the *next*
-  // shard's context, as if the delivery had been queued onto the wrong
-  // shard. Event order is untouched, so the replay gate cannot see it —
-  // the debug ShardAccessChecker must flag the very first message; that is
-  // the end-to-end proof the checker can see a mis-sharded field access.
-  bool test_only_cross_shard_touch = false;
   // Per-message network-stack cycle costs on the reference core.
   uint64_t net_rx_cycles = 1200;
   uint64_t net_tx_cycles = 700;
@@ -89,12 +81,8 @@ struct NodeConfig {
   // Observability: the node registers its instruments as "node<id>.*" in
   // `metrics_registry` (default: the process-wide registry) and rewrites
   // the engine's scope to "node<id>.engine.*". Trace events go to `trace`.
-  obs::Registry* metrics_registry LEED_SHARD_SHARED(
-      "one registry aggregates every participant's instruments; dispatch is "
-      "sequenced by the merge loop, so counters never race") = nullptr;
-  obs::TraceRing* trace LEED_SHARD_SHARED(
-      "one ring orders events across shards; recording happens inside "
-      "sequenced dispatch only") = nullptr;
+  obs::Registry* metrics_registry = nullptr;
+  obs::TraceRing* trace = nullptr;
 };
 
 // Value snapshot of the node's registry counters (see Node::stats).
@@ -125,11 +113,7 @@ struct NodeStats {
   uint64_t store_unavailable_nacks = 0;  // ops refused on a failed store
 };
 
-// Shard-affine (docs/PARALLEL_SIM.md): every field below belongs to the
-// node's shard. ClusterSim constructs each node inside its ShardGuard, the
-// network delivers onto the owner shard, and LEED_ASSERT_SHARD hooks in the
-// dispatch entry points verify the contract at runtime in debug builds.
-class LEED_SHARD_AFFINE Node {
+class Node {
  public:
   Node(sim::Simulator& simulator, sim::Network& network,
        sim::EndpointId control_plane, NodeConfig config, uint32_t node_id,

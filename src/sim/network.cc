@@ -129,9 +129,7 @@ void Network::DeliverOne(EndpointId src, EndpointId dst, uint64_t wire_bytes,
   // one); the capture list must keep fitting the inline buffer.
   static_assert(EventFitsInline<decltype(deliver)>,
                 "network delivery event must not heap-allocate");
-  // The delivery runs receiver-side state, so it belongs to the receiver's
-  // shard. In unsharded mode (every endpoint shard 0) this is exactly At().
-  sim_.AtOnShard(d.shard, deliver_at, std::move(deliver));
+  sim_.At(deliver_at, std::move(deliver));
 }
 
 }  // namespace leed::sim

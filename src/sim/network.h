@@ -84,14 +84,6 @@ class Network {
   // partition rules; see sim/fault.h). Null = fault-free fabric.
   void set_faults(NetFaults* faults) { faults_ = faults; }
 
-  // Sharded mode (docs/PARALLEL_SIM.md): pin this endpoint's delivery
-  // events to the owning node's shard, so a message executes its receiver
-  // callback in the destination's event stream. Unmapped endpoints (and
-  // unsharded simulators) stay on shard 0.
-  void SetEndpointShard(EndpointId id, uint32_t shard) {
-    endpoints_.at(id).shard = shard;
-  }
-
   // Every drop — structural (no receiver), injected, or partition — emits
   // a kNetDrop trace event here so lost messages are debuggable from
   // --trace-out. Defaults to the process-wide ring.
@@ -108,7 +100,6 @@ class Network {
     SimTime egress_free_at = 0;
     SimTime ingress_free_at = 0;
     EndpointStats stats;
-    uint32_t shard = 0;
   };
 
   Simulator& sim_;

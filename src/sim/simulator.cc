@@ -1,21 +1,6 @@
 #include "sim/simulator.h"
 
-#include <cassert>
-
 namespace leed::sim {
-
-void Simulator::EnableSharding(uint32_t shards, SimTime lookahead) {
-  // Re-partitioning a live pending set is never needed (ClusterSim decides
-  // the execution mode at construction) and would complicate the identity
-  // argument, so it is simply disallowed.
-  assert(queue_.empty() && slots_.empty() &&
-         "EnableSharding must run before any event is scheduled");
-  assert(shards >= 1);
-  assert(lookahead >= 1 && "a zero horizon would make every event a round");
-  num_shards_ = shards;
-  lookahead_ = lookahead;
-  if (num_shards_ > 1) shard_queues_.resize(num_shards_);
-}
 
 uint32_t Simulator::AllocSlot() {
   if (free_head_ != kNilSlot) {
@@ -41,20 +26,14 @@ void Simulator::ReleaseSlot(uint32_t index) {
   free_head_ = index;
 }
 
-EventId Simulator::AtImpl(SimTime when, EventFn fn, bool daemon,
-                          uint32_t shard) {
+EventId Simulator::AtImpl(SimTime when, EventFn fn, bool daemon) {
   if (when < now_) when = now_;
   const uint32_t index = AllocSlot();
   Slot& s = slots_[index];
   s.fn = std::move(fn);
   s.live = true;
   s.daemon = daemon;
-  const HeapEntry entry{when, next_seq_, index, s.gen};
-  if (num_shards_ > 1) {
-    shard_queues_[shard].push(entry);
-  } else {
-    queue_.push(entry);
-  }
+  queue_.push(HeapEntry{when, next_seq_, index, s.gen});
   ++next_seq_;
   if (!daemon) ++live_pending_;
   return MakeId(index, s.gen);
@@ -76,7 +55,7 @@ bool Simulator::Cancel(EventId id) {
   return true;
 }
 
-bool Simulator::Dispatch(const HeapEntry& entry, uint32_t shard) {
+bool Simulator::Dispatch(const HeapEntry& entry) {
   Slot& s = slots_[entry.slot];
   if (!s.live || s.gen != entry.gen) return false;  // stale: was cancelled
   // Move the callable out and release the slot *before* invoking: the
@@ -88,107 +67,35 @@ bool Simulator::Dispatch(const HeapEntry& entry, uint32_t shard) {
   now_ = entry.when;
   if (!daemon && live_pending_ > 0) --live_pending_;
   ++executed_;
-  // Continuations the callback schedules inherit its shard; restore the
-  // ambient shard (bootstrap context) afterwards.
-  const uint32_t saved_shard = current_shard_;
-  current_shard_ = shard;
   fn();
-  current_shard_ = saved_shard;
-  return true;
-}
-
-bool Simulator::PopNextSharded(HeapEntry* out, uint32_t* shard) {
-  // k-way merge over the shard heaps: clean each head of stale entries
-  // (cancellations leave them behind, same as the serial loop), then take
-  // the global (when, seq) minimum. Linear in shard count, which is the
-  // node count — tiny next to a heap sift.
-  uint32_t best = UINT32_MAX;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    ShardQueue& q = shard_queues_[s];
-    while (!q.empty() && IsStale(q.top())) q.pop();
-    if (q.empty()) continue;
-    if (best == UINT32_MAX ||
-        Later{}(shard_queues_[best].top(), q.top())) {
-      best = s;
-    }
-  }
-  if (best == UINT32_MAX) return false;
-  *out = shard_queues_[best].top();
-  *shard = best;
-  shard_queues_[best].pop();
   return true;
 }
 
 SimTime Simulator::Run() {
-  if (num_shards_ > 1) {
-    HeapEntry entry;
-    uint32_t shard = 0;
-    while (live_pending_ > 0 && PopNextSharded(&entry, &shard)) {
-      AccountRound(entry.when);
-      Dispatch(entry, shard);
-    }
-    return now_;
-  }
   while (!queue_.empty() && live_pending_ > 0) {
     const HeapEntry entry = queue_.top();
     queue_.pop();
-    Dispatch(entry, 0);
+    Dispatch(entry);
   }
   return now_;
 }
 
 uint64_t Simulator::RunUntil(SimTime deadline) {
   uint64_t n = 0;
-  if (num_shards_ > 1) {
-    HeapEntry entry;
-    uint32_t shard = 0;
-    for (;;) {
-      if (!PopNextSharded(&entry, &shard)) break;
-      if (entry.when > deadline) {
-        // Too far: the merge already popped it, put it back untouched.
-        shard_queues_[shard].push(entry);
-        break;
-      }
-      AccountRound(entry.when);
-      if (Dispatch(entry, shard)) ++n;
-    }
-    if (now_ < deadline) now_ = deadline;
-    return n;
-  }
   while (!queue_.empty() && queue_.top().when <= deadline) {
     const HeapEntry entry = queue_.top();
     queue_.pop();
-    if (Dispatch(entry, 0)) ++n;
+    if (Dispatch(entry)) ++n;
   }
   if (now_ < deadline) now_ = deadline;
   return n;
 }
 
-SimTime Simulator::NextEventTime() {
-  if (num_shards_ > 1) {
-    SimTime best = kNoPendingEvent;
-    for (ShardQueue& q : shard_queues_) {
-      while (!q.empty() && IsStale(q.top())) q.pop();
-      if (!q.empty() && q.top().when < best) best = q.top().when;
-    }
-    return best;
-  }
-  while (!queue_.empty() && IsStale(queue_.top())) queue_.pop();
-  return queue_.empty() ? kNoPendingEvent : queue_.top().when;
-}
-
 bool Simulator::Step() {
-  if (num_shards_ > 1) {
-    HeapEntry entry;
-    uint32_t shard = 0;
-    if (!PopNextSharded(&entry, &shard)) return false;
-    AccountRound(entry.when);
-    return Dispatch(entry, shard);  // heads pre-cleaned: never stale
-  }
   while (!queue_.empty()) {
     const HeapEntry entry = queue_.top();
     queue_.pop();
-    if (Dispatch(entry, 0)) return true;
+    if (Dispatch(entry)) return true;
   }
   return false;
 }

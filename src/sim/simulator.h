@@ -30,18 +30,9 @@
 // is assigned in Schedule order, and cancellation only ever removes work.
 // Replay therefore stays byte-identical for a given seed.
 //
-// Sharded mode (docs/PARALLEL_SIM.md): EnableSharding(S, L) partitions the
-// pending set into S per-shard heaps — node-local event streams, with the
-// minimum network propagation delay L as the conservative synchronization
-// horizon between them. Dispatch becomes a k-way merge that reproduces the
-// exact global (when, seq) order, so a sharded run is byte-identical to
-// the plain single-queue loop (which is retained verbatim below as the
-// oracle mode and stays the default). The merge sequences callbacks on the
-// driving thread; the horizon bookkeeping (rounds_executed()) delimits the
-// windows inside which shard batches are causally independent — the
-// contract the genuinely parallel ShardedRunner (sim/shard.h) executes
-// with worker threads, and the seed-parallel sweep driver (sim/sweep.h)
-// exploits across whole simulations.
+// One simulation runs on one thread. Parallelism lives a level up, across
+// independent simulations: the seed-parallel sweep driver (sim/sweep.h,
+// docs/PARALLEL_SIM.md) gives each worker its own Simulator.
 
 #pragma once
 
@@ -55,8 +46,6 @@
 #include "sim/event_callback.h"
 
 namespace leed::sim {
-
-class ShardAccessChecker;
 
 using EventFn = EventCallback;
 
@@ -78,68 +67,15 @@ class Simulator {
   EventId Schedule(SimTime delay, EventFn fn) { return At(now_ + delay, std::move(fn)); }
 
   // Schedule fn at an absolute instant (clamped to now if in the past).
-  EventId At(SimTime when, EventFn fn) {
-    return AtImpl(when, std::move(fn), false, current_shard_);
-  }
+  EventId At(SimTime when, EventFn fn) { return AtImpl(when, std::move(fn), false); }
 
   // Daemon events (periodic timers: heartbeats, swap watchdogs) execute
   // normally but do not keep Run() alive: Run() returns once only daemon
   // events remain, the way a real process exits when its worker threads
   // finish even though timers are still armed.
   EventId ScheduleDaemon(SimTime delay, EventFn fn) {
-    return AtImpl(now_ + delay, std::move(fn), true, current_shard_);
+    return AtImpl(now_ + delay, std::move(fn), true);
   }
-
-  // --- sharded mode (docs/PARALLEL_SIM.md) -------------------------------
-  //
-  // Partition pending events into `shards` node-local heaps synchronized
-  // at the `lookahead` horizon (the fabric's minimum propagation delay).
-  // Must be called before anything is scheduled; shards >= 1, lookahead
-  // >= 1. Dispatch order stays the global (when, seq) order — a sharded
-  // run is byte-identical to the default single-queue loop, which CI's
-  // replay gate enforces rather than assumes.
-  void EnableSharding(uint32_t shards, SimTime lookahead);
-  bool sharded() const { return num_shards_ > 1; }
-  uint32_t num_shards() const { return num_shards_; }
-  SimTime lookahead() const { return lookahead_; }
-  // The shard new events inherit; during dispatch this is the running
-  // event's shard, so a node's continuations stay node-local without any
-  // caller changes. Out-of-shard targeting (network deliveries crossing
-  // JBOFs) uses AtOnShard.
-  uint32_t current_shard() const { return current_shard_; }
-
-  // Schedule onto an explicit shard (network deliveries: the *receiver*'s
-  // shard). In unsharded mode this is exactly At().
-  EventId AtOnShard(uint32_t shard, SimTime when, EventFn fn) {
-    return AtImpl(when, std::move(fn), false,
-                  num_shards_ > 1 ? shard % num_shards_ : 0);
-  }
-
-  // Conservative-lookahead rounds completed by the sharded merge loop: a
-  // new round opens whenever dispatch crosses the previous round's
-  // horizon (first event's when + lookahead). Within one round, events of
-  // different shards are causally independent — the property the horizon
-  // boundary tests pin down.
-  uint64_t rounds_executed() const { return rounds_; }
-
-  // RAII shard context for build/bootstrap code that runs outside any
-  // event (ClusterSim wraps per-node construction so node timers seed
-  // onto the node's shard instead of all piling onto shard 0).
-  class ShardGuard {
-   public:
-    ShardGuard(Simulator& sim, uint32_t shard)
-        : sim_(sim), saved_(sim.current_shard_) {
-      sim_.current_shard_ =
-          sim_.num_shards_ > 1 ? shard % sim_.num_shards_ : 0;
-    }
-    ~ShardGuard() { sim_.current_shard_ = saved_; }
-    ShardGuard(const ShardGuard&) = delete;
-    ShardGuard& operator=(const ShardGuard&) = delete;
-
-   private:
-    Simulator& sim_;
-    uint32_t saved_;
-  };
 
   // Cancel a pending event. Returns false if it already ran, was already
   // cancelled, or the id was never issued. O(1): flips the slot's
@@ -156,15 +92,6 @@ class Simulator {
   // Run at most one event. Returns false if the queue is empty.
   bool Step();
 
-  // Sentinel returned by NextEventTime when nothing live is queued.
-  static constexpr SimTime kNoPendingEvent = INT64_MAX;
-
-  // Instant of the earliest live pending event (daemon or not), or
-  // kNoPendingEvent. Runs nothing; cancelled heads are cleaned as a side
-  // effect (which never changes what executes when). ShardedRunner uses
-  // this to size each conservative-lookahead window.
-  SimTime NextEventTime();
-
   uint64_t events_executed() const { return executed_; }
   // Live non-daemon events: the count that keeps Run() going. A cancelled
   // event leaves this count immediately (it will never run).
@@ -174,12 +101,6 @@ class Simulator {
   // simultaneously-pending events — cancelled/fired slots are recycled, so
   // unbounded growth here is the regression the generation scheme fixed.
   size_t slab_size() const { return slots_.size(); }
-
-  // Debug shard-purity checker hook (sim/shard_check.h). Unowned; null
-  // unless a ShardAccessChecker attached itself. The LEED_ASSERT_SHARD
-  // macros consult this, so the dispatcher itself never pays for it.
-  void set_shard_checker(ShardAccessChecker* checker) { checker_ = checker; }
-  ShardAccessChecker* shard_checker() const { return checker_; }
 
  private:
   static constexpr uint32_t kNilSlot = 0xffffffffu;
@@ -219,46 +140,18 @@ class Simulator {
     return static_cast<uint32_t>(id);
   }
 
-  using ShardQueue =
-      std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later>;
-
-  EventId AtImpl(SimTime when, EventFn fn, bool daemon, uint32_t shard);
+  EventId AtImpl(SimTime when, EventFn fn, bool daemon);
   uint32_t AllocSlot();
   void ReleaseSlot(uint32_t index);
-  bool Dispatch(const HeapEntry& entry, uint32_t shard);
-  // True iff this heap entry no longer names a live event (cancelled, or
-  // its slot was recycled). Shared by the serial skip and the sharded
-  // merge's eager head cleaning.
-  bool IsStale(const HeapEntry& entry) const {
-    const Slot& s = slots_[entry.slot];
-    return !s.live || s.gen != entry.gen;
-  }
-  // Sharded merge: pop the globally next (when, seq) live entry across
-  // every shard heap, cleaning stale heads on the way. Returns false when
-  // nothing is queued. `shard` reports which heap it came from.
-  bool PopNextSharded(HeapEntry* out, uint32_t* shard);
-  void AccountRound(SimTime when) {
-    if (when >= round_horizon_) {
-      ++rounds_;
-      round_horizon_ = when + lookahead_;
-    }
-  }
+  bool Dispatch(const HeapEntry& entry);
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue_;
-  std::vector<ShardQueue> shard_queues_;  // used iff num_shards_ > 1
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNilSlot;
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t executed_ = 0;
   uint64_t live_pending_ = 0;
-  // Sharded-mode state; inert (zero-cost on the hot path) when disabled.
-  uint32_t num_shards_ = 1;
-  uint32_t current_shard_ = 0;
-  SimTime lookahead_ = 0;
-  SimTime round_horizon_ = 0;
-  uint64_t rounds_ = 0;
-  ShardAccessChecker* checker_ = nullptr;
 };
 
 // A periodic timer built on Simulator; used for heartbeats and token

@@ -28,17 +28,10 @@ TaskPool::~TaskPool() {
 }
 
 void TaskPool::DrainCursor() {
-  uint32_t done = 0;
   for (;;) {
     const uint32_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= count_) break;
+    if (index >= count_) return;
     (*task_)(index);
-    ++done;
-  }
-  if (done > 0) {
-    MutexLock lock(&mu_);
-    completed_ += done;
-    if (completed_ == count_) round_done_.notify_all();
   }
 }
 
@@ -55,6 +48,8 @@ void TaskPool::WorkerLoop() {
       seen_round = round_;
     }
     DrainCursor();
+    MutexLock lock(&mu_);
+    if (++workers_done_ + 1 == jobs_) round_done_.notify_all();
   }
 }
 
@@ -68,7 +63,7 @@ void TaskPool::Run(uint32_t count, const std::function<void(uint32_t)>& task) {
     MutexLock lock(&mu_);
     count_ = count;
     task_ = &task;
-    completed_ = 0;
+    workers_done_ = 0;
     cursor_.store(0, std::memory_order_relaxed);
     ++round_;
   }
@@ -77,7 +72,7 @@ void TaskPool::Run(uint32_t count, const std::function<void(uint32_t)>& task) {
   // never leaves the calling core idle while J-1 workers grind.
   DrainCursor();
   MutexLock lock(&mu_);
-  while (completed_ != count_) round_done_.wait(mu_);
+  while (workers_done_ + 1 != jobs_) round_done_.wait(mu_);
   task_ = nullptr;
 }
 

@@ -1,4 +1,4 @@
-// Seed-parallel sweep driver (Tier A of docs/PARALLEL_SIM.md).
+// Seed-parallel sweep driver (docs/PARALLEL_SIM.md).
 //
 // Every multi-seed harness in this repo — the nemesis consistency sweeps,
 // replay comparisons, multi-seed benches — runs N *independent* simulations
@@ -19,9 +19,8 @@
 //     layer itself. A sweep's outputs must be byte-identical for every
 //     jobs value — CI's replay gate enforces this end to end.
 //
-// The pool is also reusable round-by-round (TaskPool), which is what the
-// conservative-lookahead ShardedRunner (sim/shard.h) uses to re-dispatch
-// its shards every synchronization window without re-spawning threads.
+// This is the only parallelism in the simulator: a single simulation runs
+// on one thread (docs/PARALLEL_SIM.md says why there is no tier below it).
 
 #pragma once
 
@@ -88,7 +87,11 @@ class TaskPool {
   uint32_t count_ = 0;
   const std::function<void(uint32_t)>* task_ = nullptr;
   std::atomic<uint32_t> cursor_{0};
-  uint32_t completed_ GUARDED_BY(mu_) = 0;
+  // Workers that have left the current round. Every worker wakes for every
+  // round, and Run() returns only once all of them have left it (by then
+  // the cursor is dry, so every index ran): no straggler can still be
+  // reading count_/task_ when the next Run() rewrites them.
+  uint32_t workers_done_ GUARDED_BY(mu_) = 0;
 };
 
 // One-shot convenience: run task(0..count-1) on up to `jobs` threads

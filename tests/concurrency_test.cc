@@ -2,7 +2,7 @@
 // cross-thread contract: SpscRing (single producer / single consumer),
 // TokenPool (internally synchronized), the obs Registry's cold paths
 // (registration / lookup / snapshot under a lock, instruments
-// single-writer), and the ShardedRunner's ownership-not-locks mailboxes.
+// single-writer).
 //
 // These tests are the workload behind the TSan CI job (LEED_SANITIZE=thread,
 // Debug build): TSan proves the atomics/locks are sufficient, and the Debug
@@ -18,11 +18,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/rand.h"
 #include "engine/spsc_ring.h"
 #include "engine/token_bucket.h"
 #include "obs/metrics.h"
-#include "sim/shard.h"
 
 namespace leed {
 namespace {
@@ -180,129 +178,6 @@ TEST(RegistryConcurrencyTest, ConcurrentRegistrationAndSnapshot) {
           "stress.t" + std::to_string(t) + ".c" + std::to_string(i));
       EXPECT_EQ(c->value(), kIncrements);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedRunner mailboxes: the (src, dst) slots are lock-free by ownership
-// (shard src's worker writes during a window, the driver drains at the
-// barrier), and the per-shard heaps are churned by cancellation — every
-// firing schedules decoy events and immediately cancels some of them,
-// punching generation-slot holes into the heap the cross-shard merge then
-// inserts into. TSan must see the TaskPool round handoff as the
-// happens-before edge for all of it; the plain build checks the outcome is
-// byte-identical to the jobs=1 serial oracle.
-// ---------------------------------------------------------------------------
-
-namespace shardchurn {
-
-struct ChurnShard {
-  sim::ShardedRunner* runner = nullptr;
-  std::vector<ChurnShard>* all = nullptr;
-  uint32_t shard = 0;
-  uint32_t remaining = 0;
-  Rng rng{0};
-  uint64_t fired = 0;         // own chain events that ran
-  uint64_t received = 0;      // cross-shard deliveries that ran
-  uint64_t decoys_fired = 0;  // decoys that escaped cancellation
-  uint64_t cancelled = 0;     // decoys cancelled before firing
-
-  void Arm() {
-    sim::Simulator& sim = runner->shard(shard);
-    sim.Schedule(static_cast<SimTime>(1 + rng.NextBounded(40)),
-                 [this] { Fire(); });
-  }
-
-  void Fire() {
-    sim::Simulator& sim = runner->shard(shard);
-    ++fired;
-    // Cancel holes: schedule a burst of decoys, then cancel a seeded
-    // subset. The survivors interleave with the mailbox deliveries the
-    // driver merges in at the barrier, so insertion lands in a heap full
-    // of stale generation slots.
-    sim::EventId decoys[4];
-    for (sim::EventId& id : decoys) {
-      id = sim.Schedule(static_cast<SimTime>(1 + rng.NextBounded(64)),
-                        [this] { ++decoys_fired; });
-    }
-    for (sim::EventId id : decoys) {
-      if (rng.NextBounded(2) == 0 && sim.Cancel(id)) ++cancelled;
-    }
-    // Every firing posts to the next shard; offsets straddle the
-    // lookahead so some clamp to the window end and some land later.
-    const uint32_t dst = (shard + 1) % runner->num_shards();
-    ChurnShard* target = &(*all)[dst];
-    const SimTime off = 5 + static_cast<SimTime>(rng.NextBounded(96));
-    runner->Post(shard, dst, sim.Now() + off,
-                 [target] { ++target->received; });
-    if (--remaining > 0) Arm();
-  }
-};
-
-struct ChurnOutcome {
-  std::vector<std::vector<uint64_t>> per_shard;  // [shard] = counters
-  uint64_t windows = 0;
-  uint64_t posts = 0;
-  uint64_t events = 0;
-  SimTime end = 0;
-
-  bool operator==(const ChurnOutcome& o) const {
-    return per_shard == o.per_shard && windows == o.windows &&
-           posts == o.posts && events == o.events && end == o.end;
-  }
-};
-
-ChurnOutcome RunChurn(uint32_t jobs, uint64_t seed) {
-  constexpr uint32_t kShards = 4;
-  sim::ShardedRunner runner(kShards, /*lookahead=*/40, jobs);
-  // Fixed size up front: callbacks capture element addresses.
-  std::vector<ChurnShard> shards(kShards);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    shards[s].runner = &runner;
-    shards[s].all = &shards;
-    shards[s].shard = s;
-    shards[s].remaining = 300;
-    shards[s].rng.Seed(seed + s);
-    shards[s].Arm();
-  }
-  ChurnOutcome out;
-  out.end = runner.Run();
-  out.windows = runner.windows();
-  out.posts = runner.posts_delivered();
-  out.events = runner.events_executed();
-  for (const ChurnShard& s : shards) {
-    out.per_shard.push_back(
-        {s.fired, s.received, s.decoys_fired, s.cancelled});
-  }
-  return out;
-}
-
-}  // namespace shardchurn
-
-TEST(ShardedRunnerConcurrencyTest, MailboxChurnUnderCancelHoles) {
-  const uint64_t seed = 0x5ca1ab1e;
-  const shardchurn::ChurnOutcome serial = shardchurn::RunChurn(1, seed);
-
-  // The workload exercised what it claims to: chains completed, posts
-  // crossed shards, and the cancel pass both fired and killed decoys.
-  uint64_t fired = 0, received = 0, survived = 0, cancelled = 0;
-  for (const auto& counters : serial.per_shard) {
-    fired += counters[0];
-    received += counters[1];
-    survived += counters[2];
-    cancelled += counters[3];
-  }
-  EXPECT_EQ(fired, 4u * 300u);
-  EXPECT_EQ(received, fired);  // every firing posted exactly once
-  EXPECT_GT(survived, 0u);
-  EXPECT_GT(cancelled, 0u);
-  EXPECT_EQ(survived + cancelled, 4u * fired);
-
-  // Parallel runs (worker threads writing the mailboxes while the heaps
-  // are full of cancel holes) must match the serial oracle exactly.
-  for (uint32_t jobs : {2u, 4u}) {
-    const shardchurn::ChurnOutcome par = shardchurn::RunChurn(jobs, seed);
-    EXPECT_TRUE(par == serial) << "jobs=" << jobs;
   }
 }
 

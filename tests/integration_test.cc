@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "check/history.h"
 #include "leed/cluster_sim.h"
 #include "test_util.h"
 
@@ -361,6 +362,41 @@ TEST(IntegrationTest, OpenLoopAchievesOfferedRateBelowKnee) {
 
   EXPECT_EQ(r.errors, 0u);
   EXPECT_NEAR(r.throughput_qps, opt.open_loop_qps, 0.05 * opt.open_loop_qps);
+}
+
+// Open-loop YCSB-F issues each read-modify-write as a GET followed by a PUT
+// of the same key, like the closed loop does. With F's 50/50 read/RMW mix
+// the clients therefore issue about twice as many GETs as PUTs; an open
+// loop that sent the RMW as a bare PUT would issue them one to one.
+TEST(IntegrationTest, OpenLoopYcsbFReadsBeforeEachRmwWrite) {
+  ClusterConfig cfg = SmallLeedCluster();
+  cfg.record_history = true;  // the clients' own record of every op
+  ClusterSim cluster(std::move(cfg));
+  cluster.Bootstrap();
+  cluster.Preload(500, 256);
+
+  workload::YcsbConfig wc;
+  wc.mix = workload::Mix::kF;
+  wc.num_keys = 500;
+  wc.value_size = 256;
+  workload::YcsbGenerator gen(wc);
+
+  ClusterSim::DriveOptions opt;
+  opt.open_loop_qps = 20'000;
+  opt.warmup = 20 * kMillisecond;
+  opt.duration = 100 * kMillisecond;
+  RunResult r = cluster.Run(gen, opt);
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_GT(r.completed, 1000u);
+
+  uint64_t gets = 0, puts = 0;
+  for (const check::HistoryOp& op : cluster.history()->ops()) {
+    if (op.kind == check::OpKind::kGet) ++gets;
+    if (op.kind == check::OpKind::kPut) ++puts;
+  }
+  ASSERT_GT(puts, 500u);
+  EXPECT_NEAR(static_cast<double>(gets) / static_cast<double>(puts), 2.0, 0.2)
+      << gets << " GETs, " << puts << " PUTs";
 }
 
 TEST(IntegrationTest, TimelineBucketsCoverRun) {

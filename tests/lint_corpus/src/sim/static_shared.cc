@@ -1,25 +1,19 @@
 // lint_test fixture — unannotated-sim-shared: mutable static state in sim
-// scope is visible to every shard and every concurrently-running seed of a
-// parallel sweep; it must be const, or carry LEED_SHARD_SHARED with a
-// non-empty reason. Expected findings are asserted line-exactly by
-// tests/lint_test.cc; KEEP LINE NUMBERS STABLE or update the golden table.
-#include "common/shard_annotations.h"
+// scope is shared by every concurrently-running seed of a parallel sweep;
+// it must be const, or carry a justified allow(unannotated-sim-shared).
+// Expected findings are asserted line-exactly by tests/lint_test.cc; KEEP
+// LINE NUMBERS STABLE or update the golden table.
 
 namespace fixture {
 
-static long g_event_count = 0;        // line 10: fire — namespace static
+static long g_event_count = 0;        // line 9: fire — namespace static
 static const int kTableSize = 128;    // ok: const
 static constexpr double kRatio = 0.5; // ok: constexpr
 
 long NextId() {
-  static long counter = 0;  // line 15: fire — static local, process-wide
+  static long counter = 0;  // line 14: fire — static local, process-wide
   return ++counter;
 }
-
-static long g_reviewed LEED_SHARD_SHARED(
-    "fixture: merged at the window barrier, never read mid-window") = 0;
-
-static long g_empty LEED_SHARD_SHARED("") = 0;  // line 22: fire — no reason
 
 // leed-lint: allow(unannotated-sim-shared): fixture proves suppression
 static long g_allowed = 0;

@@ -54,7 +54,6 @@ TEST(LintCorpusTest, MatchesGoldenTable) {
   // LintTree sorts by (file, line, rule, message); keep this table in that
   // order so a mismatch points at the first divergence.
   const std::vector<Expected> kGolden = {
-      {"src/cluster/guard_calls.cc", 15, "cross-shard-call"},
       {"src/common/count_bool.cc", 11, "count-in-bool-context"},
       {"src/common/count_bool.cc", 12, "count-in-bool-context"},
       {"src/common/count_bool.cc", 13, "count-in-bool-context"},
@@ -77,12 +76,8 @@ TEST(LintCorpusTest, MatchesGoldenTable) {
       {"src/sim/bad_clock.cc", 15, "determinism"},
       {"src/sim/bad_clock.cc", 16, "determinism"},
       {"src/sim/bad_clock.cc", 17, "determinism"},
-      {"src/sim/shard_capture.cc", 14, "shard-affine-capture"},
-      {"src/sim/shard_capture.cc", 25, "shard-affine-capture"},
-      {"src/sim/shard_capture.cc", 28, "shard-affine-capture"},
-      {"src/sim/static_shared.cc", 10, "unannotated-sim-shared"},
-      {"src/sim/static_shared.cc", 15, "unannotated-sim-shared"},
-      {"src/sim/static_shared.cc", 22, "unannotated-sim-shared"},
+      {"src/sim/static_shared.cc", 9, "unannotated-sim-shared"},
+      {"src/sim/static_shared.cc", 14, "unannotated-sim-shared"},
       {"src/store/pointer_order.cc", 16, "pointer-order"},
       {"src/store/pointer_order.cc", 17, "pointer-order"},
       {"src/store/pointer_order.cc", 25, "pointer-order"},
@@ -111,8 +106,7 @@ TEST(LintCorpusTest, EveryContentRuleFires) {
   for (const char* rule :
        {"determinism", "unordered-iter", "pragma-once", "banned-func",
         "memcpy", "metric-name", "count-in-bool-context", "allow-syntax",
-        "unused-allow", "shard-affine-capture", "unannotated-sim-shared",
-        "cross-shard-call", "pointer-order"}) {
+        "unused-allow", "unannotated-sim-shared", "pointer-order"}) {
     EXPECT_TRUE(fired.count(rule) != 0) << "rule never fired: " << rule;
   }
 }
@@ -135,29 +129,12 @@ TEST(LintCorpusTest, JustifiedAllowsSuppress) {
       << "metric-name allow ignored";
   EXPECT_FALSE(HasFindingAt(findings, "src/common/legacy_guard.h", 1))
       << "pragma-once allow ignored";
-  EXPECT_FALSE(HasFindingAt(findings, "src/sim/shard_capture.cc", 42))
-      << "shard-affine-capture allow ignored";
-  EXPECT_FALSE(HasFindingAt(findings, "src/cluster/guard_calls.cc", 19))
-      << "cross-shard-call allow ignored";
-  EXPECT_FALSE(HasFindingAt(findings, "src/sim/static_shared.cc", 25))
+  EXPECT_FALSE(HasFindingAt(findings, "src/sim/static_shared.cc", 19))
       << "unannotated-sim-shared allow ignored";
   EXPECT_FALSE(HasFindingAt(findings, "src/store/pointer_order.cc", 22))
       << "pointer-order allow ignored";
   EXPECT_FALSE(HasFindingAt(findings, "src/common/count_bool.cc", 23))
       << "count-in-bool-context allow ignored";
-}
-
-TEST(LintCorpusTest, CrossShardOkMarkerSuppressesShardRules) {
-  const std::vector<Finding> findings = CorpusFindings();
-  // LEED_CROSS_SHARD_OK on (or directly above) a line is the reviewed
-  // cross-shard escape hatch for the shard rules specifically.
-  EXPECT_FALSE(HasFindingAt(findings, "src/sim/shard_capture.cc", 38))
-      << "LEED_CROSS_SHARD_OK marker ignored for shard-affine-capture";
-  EXPECT_FALSE(HasFindingAt(findings, "src/cluster/guard_calls.cc", 17))
-      << "LEED_CROSS_SHARD_OK marker ignored for cross-shard-call";
-  // A reviewed LEED_SHARD_SHARED with a real reason is not a finding.
-  EXPECT_FALSE(HasFindingAt(findings, "src/sim/static_shared.cc", 19));
-  EXPECT_FALSE(HasFindingAt(findings, "src/sim/static_shared.cc", 20));
 }
 
 TEST(LintCorpusTest, ScopedRulesStayInScope) {
@@ -271,46 +248,38 @@ TEST(LintFileTest, FreeFunctionSubIsNotAMetricGetter) {
 }
 
 TEST(LintFileTest, CompanionHeaderFeedsTuModel) {
-  // Annotations live in x.h next to the fields; linting x.cc with the
-  // companion header must apply them — and without it, the same code is
-  // invisible to the shard rules (declaration-driven, not name-guessing).
+  // Pointer fields are declared in x.h; linting x.cc with the companion
+  // header must know them — and without it, the same comparison is
+  // invisible to pointer-order (declaration-driven, not name-guessing).
   const std::string header =
       "#pragma once\n"
-      "struct C { Obj* cp_ LEED_SHARD_AFFINE; Sim sim_; };\n";
+      "struct C { Obj* a_; Obj* b_; bool Less() const; };\n";
   const std::string cc =
-      "void C::Go(int i) {\n"
-      "  Simulator::ShardGuard g(sim_, NodeShard(i));\n"
-      "  cp_->Register(i);\n"
+      "bool C::Less() const {\n"
+      "  return a_ < b_;\n"
       "}\n";
-  EXPECT_TRUE(LintFile("src/cluster/c.cc", cc).empty());
+  EXPECT_TRUE(LintFile("src/store/c.cc", cc).empty());
   const std::vector<Finding> findings =
-      LintFile("src/cluster/c.cc", cc, &header);
+      LintFile("src/store/c.cc", cc, &header);
   ASSERT_EQ(findings.size(), 1u) << FormatFindings(findings);
-  EXPECT_EQ(findings[0].rule, "cross-shard-call");
-  EXPECT_EQ(findings[0].line, 3);
-}
-
-TEST(LintFileTest, SameShardGuardCallsAreSilent) {
-  // The guarded shard's own object is reachable: the object expression
-  // shares an identifier with the guard's shard argument.
-  const std::string src =
-      "struct C { std::vector<Obj*> nodes_ LEED_SHARD_AFFINE; Sim sim_;\n"
-      "  void Go(int i) {\n"
-      "    Simulator::ShardGuard g(sim_, NodeShard(i));\n"
-      "    nodes_[i]->Start();\n"
-      "  }\n"
-      "};\n";
-  EXPECT_TRUE(LintFile("src/cluster/c.cc", src).empty())
-      << FormatFindings(LintFile("src/cluster/c.cc", src));
+  EXPECT_EQ(findings[0].rule, "pointer-order");
+  EXPECT_EQ(findings[0].line, 2);
 }
 
 TEST(LintFileTest, SharedAnnotationRequiresReason) {
-  const std::string bad = "static long g_x LEED_SHARD_SHARED(\"\") = 0;\n";
+  // Shared static state is reviewed with an allow that says why sharing
+  // is safe; an allow with no reason suppresses nothing.
+  const std::string bad =
+      "// leed-lint: allow(unannotated-sim-shared):\n"
+      "static long g_x = 0;\n";
   const std::vector<Finding> findings = LintFile("src/sim/x.cc", bad);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "unannotated-sim-shared");
+  ASSERT_EQ(findings.size(), 2u) << FormatFindings(findings);
+  EXPECT_EQ(findings[0].rule, "allow-syntax");
+  EXPECT_EQ(findings[1].rule, "unannotated-sim-shared");
   const std::string ok =
-      "static long g_x LEED_SHARD_SHARED(\"merged at barrier\") = 0;\n";
+      "// leed-lint: allow(unannotated-sim-shared): set once before any "
+      "seed starts\n"
+      "static long g_x = 0;\n";
   EXPECT_TRUE(LintFile("src/sim/x.cc", ok).empty());
 }
 

@@ -213,138 +213,5 @@ TEST(SimStressTest, SlabStaysAtHighWaterMark) {
   EXPECT_EQ(fired, 50u * kBatch / 2);
 }
 
-// ---------------------------------------------------------------------------
-// Sharded mode (docs/PARALLEL_SIM.md): the k-way merge must reproduce the
-// serial loop's (when, seq) dispatch order exactly, under the same churn
-// the serial tests run.
-// ---------------------------------------------------------------------------
-
-// Seeded Schedule/AtOnShard/Cancel/Step churn, executed once on the plain
-// single-queue loop (the oracle) and once per shard count. All draws use
-// power-of-two bounds so the Rng stream is identical for every variant —
-// only the shard assignment (a modulo of the same draw) differs.
-TEST(SimStressTest, ShardedMergeMatchesSerialChurn) {
-  auto run_once = [](uint64_t seed, uint32_t shards) {
-    Simulator s;
-    if (shards > 1) s.EnableSharding(shards, /*lookahead=*/100);
-    Rng rng(seed);
-    std::vector<std::pair<SimTime, int>> trace;
-    std::vector<EventId> pending;
-    for (int i = 0; i < 5000; ++i) {
-      const uint64_t action = rng.NextBounded(8);
-      const uint32_t shard =
-          static_cast<uint32_t>(rng.NextBounded(64)) % shards;
-      if (action < 3) {
-        // Explicit-shard scheduling (the network-delivery path).
-        const int tag = i;
-        pending.push_back(s.AtOnShard(
-            shard, s.Now() + static_cast<SimTime>(rng.NextBounded(32)),
-            [&trace, &s, tag] { trace.emplace_back(s.Now(), tag); }));
-      } else if (action == 3) {
-        // Ambient-shard scheduling under a guard (the bootstrap path);
-        // continuations inherit the running event's shard.
-        Simulator::ShardGuard guard(s, shard);
-        const int tag = 100000 + i;
-        pending.push_back(
-            s.Schedule(static_cast<SimTime>(rng.NextBounded(32)),
-                       [&trace, &s, tag] { trace.emplace_back(s.Now(), tag); }));
-      } else if (action == 4 && !pending.empty()) {
-        const size_t idx =
-            static_cast<size_t>(rng.NextBounded(64)) % pending.size();
-        s.Cancel(pending[idx]);
-        pending.erase(pending.begin() + static_cast<long>(idx));
-      } else {
-        s.Step();
-      }
-    }
-    s.Run();
-    return trace;
-  };
-
-  const uint64_t seed = testutil::TestSeed(0x54a2d);
-  const auto serial = run_once(seed, 1);
-  ASSERT_GT(serial.size(), 1000u);
-  for (uint32_t shards : {2u, 4u, 7u}) {
-    EXPECT_EQ(run_once(seed, shards), serial) << "shards=" << shards;
-  }
-}
-
-// Same-instant events land in schedule order even when they sit on
-// different shard heaps and cancels punch holes into the batch.
-TEST(SimStressTest, ShardedSameInstantFifoAcrossShards) {
-  Simulator s;
-  s.EnableSharding(4, /*lookahead=*/10);
-  Rng rng(testutil::TestSeed(0xf1f0));
-  for (int round = 0; round < 50; ++round) {
-    std::vector<int> order;
-    std::vector<EventId> batch;
-    const SimTime when = s.Now() + 10;
-    for (int i = 0; i < 32; ++i) {
-      batch.push_back(s.AtOnShard(static_cast<uint32_t>(i) % 4, when,
-                                  [&order, i] { order.push_back(i); }));
-    }
-    std::set<int> cancelled;
-    for (int i = 0; i < 8; ++i) {
-      const int victim = static_cast<int>(rng.NextBounded(32));
-      if (cancelled.insert(victim).second) {
-        EXPECT_TRUE(s.Cancel(batch[static_cast<size_t>(victim)]));
-      }
-    }
-    s.Run();
-    std::vector<int> expected;
-    for (int i = 0; i < 32; ++i) {
-      if (!cancelled.contains(i)) expected.push_back(i);
-    }
-    ASSERT_EQ(order, expected) << "round " << round;
-  }
-}
-
-// Horizon bookkeeping: a new round opens exactly when dispatch crosses the
-// previous round's `first when + lookahead` — an event one tick inside the
-// horizon shares the round, one at the horizon opens the next.
-TEST(SimStressTest, ShardedRoundsAccountAtTheHorizonBoundary) {
-  Simulator s;
-  s.EnableSharding(2, /*lookahead=*/100);
-  std::vector<SimTime> fired;
-  s.AtOnShard(0, 10, [&] { fired.push_back(s.Now()); });
-  s.AtOnShard(1, 109, [&] { fired.push_back(s.Now()); });  // 10+100-1: same round
-  s.AtOnShard(0, 110, [&] { fired.push_back(s.Now()); });  // exactly 10+100: new round
-  s.Run();
-  EXPECT_EQ(fired, (std::vector<SimTime>{10, 109, 110}));
-  EXPECT_EQ(s.rounds_executed(), 2u);
-}
-
-// RunUntil in sharded mode: the deadline splits the pending set the same
-// way the serial loop does, and the remainder still runs afterwards.
-TEST(SimStressTest, ShardedRunUntilStopsAtDeadline) {
-  Simulator s;
-  s.EnableSharding(3, /*lookahead=*/50);
-  std::vector<int> got;
-  s.AtOnShard(0, 10, [&got] { got.push_back(1); });
-  s.AtOnShard(1, 20, [&got] { got.push_back(2); });
-  s.AtOnShard(2, 30, [&got] { got.push_back(3); });
-  EXPECT_EQ(s.RunUntil(20), 2u);
-  EXPECT_EQ(s.Now(), 20);
-  EXPECT_EQ(got, (std::vector<int>{1, 2}));
-  s.Run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
-}
-
-// NextEventTime must skip cancelled heads in both modes and report the
-// sentinel when nothing live remains.
-TEST(SimStressTest, NextEventTimeCleansStaleHeads) {
-  for (const bool sharded : {false, true}) {
-    Simulator s;
-    if (sharded) s.EnableSharding(2, /*lookahead=*/10);
-    const EventId early = s.AtOnShard(0, 10, [] {});
-    s.AtOnShard(1, 20, [] {});
-    EXPECT_EQ(s.NextEventTime(), 10);
-    EXPECT_TRUE(s.Cancel(early));
-    EXPECT_EQ(s.NextEventTime(), 20) << "sharded=" << sharded;
-    s.Run();
-    EXPECT_EQ(s.NextEventTime(), Simulator::kNoPendingEvent);
-  }
-}
-
 }  // namespace
 }  // namespace leed::sim

@@ -1,14 +1,11 @@
-// Tests for the parallel-simulation layers (docs/PARALLEL_SIM.md):
+// Tests for parallel simulation (docs/PARALLEL_SIM.md) and replay:
 //
-//   * Tier A: the seed-parallel sweep driver (sim/sweep.h) — index
-//     coverage, pool reuse, and the jobs=1 serial-oracle contract;
-//   * Tier B: the conservative-lookahead ShardedRunner (sim/shard.h) —
-//     byte-identical traces for every jobs value, lookahead clamping, and
-//     window accounting at the horizon boundary;
-//   * end to end: nemesis sweeps and full ClusterSim runs must produce
-//     identical verdicts, histories, and metrics snapshots across
-//     {--jobs, --sharded} variants — the unit-level form of CI's replay
-//     gate.
+//   * the seed-parallel sweep driver (sim/sweep.h) — index coverage, pool
+//     reuse, and the jobs=1 serial-oracle contract;
+//   * end to end: nemesis sweeps must produce identical verdicts and
+//     histories for every --jobs value, and a full ClusterSim run must
+//     replay byte for byte from its seed — the unit-level form of CI's
+//     replay gate.
 //
 // Wall-clock speedup is deliberately NOT asserted here: these tests run on
 // arbitrary (possibly single-core) machines. The speedup gates live in CI,
@@ -25,19 +22,16 @@
 #include <vector>
 
 #include "check/nemesis.h"
-#include "common/rand.h"
 #include "leed/cluster_sim.h"
 #include "obs/metrics.h"
-#include "sim/shard.h"
 #include "sim/sweep.h"
-#include "test_util.h"
 #include "workload/ycsb.h"
 
 namespace leed {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Tier A: sweep driver.
+// Sweep driver.
 // ---------------------------------------------------------------------------
 
 TEST(SweepTest, ResolveJobs) {
@@ -94,136 +88,6 @@ TEST(SweepTest, TaskPoolIsReusableAcrossRounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier B: ShardedRunner.
-// ---------------------------------------------------------------------------
-
-// A shard-pure workload: each shard re-arms its own chain of events and
-// every third firing posts a cross-shard event to its neighbour. All state
-// a callback touches belongs to the shard the callback runs on.
-struct ShardScript {
-  sim::ShardedRunner* runner = nullptr;
-  std::vector<ShardScript>* all = nullptr;
-  uint32_t shard = 0;
-  uint32_t remaining = 0;
-  Rng rng{0};
-  uint32_t seq = 0;
-  std::vector<std::pair<SimTime, uint32_t>> trace;
-
-  void Arm() {
-    runner->shard(shard).Schedule(
-        static_cast<SimTime>(1 + rng.NextBounded(64)), [this] { Fire(); });
-  }
-  void Fire() {
-    sim::Simulator& sim = runner->shard(shard);
-    trace.emplace_back(sim.Now(), seq);
-    ++seq;
-    if (seq % 3 == 0) {
-      const uint32_t dst = (shard + 1) % runner->num_shards();
-      ShardScript* target = &(*all)[dst];
-      const uint32_t tag = 1000u * (shard + 1) + seq;
-      // Offsets straddle the lookahead: short ones exercise the clamp,
-      // long ones land in a later window untouched.
-      const SimTime off = 5 + static_cast<SimTime>(rng.NextBounded(128));
-      runner->Post(shard, dst, sim.Now() + off, [target, tag] {
-        target->trace.emplace_back(
-            target->runner->shard(target->shard).Now(), tag);
-      });
-    }
-    if (--remaining > 0) Arm();
-  }
-};
-
-struct ScriptOutcome {
-  std::vector<std::vector<std::pair<SimTime, uint32_t>>> traces;
-  uint64_t windows = 0;
-  uint64_t posts = 0;
-  uint64_t events = 0;
-  SimTime end = 0;
-};
-
-ScriptOutcome RunShardScript(uint32_t jobs, uint64_t seed) {
-  constexpr uint32_t kShards = 4;
-  sim::ShardedRunner runner(kShards, /*lookahead=*/50, jobs);
-  // Fixed size up front: callbacks capture element addresses.
-  std::vector<ShardScript> scripts(kShards);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    scripts[s].runner = &runner;
-    scripts[s].all = &scripts;
-    scripts[s].shard = s;
-    scripts[s].remaining = 200;
-    scripts[s].rng.Seed(seed + s);
-    scripts[s].Arm();
-  }
-  ScriptOutcome out;
-  out.end = runner.Run();
-  out.windows = runner.windows();
-  out.posts = runner.posts_delivered();
-  out.events = runner.events_executed();
-  for (auto& sc : scripts) out.traces.push_back(std::move(sc.trace));
-  return out;
-}
-
-TEST(ShardedRunnerTest, IdenticalForEveryJobsValue) {
-  const uint64_t seed = testutil::TestSeed(0x5ead);
-  const ScriptOutcome serial = RunShardScript(1, seed);
-  ASSERT_GT(serial.events, 800u);  // 4 shards x 200 self-events + posts
-  ASSERT_GT(serial.posts, 0u);
-  for (uint32_t jobs : {2u, 4u}) {
-    const ScriptOutcome par = RunShardScript(jobs, seed);
-    EXPECT_EQ(par.traces, serial.traces) << "jobs=" << jobs;
-    EXPECT_EQ(par.windows, serial.windows) << "jobs=" << jobs;
-    EXPECT_EQ(par.posts, serial.posts) << "jobs=" << jobs;
-    EXPECT_EQ(par.events, serial.events) << "jobs=" << jobs;
-    EXPECT_EQ(par.end, serial.end) << "jobs=" << jobs;
-  }
-}
-
-TEST(ShardedRunnerTest, LookaheadClampsAndWindowsAccount) {
-  sim::ShardedRunner runner(2, /*lookahead=*/100, 1);
-  std::vector<std::pair<SimTime, int>> got;
-  auto record = [&got, &runner](int tag) {
-    return [&got, &runner, tag] {
-      got.emplace_back(runner.shard(1).Now(), tag);
-    };
-  };
-  // Bootstrap: shard 0 wakes at t=10 and posts three events to shard 1 —
-  // one inside the window (must clamp to its end), one exactly at the
-  // horizon, one a full window later.
-  runner.Post(0, 0, 10, [&runner, &record] {
-    const SimTime now = runner.shard(0).Now();  // 10; window end is 110
-    runner.Post(0, 1, now + 40, record(1));     // 50 -> clamps to 110
-    runner.Post(0, 1, 110, record(2));          // exactly the horizon
-    runner.Post(0, 1, 200, record(3));          // next window
-  });
-  runner.Run();
-  const std::vector<std::pair<SimTime, int>> expected = {
-      {110, 1}, {110, 2}, {200, 3}};
-  EXPECT_EQ(got, expected);
-  // Window 1 runs shard 0's t=10 event; window 2 (opening at t=110) runs
-  // all three deliveries — 200 < 110 + 100 + lookahead slack.
-  EXPECT_EQ(runner.windows(), 2u);
-  // Bootstrap post + the three cross-shard deliveries.
-  EXPECT_EQ(runner.posts_delivered(), 4u);
-  EXPECT_EQ(runner.events_executed(), 4u);
-}
-
-TEST(ShardedRunnerTest, SameInstantPostsMergeInSourceFifoOrder) {
-  // Two sources post to the same destination at the same instant: the
-  // merge must order by (when, src, FIFO-within-src), never by thread
-  // scheduling. With when equal, src 0's posts land before src 1's.
-  for (uint32_t jobs : {1u, 3u}) {
-    sim::ShardedRunner runner(3, /*lookahead=*/10, jobs);
-    std::vector<int> order;
-    runner.Post(0, 2, 100, [&order] { order.push_back(1); });
-    runner.Post(0, 2, 100, [&order] { order.push_back(2); });
-    runner.Post(1, 2, 100, [&order] { order.push_back(3); });
-    runner.Post(1, 2, 100, [&order] { order.push_back(4); });
-    runner.Run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4})) << "jobs=" << jobs;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // End to end: the replay-gate property at unit-test scale.
 // ---------------------------------------------------------------------------
 
@@ -240,20 +104,14 @@ std::string Slurp(const std::string& path) {
 }
 
 // Nemesis sweeps must produce identical per-seed results and identical
-// history bytes for every {jobs, sharded} combination. "crash" covers
-// crash/restart faults spanning shards; "churn" covers join/leave
-// membership churn (vnode moves cancel and re-arm timers across shards).
-TEST(NemesisParallelTest, JobsAndShardingAreByteIdentical) {
+// history bytes for every jobs value. "crash" covers crash/restart faults;
+// "churn" covers join/leave membership churn (vnode moves cancel and
+// re-arm timers).
+TEST(NemesisParallelTest, JobsValuesAreByteIdentical) {
   for (const std::string& plan : {std::string("crash"), std::string("churn")}) {
-    struct Variant {
-      uint32_t jobs;
-      bool sharded;
-    };
-    const Variant variants[] = {{1, false}, {2, false}, {1, true}, {2, true}};
-
     std::vector<check::NemesisResult> results;
     std::vector<std::string> histories;
-    for (const Variant& v : variants) {
+    for (const uint32_t jobs : {1u, 2u}) {
       check::NemesisOptions opt;
       opt.base_seed = 7;
       opt.seeds = 2;
@@ -262,11 +120,9 @@ TEST(NemesisParallelTest, JobsAndShardingAreByteIdentical) {
       opt.num_clients = 2;
       opt.ops_per_client = 60;
       opt.run_for = 120 * kMillisecond;
-      opt.jobs = v.jobs;
-      opt.sharded = v.sharded;
+      opt.jobs = jobs;
       opt.history_out = std::string(testing::TempDir()) + "/nemesis_" + plan +
-                        "_j" + std::to_string(v.jobs) +
-                        (v.sharded ? "_sharded" : "_serial") + ".history";
+                        "_j" + std::to_string(jobs) + ".history";
       results.push_back(check::RunNemesisSweep(opt));
       histories.push_back(Slurp(opt.history_out));
       ASSERT_FALSE(histories.back().empty());
@@ -295,17 +151,22 @@ TEST(NemesisParallelTest, JobsAndShardingAreByteIdentical) {
   }
 }
 
-// A full ClusterSim run with the sharded event loop must match the default
-// loop byte for byte: same completion counts, same simulator event count,
-// same metrics snapshot from an injected per-run registry.
-TEST(ShardedClusterTest, ShardedRunMatchesSerialRun) {
-  auto run = [](bool sharded) {
+// A full ClusterSim run replays from its seed: two runs with the same seed
+// agree on completion counts, simulator event count, and the metrics
+// snapshot of an injected per-run registry; a different seed diverges.
+TEST(ClusterReplayTest, SameSeedRunsAreByteIdentical) {
+  struct Outcome {
+    uint64_t completed;
+    uint64_t errors;
+    uint64_t events;
+    std::string metrics;
+  };
+  auto run = [](uint64_t seed) {
     obs::Registry registry;
     ClusterConfig cfg;
     cfg.num_nodes = 3;
     cfg.num_clients = 2;
-    cfg.seed = 0xabc;
-    cfg.sharded = sharded;
+    cfg.seed = seed;
     cfg.node.platform = sim::StingrayJbof();
     cfg.node.stack = StackKind::kLeed;
     cfg.node.crrs = true;
@@ -329,7 +190,7 @@ TEST(ShardedClusterTest, ShardedRunMatchesSerialRun) {
     wc.num_keys = 64;
     wc.value_size = 64;
     wc.zipf_theta = 0.9;
-    wc.seed = 0x5eed;
+    wc.seed = seed ^ 0x5eed;
     workload::YcsbGenerator gen(wc);
 
     ClusterSim::DriveOptions opt;
@@ -337,25 +198,22 @@ TEST(ShardedClusterTest, ShardedRunMatchesSerialRun) {
     opt.warmup = 10 * kMillisecond;
     opt.duration = 60 * kMillisecond;
     RunResult r = cluster.Run(gen, opt);
-
-    struct Outcome {
-      uint64_t completed;
-      uint64_t errors;
-      uint64_t events;
-      std::string metrics;
-    };
     return Outcome{r.completed, r.errors,
                    cluster.simulator().events_executed(),
                    registry.SnapshotJson()};
   };
 
-  const auto serial = run(false);
-  const auto sharded = run(true);
-  ASSERT_GT(serial.completed, 0u);
-  EXPECT_EQ(sharded.completed, serial.completed);
-  EXPECT_EQ(sharded.errors, serial.errors);
-  EXPECT_EQ(sharded.events, serial.events);
-  EXPECT_EQ(sharded.metrics, serial.metrics);
+  const Outcome first = run(0xabc);
+  const Outcome second = run(0xabc);
+  ASSERT_GT(first.completed, 0u);
+  EXPECT_EQ(second.completed, first.completed);
+  EXPECT_EQ(second.errors, first.errors);
+  EXPECT_EQ(second.events, first.events);
+  EXPECT_EQ(second.metrics, first.metrics);
+
+  // The oracle must be able to fail: a different seed changes the run.
+  const Outcome other = run(0xabd);
+  EXPECT_NE(other.metrics, first.metrics);
 }
 
 }  // namespace

@@ -52,11 +52,9 @@ struct Options {
   std::string fault_plan;   // sim::ParseFaultPlan grammar (docs/FAULTS.md)
 
   // Parallel execution (docs/PARALLEL_SIM.md). jobs drives the seed sweep
-  // in check mode (0 = one per host core); sharded switches the event loop
-  // to the per-participant sharded mode. Both are byte-identical to the
-  // serial defaults — CI's replay gate diffs them every push.
+  // in check mode (0 = one per host core); byte-identical to the serial
+  // default — CI's replay gate diffs them every push.
   uint32_t jobs = 1;
-  bool sharded = false;
 
   // Consistency-checking mode (docs/CHECKING.md): --check=linearizability
   // switches leedsim from benchmarking to a nemesis seed sweep.
@@ -67,7 +65,6 @@ struct Options {
   std::string history_out;      // full history of the first seed
   bool unsafe_dirty_reads = false;  // TEST-ONLY mutation switch
   bool unsafe_torn_scans = false;   // TEST-ONLY scan mutation switch
-  bool cross_shard_touch = false;   // TEST-ONLY shard-purity mutation switch
   // Check-mode data-loss gate: by default any seed whose recovery abandoned
   // copies (cluster.copies_abandoned > 0) fails the run with exit 1.
   bool allow_data_loss = false;
@@ -102,9 +99,6 @@ void Usage(const char* argv0) {
       "parallel execution (docs/PARALLEL_SIM.md):\n"
       "  --jobs=N                   seed-sweep worker threads in check mode\n"
       "                             (default 1 = serial; 0 = all host cores)\n"
-      "  --sharded                  sharded event loop (per-node shards,\n"
-      "                             conservative lookahead); byte-identical\n"
-      "                             to the default serial loop\n"
       "consistency checking (docs/CHECKING.md):\n"
       "  --check=linearizability    run a nemesis seed sweep + checker instead\n"
       "                             of a benchmark; exit 0 = all seeds\n"
@@ -122,10 +116,7 @@ void Usage(const char* argv0) {
       "                             the sweep is expected to FAIL (self-test)\n"
       "  --unsafe-torn-scans        TEST-ONLY: serve SCANs without parking on\n"
       "                             dirty keys; with a scan workload the sweep\n"
-      "                             is expected to FAIL (self-test)\n"
-      "  --cross-shard-touch        TEST-ONLY: dispatch node messages on the\n"
-      "                             wrong shard; with --sharded, a debug\n"
-      "                             build's shard checker must abort\n",
+      "                             is expected to FAIL (self-test)\n",
       argv0);
 }
 
@@ -178,7 +169,6 @@ int RunCheckMode(const Options& opt) {
     no.offload = opt.offload;
     no.unsafe_dirty_reads = opt.unsafe_dirty_reads;
     no.unsafe_torn_scans = opt.unsafe_torn_scans;
-    no.cross_shard_touch = opt.cross_shard_touch;
     if (opt.workload == "ycsbe") {
       // Scan-heavy consistency mix: SCANs dominate reads but writes stay
       // frequent enough that scans keep racing dirty windows (a pure
@@ -195,7 +185,6 @@ int RunCheckMode(const Options& opt) {
     no.dump_dir = opt.check_dump_dir;
     no.verbose = opt.verbose;
     no.jobs = opt.jobs;
-    no.sharded = opt.sharded;
     no.allow_data_loss = opt.allow_data_loss;
     if (!opt.history_out.empty()) {
       no.history_out = plans.size() == 1 ? opt.history_out
@@ -337,7 +326,6 @@ int main(int argc, char** argv) {
     else if (ParseFlag(argv[i], "--trace-out", &v)) opt.trace_out = v;
     else if (ParseFlag(argv[i], "--fault-plan", &v)) opt.fault_plan = v;
     else if (ParseFlag(argv[i], "--jobs", &v)) opt.jobs = std::stoul(v);
-    else if (std::strcmp(argv[i], "--sharded") == 0) opt.sharded = true;
     else if (ParseFlag(argv[i], "--check", &v)) opt.check = v;
     else if (ParseFlag(argv[i], "--seeds", &v)) opt.seeds = std::stoul(v);
     else if (ParseFlag(argv[i], "--check-plan", &v)) opt.check_plan = v;
@@ -349,8 +337,6 @@ int main(int argc, char** argv) {
       opt.unsafe_dirty_reads = true;
     else if (std::strcmp(argv[i], "--unsafe-torn-scans") == 0)
       opt.unsafe_torn_scans = true;
-    else if (std::strcmp(argv[i], "--cross-shard-touch") == 0)
-      opt.cross_shard_touch = true;
     else if (std::strcmp(argv[i], "--verbose") == 0) opt.verbose = true;
     else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       Usage(argv[0]);
@@ -394,8 +380,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.client.flow_control = opt.flow_control;
-  cfg.sharded = opt.sharded;
-  cfg.node.test_only_cross_shard_touch = opt.cross_shard_touch;
 
   std::printf("leedsim: %s x%u, %s, %uB values, %llu keys, skew %.2f, %s\n",
               opt.system.c_str(), opt.nodes, ("YCSB-" + opt.mix).c_str(),

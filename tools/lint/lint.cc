@@ -312,14 +312,13 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 // ---------------------------------------------------------------------------
 // Flattened code + per-TU model.
 //
-// The shard and pointer-order rules reason about declarations (which names
-// are LEED_SHARD_AFFINE / LEED_SHARD_SHARED, which are raw pointers) and
-// about multi-line constructs (lambdas, ShardGuard block extents), so they
-// work on the whole TU's code joined into one string with a position→line
-// map, plus a small declaration table. For a .cc file the table also merges
-// the companion header's declarations (LintTree passes it along) — that is
-// the "TU" in per-TU: fields annotated in node.h are known when node.cc is
-// linted.
+// The static-state and pointer-order rules reason about declarations (which
+// names are raw pointers) and about constructs that span lines, so they work
+// on the whole TU's code joined into one string with a position→line map,
+// plus a small declaration table. For a .cc file the table also merges the
+// companion header's declarations (LintTree passes it along) — that is the
+// "TU" in per-TU: pointer fields declared in node.h are known when node.cc
+// is linted.
 // ---------------------------------------------------------------------------
 
 struct FlatCode {
@@ -333,7 +332,7 @@ FlatCode Flatten(const std::vector<LineInfo>& lines) {
     flat.line_start.push_back(flat.text.size());
     const std::string trimmed = Trim(li.code);
     // Preprocessor lines never declare run-time state; blanking them keeps
-    // the annotation-macro *definitions* out of the declaration table.
+    // macro bodies out of the declaration table.
     if (trimmed.empty() || trimmed[0] != '#') flat.text += li.code;
     flat.text += '\n';
   }
@@ -360,16 +359,6 @@ size_t PrevNonSpace(const std::string& t, size_t i) {
   return std::string::npos;
 }
 
-// Position of the closer matching the opener at `open`, or npos.
-size_t MatchForward(const std::string& t, size_t open, char oc, char cc) {
-  int depth = 0;
-  for (size_t i = open; i < t.size(); ++i) {
-    if (t[i] == oc) ++depth;
-    else if (t[i] == cc && --depth == 0) return i;
-  }
-  return std::string::npos;
-}
-
 // Reads the identifier ending at (and including) position `end`; returns its
 // start, or npos when t[end] is not an identifier char.
 size_t IdentBegin(const std::string& t, size_t end) {
@@ -379,17 +368,8 @@ size_t IdentBegin(const std::string& t, size_t end) {
   return b;
 }
 
-std::set<std::string> IdentifiersIn(const std::string& s) {
-  std::set<std::string> ids;
-  ForEachIdentifier(s, [&](size_t, const std::string& id) { ids.insert(id); });
-  return ids;
-}
-
 struct TuModel {
-  std::set<std::string> affine_names;    // fields/vars LEED_SHARD_AFFINE
-  std::set<std::string> shared_names;    // fields/vars LEED_SHARD_SHARED(...)
-  std::set<std::string> affine_classes;  // class/struct LEED_SHARD_AFFINE
-  std::set<std::string> pointer_names;   // declared raw-pointer variables
+  std::set<std::string> pointer_names;  // declared raw-pointer variables
 };
 
 const std::set<std::string>& DeclContextKeywords() {
@@ -451,177 +431,6 @@ void ExtractPointerDecls(const FlatCode& flat, TuModel* model) {
       j = SkipSpace(t, k);
     }
   }
-}
-
-// Harvests the shard-annotation declaration table. `findings` is non-null
-// only for the primary file (companion headers contribute declarations but
-// report their own findings when linted themselves).
-void ExtractShardAnnotations(const std::string& path,
-                             const std::vector<LineInfo>& lines,
-                             const FlatCode& flat, TuModel* model,
-                             std::vector<Finding>* findings) {
-  const std::string& t = flat.text;
-  ForEachIdentifier(t, [&](size_t b, const std::string& id) {
-    const bool affine = id == "LEED_SHARD_AFFINE";
-    const bool shared = id == "LEED_SHARD_SHARED";
-    if (!affine && !shared) return;
-    std::string prev;
-    const size_t pend = PrevNonSpace(t, b);
-    if (pend != std::string::npos && IsIdentChar(t[pend])) {
-      const size_t pb = IdentBegin(t, pend);
-      prev = t.substr(pb, pend - pb + 1);
-    }
-    if (affine && (prev == "class" || prev == "struct")) {
-      size_t j = SkipSpace(t, b + id.size());
-      const size_t e = j;
-      while (j < t.size() && IsIdentChar(t[j])) ++j;
-      if (j > e) model->affine_classes.insert(t.substr(e, j - e));
-      return;
-    }
-    if (!prev.empty() && !DeclContextKeywords().contains(prev)) {
-      (affine ? model->affine_names : model->shared_names).insert(prev);
-    }
-    if (shared && findings != nullptr) {
-      // LEED_SHARD_SHARED must carry a non-empty string-literal reason;
-      // shared state with no stated story is exactly what the rule exists
-      // to surface.
-      const int at = LineAt(flat, b);
-      size_t j = SkipSpace(t, b + id.size());
-      bool ok = false;
-      if (j < t.size() && t[j] == '(') {
-        const size_t q = SkipSpace(t, j + 1);
-        if (q < t.size() && t[q] == '"') {
-          const int qline0 = LineAt(flat, q) - 1;
-          const size_t col0 = flat.line_start[qline0];
-          const size_t quotes = static_cast<size_t>(
-              std::count(t.begin() + col0, t.begin() + q, '"'));
-          const size_t index = quotes / 2;
-          const auto& strs = lines[static_cast<size_t>(qline0)].strings;
-          ok = index < strs.size() && !Trim(strs[index]).empty();
-        }
-      }
-      if (!ok) {
-        findings->push_back(
-            {path, at, "unannotated-sim-shared",
-             "LEED_SHARD_SHARED requires a non-empty string reason: why is "
-             "sharing safe today, and what splits it per shard later"});
-      }
-    }
-  });
-}
-
-// One linear scan that classifies every brace pair: class/struct bodies get
-// their class name, and out-of-line member definitions (`void X::f(...) {`)
-// attribute their body to class X, so EnclosingClass works in .cc files.
-struct ScopeRange {
-  size_t open = 0, close = 0;
-  std::string cls;  // empty for plain blocks/namespaces
-};
-
-std::vector<ScopeRange> ScanScopes(const FlatCode& flat) {
-  const std::string& t = flat.text;
-  std::vector<ScopeRange> done;
-  std::vector<ScopeRange> stack;
-  size_t boundary = 0;  // position after the last ; { or }
-  for (size_t i = 0; i < t.size(); ++i) {
-    const char c = t[i];
-    if (c == ';') {
-      boundary = i + 1;
-    } else if (c == '{') {
-      const std::string head = t.substr(boundary, i - boundary);
-      ScopeRange r;
-      r.open = i;
-      const std::set<std::string> head_ids = IdentifiersIn(head);
-      const bool classy = (head_ids.contains("class") ||
-                           head_ids.contains("struct") ||
-                           head_ids.contains("union")) &&
-                          head.find('(') == std::string::npos;
-      if (classy) {
-        // Name = first identifier after the keyword that is not another
-        // keyword or an annotation macro.
-        static const std::set<std::string> kSkip = {
-            "class", "struct", "union", "enum", "final", "alignas",
-            "LEED_SHARD_AFFINE", "LEED_SHARD_SHARED"};
-        bool seen_kw = false;
-        ForEachIdentifier(head, [&](size_t, const std::string& id) {
-          if (!seen_kw) {
-            seen_kw = id == "class" || id == "struct" || id == "union";
-            return;
-          }
-          if (r.cls.empty() && !kSkip.contains(id)) r.cls = id;
-        });
-      } else {
-        // `Ret X::f(args) ... {` — the identifier preceding a `::name(`
-        // pattern names the class whose member is being defined.
-        const size_t paren = head.find('(');
-        if (paren != std::string::npos) {
-          const size_t fend = PrevNonSpace(head, paren);
-          const size_t fb =
-              fend == std::string::npos ? std::string::npos
-                                        : IdentBegin(head, fend);
-          if (fb != std::string::npos && fb >= 2 && head[fb - 1] == ':' &&
-              head[fb - 2] == ':') {
-            const size_t qend = PrevNonSpace(head, fb - 2);
-            const size_t qb = qend == std::string::npos
-                                  ? std::string::npos
-                                  : IdentBegin(head, qend);
-            if (qb != std::string::npos) r.cls = head.substr(qb, qend - qb + 1);
-          }
-        }
-      }
-      stack.push_back(r);
-      boundary = i + 1;
-    } else if (c == '}') {
-      if (!stack.empty()) {
-        ScopeRange r = stack.back();
-        stack.pop_back();
-        r.close = i;
-        done.push_back(r);
-      }
-      boundary = i + 1;
-    }
-  }
-  // Unterminated frames (truncated fixtures) extend to end of file.
-  for (ScopeRange& r : stack) {
-    r.close = t.size();
-    done.push_back(r);
-  }
-  return done;
-}
-
-std::string EnclosingClass(const std::vector<ScopeRange>& scopes, size_t pos) {
-  std::string cls;
-  size_t best_open = 0;
-  for (const ScopeRange& r : scopes) {
-    if (!r.cls.empty() && r.open < pos && pos < r.close &&
-        r.open >= best_open) {
-      best_open = r.open;
-      cls = r.cls;
-    }
-  }
-  return cls;
-}
-
-// True when the finding line carries a LEED_CROSS_SHARD_OK marker — in code
-// (`LEED_CROSS_SHARD_OK;`), in a trailing comment (`// LEED_CROSS_SHARD_OK:
-// why`), or on comment-only lines directly above (same association rule as
-// allow() annotations, so clang-format cannot detach a marker).
-bool HasCrossShardOk(const std::vector<LineInfo>& lines, int line) {
-  static const std::string kMark = "LEED_CROSS_SHARD_OK";
-  if (line < 1 || static_cast<size_t>(line) > lines.size()) return false;
-  const LineInfo& li = lines[static_cast<size_t>(line - 1)];
-  if (li.code.find(kMark) != std::string::npos ||
-      li.comment.find(kMark) != std::string::npos) {
-    return true;
-  }
-  for (int j = line - 2; j >= 0; --j) {
-    if (!Trim(lines[static_cast<size_t>(j)].code).empty()) break;
-    if (lines[static_cast<size_t>(j)].comment.find(kMark) !=
-        std::string::npos) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -951,225 +760,14 @@ void CheckCountInBoolContext(const std::string& path,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Shard-purity rules (src/common/shard_annotations.h vocabulary).
-// ---------------------------------------------------------------------------
-
 bool InSimScope(const std::string& path) {
   return InDeterminismScope(path) || StartsWith(path, "src/cluster/") ||
          StartsWith(path, "src/check/");
 }
 
-// shard-affine-capture: a lambda handed to a cross-shard scheduler
-// (Simulator::AtOnShard, ShardedRunner::Post) runs on the *target* shard,
-// so capturing or dereferencing LEED_SHARD_AFFINE state inside it moves
-// that state's access onto another shard. Same-shard schedulers (At /
-// Schedule / After) inherit the current shard and stay out of scope.
-void CheckShardAffineCapture(const std::string& path, const FlatCode& flat,
-                             const TuModel& model,
-                             const std::vector<ScopeRange>& scopes,
-                             std::vector<Finding>* out) {
-  if (!StartsWith(path, "src/")) return;
-  if (model.affine_names.empty() && model.affine_classes.empty()) return;
-  const std::string& t = flat.text;
-  ForEachIdentifier(t, [&](size_t b, const std::string& id) {
-    const bool cross_shard_sched = id == "AtOnShard" || id == "Post";
-    if (!cross_shard_sched) return;
-    if (id == "Post") {
-      // Only member spellings (runner.Post / runner_->Post) are the
-      // ShardedRunner mailbox API; free functions named Post are not.
-      const size_t p = PrevNonSpace(t, b);
-      const bool member =
-          p != std::string::npos &&
-          (t[p] == '.' || (t[p] == '>' && p >= 1 && t[p - 1] == '-'));
-      if (!member) return;
-    }
-    const size_t open = SkipSpace(t, b + id.size());
-    if (open >= t.size() || t[open] != '(') return;
-    const size_t close = MatchForward(t, open, '(', ')');
-    if (close == std::string::npos) return;
-    for (size_t i = open + 1; i < close; ++i) {
-      if (t[i] != '[') continue;
-      const size_t prev = PrevNonSpace(t, i);
-      if (prev == std::string::npos || (t[prev] != '(' && t[prev] != ','))
-        continue;  // subscript, not a lambda introducer
-      const size_t cap_end = MatchForward(t, i, '[', ']');
-      if (cap_end == std::string::npos) break;
-      bool reported = false;
-      bool captures_enclosing = false;  // this / [&] / [=]
-      const std::string caps = t.substr(i + 1, cap_end - i - 1);
-      if (caps.find('&') != std::string::npos ||
-          caps.find('=') != std::string::npos ||
-          IdentifiersIn(caps).contains("this")) {
-        captures_enclosing = true;
-      }
-      ForEachIdentifier(caps, [&](size_t cb, const std::string& cid) {
-        if (reported || cid == "this") return;
-        if (model.affine_names.contains(cid)) {
-          reported = true;
-          out->push_back(
-              {path, LineAt(flat, i + 1 + cb), "shard-affine-capture",
-               "lambda passed to " + id + "() captures shard-affine '" + cid +
-                   "'; it will run on another shard — pass a copy, or mark "
-                   "the line LEED_CROSS_SHARD_OK with a reason"});
-        }
-      });
-      const std::string encl = EnclosingClass(scopes, i);
-      if (!reported && captures_enclosing &&
-          model.affine_classes.contains(encl)) {
-        reported = true;
-        out->push_back(
-            {path, LineAt(flat, i), "shard-affine-capture",
-             "lambda passed to " + id + "() captures the enclosing " + encl +
-                 " (LEED_SHARD_AFFINE class); its state belongs to this "
-                 "shard but the lambda runs on another"});
-      }
-      // Body: dereferencing affine state without capturing it by name
-      // ([&] default, or via this).
-      size_t k = SkipSpace(t, cap_end + 1);
-      if (k < t.size() && t[k] == '(') {
-        const size_t pc = MatchForward(t, k, '(', ')');
-        if (pc != std::string::npos) k = pc + 1;
-      }
-      const size_t body_open = t.find('{', k);
-      size_t body_close = std::string::npos;
-      if (body_open != std::string::npos) {
-        body_close = MatchForward(t, body_open, '{', '}');
-      }
-      if (!reported && body_open != std::string::npos &&
-          body_close != std::string::npos) {
-        const std::string body =
-            t.substr(body_open + 1, body_close - body_open - 1);
-        ForEachIdentifier(body, [&](size_t bb, const std::string& bid) {
-          if (reported) return;
-          if (model.affine_names.contains(bid)) {
-            reported = true;
-            out->push_back(
-                {path, LineAt(flat, body_open + 1 + bb),
-                 "shard-affine-capture",
-                 "lambda passed to " + id + "() dereferences shard-affine '" +
-                     bid + "' but runs on another shard"});
-          }
-        });
-      }
-      // Skip past this lambda so nested introducers are not re-parsed.
-      i = body_close != std::string::npos ? body_close : cap_end;
-    }
-  });
-}
-
-// cross-shard-call: inside the block a ShardGuard scopes, a direct method
-// call on a LEED_SHARD_AFFINE object whose expression shares no identifier
-// with the guard's shard argument targets state the guard did not claim —
-// `nodes_[i]->Start()` under ShardGuard(sim, NodeShard(i)) is fine,
-// `cp_->StartJoin(...)` under the same guard is not.
-void CheckCrossShardCall(const std::string& path, const FlatCode& flat,
-                         const TuModel& model,
-                         const std::vector<ScopeRange>& scopes,
-                         std::vector<Finding>* out) {
-  if (!StartsWith(path, "src/")) return;
-  if (model.affine_names.empty()) return;
-  const std::string& t = flat.text;
-
-  struct Guard {
-    size_t begin = 0, end = 0;
-    std::string arg;
-    std::set<std::string> ids;
-  };
-  std::vector<Guard> guards;
-  ForEachIdentifier(t, [&](size_t b, const std::string& id) {
-    if (id != "ShardGuard") return;
-    size_t j = SkipSpace(t, b + id.size());
-    const size_t vb = j;
-    while (j < t.size() && IsIdentChar(t[j])) ++j;
-    if (j == vb) return;  // no variable name: a temporary guards nothing
-    j = SkipSpace(t, j);
-    if (j >= t.size() || t[j] != '(') return;
-    const size_t close = MatchForward(t, j, '(', ')');
-    if (close == std::string::npos) return;
-    const std::string args = t.substr(j + 1, close - j - 1);
-    // The shard expression is everything after the first top-level comma
-    // (first argument is the simulator).
-    int depth = 0;
-    size_t comma = std::string::npos;
-    for (size_t k = 0; k < args.size(); ++k) {
-      if (args[k] == '(' || args[k] == '[' || args[k] == '{') ++depth;
-      if (args[k] == ')' || args[k] == ']' || args[k] == '}') --depth;
-      if (args[k] == ',' && depth == 0) {
-        comma = k;
-        break;
-      }
-    }
-    if (comma == std::string::npos) return;
-    Guard g;
-    g.begin = close;
-    g.arg = Trim(args.substr(comma + 1));
-    g.ids = IdentifiersIn(g.arg);
-    // The guarded region runs to the end of the enclosing block.
-    g.end = t.size();
-    size_t best_open = 0;
-    for (const ScopeRange& r : scopes) {
-      if (r.open < b && b < r.close && r.open >= best_open) {
-        best_open = r.open;
-        g.end = r.close;
-      }
-    }
-    guards.push_back(g);
-  });
-  if (guards.empty()) return;
-
-  ForEachIdentifier(t, [&](size_t b, const std::string& id) {
-    if (!model.affine_names.contains(id)) return;
-    // `id` must be the base object: not preceded by . -> or ::
-    if (b >= 1 && (t[b - 1] == '.' || t[b - 1] == ':')) return;
-    if (b >= 2 && t[b - 2] == '-' && t[b - 1] == '>') return;
-    size_t p = b + id.size();
-    std::set<std::string> object_ids = {id};
-    if (p < t.size() && t[p] == '[') {
-      const size_t sb = MatchForward(t, p, '[', ']');
-      if (sb == std::string::npos) return;
-      for (const std::string& x : IdentifiersIn(t.substr(p + 1, sb - p - 1)))
-        object_ids.insert(x);
-      p = sb + 1;
-    }
-    if (p < t.size() && t[p] == '.') {
-      p += 1;
-    } else if (p + 1 < t.size() && t[p] == '-' && t[p + 1] == '>') {
-      p += 2;
-    } else {
-      return;
-    }
-    const size_t mb = p;
-    while (p < t.size() && IsIdentChar(t[p])) ++p;
-    if (p == mb) return;
-    const std::string method = t.substr(mb, p - mb);
-    const size_t call = SkipSpace(t, p);
-    if (call >= t.size() || t[call] != '(') return;  // field access, not call
-    // Innermost guard whose region contains the call.
-    const Guard* guard = nullptr;
-    for (const Guard& g : guards) {
-      if (g.begin < b && b < g.end &&
-          (guard == nullptr || g.begin > guard->begin)) {
-        guard = &g;
-      }
-    }
-    if (guard == nullptr) return;
-    for (const std::string& x : object_ids) {
-      if (guard->ids.contains(x)) return;  // same-shard by construction
-    }
-    out->push_back(
-        {path, LineAt(flat, b), "cross-shard-call",
-         "'" + id + (method.empty() ? "" : "." + method) +
-             "()' is shard-affine but the enclosing ShardGuard claims '" +
-             guard->arg +
-             "'; route via the owner shard or mark LEED_CROSS_SHARD_OK "
-             "with a reason"});
-  });
-}
-
 // unannotated-sim-shared: `static` mutable state in sim-scope paths is
-// visible to every shard (and to every concurrently-running seed of a
-// parallel sweep) with nothing saying who may touch it.
+// shared by every concurrently-running seed of a parallel sweep, with
+// nothing saying why that is safe.
 void CheckUnannotatedSimShared(const std::string& path, const FlatCode& flat,
                                std::vector<Finding>* out) {
   if (!InSimScope(path)) return;
@@ -1217,8 +815,7 @@ void CheckUnannotatedSimShared(const std::string& path, const FlatCode& flat,
     for (const std::string& tok : toks) {
       if (tok == "const" || tok == "constexpr" || tok == "consteval" ||
           tok == "constinit" || tok == "struct" || tok == "class" ||
-          tok == "union" || tok == "LEED_SHARD_SHARED" ||
-          tok == "LEED_SHARD_AFFINE") {
+          tok == "union") {
         return;
       }
     }
@@ -1226,9 +823,9 @@ void CheckUnannotatedSimShared(const std::string& path, const FlatCode& flat,
     out->push_back(
         {path, LineAt(flat, b), "unannotated-sim-shared",
          "mutable static '" + toks.back() +
-             "' in sim scope is visible to every shard and every parallel "
-             "seed; make it const, move it into the simulation's state, or "
-             "annotate LEED_SHARD_SHARED(\"why\")"});
+             "' in sim scope is shared by every parallel seed; make it "
+             "const, move it into the simulation's state, or justify it with "
+             "allow(unannotated-sim-shared)"});
   });
 }
 
@@ -1328,17 +925,9 @@ const std::vector<RuleInfo>& Rules() {
       {"count-in-bool-context",
        "map/set membership tests in src/ use contains(), not count(x) in a "
        "boolean context"},
-      {"shard-affine-capture",
-       "lambdas given to cross-shard schedulers (AtOnShard, "
-       "ShardedRunner::Post) must not capture or dereference "
-       "LEED_SHARD_AFFINE state"},
       {"unannotated-sim-shared",
-       "mutable static state in sim-scope paths needs a shard annotation "
-       "(LEED_SHARD_SHARED with a reason) or const-ness"},
-      {"cross-shard-call",
-       "inside a ShardGuard region, method calls on LEED_SHARD_AFFINE "
-       "objects must target the guarded shard or carry "
-       "LEED_CROSS_SHARD_OK"},
+       "mutable static state in sim-scope paths must be const or carry a "
+       "justified allow annotation"},
       {"pointer-order",
        "ordered containers keyed by raw pointers and pointer < comparisons "
        "replay in address order; key/compare by stable ids"},
@@ -1383,33 +972,16 @@ std::vector<Finding> LintFile(const std::string& path,
   CheckCountInBoolContext(path, lines, &raw);
 
   // Per-TU model: declarations from this file plus — for a .cc — its
-  // companion header, so fields annotated in x.h are known while x.cc is
-  // linted. The companion contributes declarations only; its own findings
-  // are reported when it is linted itself.
+  // companion header, so pointer fields declared in x.h are known while
+  // x.cc is linted. The companion contributes declarations only; its own
+  // findings are reported when it is linted itself.
   TuModel model;
-  ExtractShardAnnotations(path, lines, flat, &model, &raw);
   ExtractPointerDecls(flat, &model);
   if (companion_header != nullptr) {
-    const std::vector<LineInfo> hlines = Preprocess(*companion_header);
-    const FlatCode hflat = Flatten(hlines);
-    ExtractShardAnnotations(path, hlines, hflat, &model, nullptr);
-    ExtractPointerDecls(hflat, &model);
+    ExtractPointerDecls(Flatten(Preprocess(*companion_header)), &model);
   }
-  const std::vector<ScopeRange> scopes = ScanScopes(flat);
-  CheckShardAffineCapture(path, flat, model, scopes, &raw);
-  CheckCrossShardCall(path, flat, model, scopes, &raw);
   CheckUnannotatedSimShared(path, flat, &raw);
   CheckPointerOrder(path, flat, model, &raw);
-
-  // LEED_CROSS_SHARD_OK marks one line as a reviewed cross-shard access;
-  // it suppresses only the shard rules, never the rest of the catalog.
-  raw.erase(std::remove_if(raw.begin(), raw.end(),
-                           [&](const Finding& f) {
-                             return (f.rule == "shard-affine-capture" ||
-                                     f.rule == "cross-shard-call") &&
-                                    HasCrossShardOk(lines, f.line);
-                           }),
-            raw.end());
 
   // An allow covers its own line and the next line that carries code —
   // comment continuation lines in between do not break the association,

@@ -21,21 +21,11 @@
 //   metric-name    string literals passed to GetCounter/GetGauge/
 //                  GetHistogram/Sub must be lowercase dot-scoped
 //                  ([a-z0-9_] segments, no spaces).
-//   shard-affine-capture
-//                  a lambda handed to a cross-shard scheduler
-//                  (Simulator::AtOnShard, ShardedRunner::Post) must not
-//                  capture or dereference LEED_SHARD_AFFINE state — it
-//                  runs on the target shard, the state belongs here.
 //   unannotated-sim-shared
 //                  mutable static state in sim-scope paths (determinism
-//                  scope + src/cluster + src/check) is visible to every
-//                  shard and every parallel seed; it must be const or
-//                  carry LEED_SHARD_SHARED("why sharing is safe").
-//   cross-shard-call
-//                  inside a ShardGuard-scoped block, direct method calls
-//                  on LEED_SHARD_AFFINE objects must target the guarded
-//                  shard (object expression shares an identifier with the
-//                  guard's shard argument) or carry LEED_CROSS_SHARD_OK.
+//                  scope + src/cluster + src/check) is shared by every
+//                  parallel seed; it must be const or carry a justified
+//                  allow annotation.
 //   pointer-order  ordered containers keyed by raw pointers and explicit
 //                  pointer `<` comparisons order by allocation address,
 //                  which differs run to run and breaks replay.
@@ -79,11 +69,11 @@ bool IsKnownRule(const std::string& name);
 
 // Lint a single file. `path` decides rule applicability (determinism scope
 // is path-prefix based), so callers must pass repo-relative paths like
-// "src/sim/simulator.h". The shard rules reason over a per-TU declaration
-// table (which names are LEED_SHARD_AFFINE / LEED_SHARD_SHARED, which
-// classes are affine); `companion_header`, when non-null, is the contents
-// of the sibling .h whose declarations join that table — LintTree wires it
-// automatically so node.cc sees the annotations in node.h.
+// "src/sim/simulator.h". The pointer-order rule reasons over a per-TU
+// declaration table (which names are raw pointers); `companion_header`,
+// when non-null, is the contents of the sibling .h whose declarations join
+// that table — LintTree wires it automatically so node.cc sees the pointer
+// fields declared in node.h.
 std::vector<Finding> LintFile(const std::string& path,
                               const std::string& contents,
                               const std::string* companion_header = nullptr);
