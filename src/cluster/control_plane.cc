@@ -4,7 +4,7 @@
 
 namespace leed::cluster {
 
-ControlPlane::ControlPlane(sim::Simulator& simulator, sim::Network& network,
+ControlPlane::ControlPlane(sim::Simulator& simulator, Network& network,
                            ControlPlaneConfig config)
     : sim_(simulator),
       net_(network),
@@ -16,7 +16,7 @@ ControlPlane::ControlPlane(sim::Simulator& simulator, sim::Network& network,
   m_.store_failures = scope_.GetCounter("store_failures");
   m_.vnodes_failed_over = scope_.GetCounter("vnodes_failed_over");
   endpoint_ = net_.AddEndpoint(sim::NicSpec{});  // control traffic is tiny
-  net_.SetReceiver(endpoint_, [this](sim::Message m) { OnMessage(std::move(m)); });
+  net_.SetReceiver(endpoint_, [this](Message m) { OnMessage(std::move(m)); });
 }
 
 ControlPlane::~ControlPlane() = default;
@@ -52,8 +52,7 @@ void ControlPlane::Start() {
 }
 
 void ControlPlane::SendView(sim::EndpointId to) {
-  ViewUpdateMsg msg{view_};
-  net_.Send(endpoint_, to, WireSize(msg), std::move(msg));
+  net_.Send(endpoint_, to, ViewUpdateMsg{view_});
 }
 
 void ControlPlane::Broadcast() {
@@ -78,8 +77,8 @@ void ControlPlane::CheckHeartbeats() {
   }
 }
 
-void ControlPlane::OnMessage(sim::Message msg) {
-  if (auto* hb = std::any_cast<HeartbeatMsg>(&msg.payload)) {
+void ControlPlane::OnMessage(Message msg) {
+  if (auto* hb = std::get_if<HeartbeatMsg>(msg.payload.get())) {
     // A node declared dead stays dead until ReviveNode. A stale heartbeat —
     // e.g. one delayed across a healed partition — must not refresh the
     // clock and half-resurrect it (nor can the node be failed twice:
@@ -91,11 +90,11 @@ void ControlPlane::OnMessage(sim::Message msg) {
     last_heartbeat_[hb->node] = sim_.Now();
     return;
   }
-  if (auto* sf = std::any_cast<StoreFailedMsg>(&msg.payload)) {
+  if (auto* sf = std::get_if<StoreFailedMsg>(msg.payload.get())) {
     FailStore(sf->node, sf->local_store);
     return;
   }
-  if (auto* done = std::any_cast<CopyDoneMsg>(&msg.payload)) {
+  if (auto* done = std::get_if<CopyDoneMsg>(msg.payload.get())) {
     // A dead node's ack does not make a fill durable: the data it claims to
     // hold is out of the view. Its copies were already cancelled/reassigned
     // by ReassignOrphanedCopies; drop the stale ack on the floor.
@@ -115,7 +114,7 @@ void ControlPlane::OnMessage(sim::Message msg) {
     if (pit->second.open_copies.empty()) FinishTransition(tid);
     return;
   }
-  if (auto* req = std::any_cast<ViewRequestMsg>(&msg.payload)) {
+  if (auto* req = std::get_if<ViewRequestMsg>(msg.payload.get())) {
     SendView(req->reply_to != sim::kInvalidEndpoint ? req->reply_to : msg.src);
     return;
   }
@@ -215,7 +214,7 @@ std::set<uint64_t> ControlPlane::CommissionCopies(
       cmd.range_end = arc.second;
       cmd.transition_epoch = view_.epoch + 1;
       open_copy_cmds_[copy_id] = cmd;
-      net_.Send(endpoint_, src_ep->second, kControlHeaderBytes, std::move(cmd));
+      net_.Send(endpoint_, src_ep->second, std::move(cmd));
     }
   }
   return copies;
@@ -339,7 +338,7 @@ void ControlPlane::ReassignOrphanedCopies() {
     cmd.src = replacement;
     // The destination tolerates duplicate items (chain-written keys are
     // skipped; re-applied snapshot items are idempotent overwrites).
-    net_.Send(endpoint_, ep->second, kControlHeaderBytes, cmd);
+    net_.Send(endpoint_, ep->second, cmd);
   }
   // Purge abandoned ids from the open map.
   for (auto it = open_copy_cmds_.begin(); it != open_copy_cmds_.end();) {

@@ -30,10 +30,9 @@
 #include <vector>
 
 #include "cluster/membership.h"
-#include "cluster/wire.h"
+#include "leed/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/network.h"
 #include "sim/simulator.h"
 
 namespace leed::cluster {
@@ -68,7 +67,7 @@ struct ControlPlaneStats {
 
 class ControlPlane {
  public:
-  ControlPlane(sim::Simulator& simulator, sim::Network& network,
+  ControlPlane(sim::Simulator& simulator, Network& network,
                ControlPlaneConfig config);
   ~ControlPlane();
 
@@ -115,7 +114,7 @@ class ControlPlane {
     std::set<uint64_t> open_copies;  // copy ids not yet done
   };
 
-  void OnMessage(sim::Message msg);
+  void OnMessage(Message msg);
   void Broadcast();
   void SendView(sim::EndpointId to);
   void CheckHeartbeats();
@@ -130,7 +129,7 @@ class ControlPlane {
                                       const std::set<uint32_t>& dead_nodes);
 
   sim::Simulator& sim_;
-  sim::Network& net_;
+  Network& net_;
   ControlPlaneConfig config_;
   sim::EndpointId endpoint_;
 

@@ -9,7 +9,7 @@ namespace leed {
 
 using cluster::VNodeId;
 
-Client::Client(sim::Simulator& simulator, sim::Network& network,
+Client::Client(sim::Simulator& simulator, Network& network,
                sim::EndpointId control_plane,
                const std::map<uint32_t, sim::EndpointId>* node_endpoints,
                ClientConfig config)
@@ -21,7 +21,7 @@ Client::Client(sim::Simulator& simulator, sim::Network& network,
       backoff_rng_(Mix64(config_.backoff_seed ^ 0xbac0ffULL)),
       token_view_(config_.initial_tokens) {
   endpoint_ = net_.AddEndpoint(config_.nic);
-  net_.SetReceiver(endpoint_, [this](sim::Message m) { OnMessage(std::move(m)); });
+  net_.SetReceiver(endpoint_, [this](Message m) { OnMessage(std::move(m)); });
   scheduler_ = std::make_unique<flowctl::FlowScheduler>(token_view_,
                                                         config_.flow_control);
   for (uint32_t i = 0; i < config_.num_tenants; ++i) scheduler_->AddTenant();
@@ -198,7 +198,7 @@ void Client::Issue(std::shared_ptr<Inflight> op) {
   out.send = [this, req_id, m = std::move(msg), node_ep]() mutable {
     if (!inflight_.contains(req_id)) return;  // timed out while queued
     stats_.sends++;
-    net_.Send(endpoint_, node_ep, WireSize(m), std::move(m));
+    net_.Send(endpoint_, node_ep, std::move(m));
   };
   // Lets the scheduler drop this entry untransmitted (and uncharged) if the
   // timeout wins the race while it is still queued.
@@ -206,14 +206,11 @@ void Client::Issue(std::shared_ptr<Inflight> op) {
   scheduler_->Enqueue(op->tenant, std::move(out));
 }
 
-void Client::OnMessage(sim::Message msg) {
-  if (auto* view = std::any_cast<cluster::ViewUpdateMsg>(&msg.payload)) {
+void Client::OnMessage(Message msg) {
+  if (auto* view = std::get_if<cluster::ViewUpdateMsg>(msg.payload.get())) {
     AdoptView(std::move(view->view));
-    return;
-  }
-  if (auto* resp = std::any_cast<ResponseMsg>(&msg.payload)) {
+  } else if (auto* resp = std::get_if<ResponseMsg>(msg.payload.get())) {
     OnResponse(std::move(*resp));
-    return;
   }
 }
 
@@ -360,7 +357,7 @@ void Client::Complete(std::shared_ptr<Inflight> op, Status st,
 void Client::RequestViewRefresh() {
   cluster::ViewRequestMsg req;
   req.reply_to = endpoint_;
-  net_.Send(endpoint_, cp_endpoint_, cluster::kControlHeaderBytes, std::move(req));
+  net_.Send(endpoint_, cp_endpoint_, std::move(req));
 }
 
 }  // namespace leed

@@ -25,7 +25,6 @@
 
 #include "check/history.h"
 #include "cluster/membership.h"
-#include "cluster/wire.h"
 #include "common/histogram.h"
 #include "common/rand.h"
 #include "engine/token_bucket.h"
@@ -88,7 +87,7 @@ class Client {
   using ScanCallback = std::function<void(Status, std::vector<store::ScanItem>,
                                           SimTime latency_ns)>;
 
-  Client(sim::Simulator& simulator, sim::Network& network,
+  Client(sim::Simulator& simulator, Network& network,
          sim::EndpointId control_plane,
          const std::map<uint32_t, sim::EndpointId>* node_endpoints,
          ClientConfig config);
@@ -144,7 +143,7 @@ class Client {
   void Issue(std::shared_ptr<Inflight> op);
   bool Route(const std::string& key, engine::OpType op, cluster::VNodeId* vnode,
              uint8_t* hop, flowctl::SsdRef* target) const;
-  void OnMessage(sim::Message msg);
+  void OnMessage(Message msg);
   void OnResponse(ResponseMsg resp);
   void OnTimeout(uint64_t req_id);
   SimTime BackoffDelay(const Inflight& op);
@@ -155,7 +154,7 @@ class Client {
   void RequestViewRefresh();
 
   sim::Simulator& sim_;
-  sim::Network& net_;
+  Network& net_;
   sim::EndpointId cp_endpoint_;
   const std::map<uint32_t, sim::EndpointId>* node_endpoints_;
   ClientConfig config_;

@@ -9,7 +9,7 @@ namespace leed {
 
 ClusterSim::ClusterSim(ClusterConfig config) : config_(std::move(config)) {
   sim_ = std::make_unique<sim::Simulator>();
-  net_ = std::make_unique<sim::Network>(*sim_);
+  net_ = std::make_unique<Network>(*sim_);
   // Fabric counters live beside the per-node trees: "net.*" in the same
   // registry the nodes will register under.
   net_->AttachMetrics(obs::Scope(config_.node.metrics_registry, "net"));

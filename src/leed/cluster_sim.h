@@ -113,7 +113,7 @@ class ClusterSim {
   sim::FaultInjector& faults() { return *faults_; }
 
   sim::Simulator& simulator() { return *sim_; }
-  sim::Network& network() { return *net_; }
+  Network& network() { return *net_; }
   cluster::ControlPlane& control_plane() { return *cp_; }
   Node& node(uint32_t i) { return *nodes_[i]; }
   uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
@@ -137,7 +137,7 @@ class ClusterSim {
 
   ClusterConfig config_;
   std::unique_ptr<sim::Simulator> sim_;
-  std::unique_ptr<sim::Network> net_;
+  std::unique_ptr<Network> net_;
   std::unique_ptr<sim::FaultInjector> faults_;
   std::unique_ptr<cluster::ControlPlane> cp_;
   std::unique_ptr<check::HistoryLog> history_;

@@ -4,11 +4,22 @@
 
 
 namespace leed {
+namespace {
+
+// A std::visit visitor built from one lambda per WireMsg alternative.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
+}  // namespace
 
 using cluster::VNodeId;
 using replication::PendingWrite;
 
-Node::Node(sim::Simulator& simulator, sim::Network& network,
+Node::Node(sim::Simulator& simulator, Network& network,
            sim::EndpointId control_plane, NodeConfig config, uint32_t node_id,
            uint64_t seed)
     : sim_(simulator),
@@ -51,7 +62,7 @@ Node::Node(sim::Simulator& simulator, sim::Network& network,
   const auto& plat = config_.platform;
   cpu_ = std::make_unique<sim::CpuModel>(sim_, plat.cores, plat.freq_ghz);
   endpoint_ = net_.AddEndpoint(plat.nic);
-  net_.SetReceiver(endpoint_, [this](sim::Message m) { OnMessage(std::move(m)); });
+  net_.SetReceiver(endpoint_, [this](Message m) { OnMessage(std::move(m)); });
 
   if (config_.stack == StackKind::kLeed) {
     // Nest the engine's whole instrument tree (engine counters, per-SSD
@@ -113,8 +124,7 @@ void Node::Start() {
   hb_timer_ = std::make_unique<sim::PeriodicTimer>(
       sim_, config_.heartbeat_period, [this] {
         if (failed_) return;
-        net_.Send(endpoint_, cp_endpoint_, cluster::kControlHeaderBytes,
-                  cluster::HeartbeatMsg{node_id_});
+        net_.Send(endpoint_, cp_endpoint_, cluster::HeartbeatMsg{node_id_});
       });
   hb_timer_->Start();
 }
@@ -174,20 +184,10 @@ sim::CpuCore& Node::NetCore() {
   return cpu_->core(net_core_rr_++ % cores);
 }
 
-template <typename M>
-void Node::SendMsg(sim::EndpointId to, M msg) {
+void Node::SendMsg(sim::EndpointId to, WireMsg msg) {
   if (crashed_ || to == sim::kInvalidEndpoint) return;
   NetCore().Charge(config_.net_tx_cycles);
-  uint64_t bytes = WireSize(msg);
-  net_.Send(endpoint_, to, bytes, std::move(msg));
-}
-
-// Explicit specialization-free helper for control messages without WireSize.
-template <>
-void Node::SendMsg(sim::EndpointId to, cluster::CopyDoneMsg msg) {
-  if (crashed_ || to == sim::kInvalidEndpoint) return;
-  NetCore().Charge(config_.net_tx_cycles);
-  net_.Send(endpoint_, to, cluster::kControlHeaderBytes, std::move(msg));
+  net_.Send(endpoint_, to, std::move(msg));
 }
 
 std::vector<VNodeId> Node::ChainForKey(std::string_view key) const {
@@ -201,54 +201,46 @@ const cluster::VNodeInfo* Node::OwnedVNode(VNodeId id) const {
   return info;
 }
 
-void Node::OnMessage(sim::Message msg) {
+void Node::OnMessage(Message msg) {
   if (failed_) return;  // fail-stop: silently drop
   // Host-bypass offload: the NIC offload engine filters incoming frames
   // before the DPU network stack ever polls them, so an offloadable GET
   // costs no rx cycles; anything it punts takes the normal charged path.
   if (config_.engine.offload_enabled) {
-    if (auto* req = std::any_cast<ClientRequestMsg>(&msg.payload)) {
+    if (auto* req = std::get_if<ClientRequestMsg>(msg.payload.get())) {
       if (TryOffloadGet(*req)) return;
     }
   }
-  NetCore().Run(config_.net_rx_cycles,
-                [this, m = std::move(msg)]() mutable { Dispatch(std::move(m)); });
+  auto dispatch = [this, m = std::move(msg)]() mutable {
+    Dispatch(std::move(m));
+  };
+  static_assert(sim::EventFitsInline<decltype(dispatch)>,
+                "node rx continuation must not heap-allocate");
+  NetCore().Run(config_.net_rx_cycles, std::move(dispatch));
 }
 
-void Node::Dispatch(sim::Message msg) {
+void Node::Dispatch(Message msg) {
   if (failed_) return;
-  if (auto* req = std::any_cast<ClientRequestMsg>(&msg.payload)) {
-    HandleClientRequest(std::move(*req));
-    return;
-  }
-  if (auto* w = std::any_cast<ChainWriteMsg>(&msg.payload)) {
-    HandleChainWrite(std::move(*w));
-    return;
-  }
-  if (auto* a = std::any_cast<ChainAckMsg>(&msg.payload)) {
-    HandleChainAck(std::move(*a));
-    return;
-  }
-  if (auto* v = std::any_cast<cluster::ViewUpdateMsg>(&msg.payload)) {
-    HandleViewUpdate(std::move(*v));
-    return;
-  }
-  if (auto* c = std::any_cast<cluster::CopyCommandMsg>(&msg.payload)) {
-    HandleCopyCommand(std::move(*c));
-    return;
-  }
-  if (auto* i = std::any_cast<cluster::CopyItemMsg>(&msg.payload)) {
-    HandleCopyItem(std::move(*i));
-    return;
-  }
-  if (auto* q = std::any_cast<CraqQueryMsg>(&msg.payload)) {
-    HandleCraqQuery(std::move(*q));
-    return;
-  }
-  if (auto* rep = std::any_cast<CraqReplyMsg>(&msg.payload)) {
-    HandleCraqReply(std::move(*rep));
-    return;
-  }
+  std::visit(
+      Overloaded{
+          [this](ClientRequestMsg& m) { HandleClientRequest(std::move(m)); },
+          [this](ChainWriteMsg& m) { HandleChainWrite(std::move(m)); },
+          [this](ChainAckMsg& m) { HandleChainAck(std::move(m)); },
+          [this](cluster::ViewUpdateMsg& m) { HandleViewUpdate(std::move(m)); },
+          [this](cluster::CopyCommandMsg& m) {
+            HandleCopyCommand(std::move(m));
+          },
+          [this](cluster::CopyItemMsg& m) { HandleCopyItem(std::move(m)); },
+          [this](CraqQueryMsg& m) { HandleCraqQuery(std::move(m)); },
+          [this](CraqReplyMsg& m) { HandleCraqReply(std::move(m)); },
+          // Client- and control-plane-bound messages never address a node.
+          [](ResponseMsg&) {},
+          [](cluster::ViewRequestMsg&) {},
+          [](cluster::HeartbeatMsg&) {},
+          [](cluster::CopyDoneMsg&) {},
+          [](cluster::StoreFailedMsg&) {},
+      },
+      *msg.payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -687,8 +679,7 @@ bool Node::TryOffloadGet(ClientRequestMsg& req) {
     resp.ssd = storage_->ssd_of_store(local_store);
     resp.tokens = meta.available_tokens;
     resp.has_tokens = true;
-    const uint64_t wire = WireSize(resp);
-    net_.Send(endpoint_, reply_to, wire, std::move(resp));
+    net_.Send(endpoint_, reply_to, std::move(resp));
   };
   if (!leed_engine_->TrySubmitOffload(sreq)) return false;
   m_.client_requests->Inc();
@@ -1104,7 +1095,7 @@ void Node::HandleCopyCommand(cluster::CopyCommandMsg cmd) {
         item.key = std::move(key);
         item.value = std::move(value);
         NetCore().Charge(config_.net_tx_cycles);
-        net_.Send(endpoint_, dst_ep, cluster::WireSize(item), std::move(item));
+        net_.Send(endpoint_, dst_ep, std::move(item));
       },
       [this, copy_id, dst, dst_ep, epoch](Status) {
         cluster::CopyItemMsg last;
@@ -1113,7 +1104,7 @@ void Node::HandleCopyCommand(cluster::CopyCommandMsg cmd) {
         last.transition_epoch = epoch;
         last.last = true;
         NetCore().Charge(config_.net_tx_cycles);
-        net_.Send(endpoint_, dst_ep, cluster::WireSize(last), std::move(last));
+        net_.Send(endpoint_, dst_ep, std::move(last));
       });
 }
 

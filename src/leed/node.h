@@ -27,7 +27,6 @@
 #include "baselines/executor.h"
 #include "cluster/control_plane.h"
 #include "cluster/membership.h"
-#include "cluster/wire.h"
 #include "engine/io_engine.h"
 #include "engine/storage_service.h"
 #include "leed/wire.h"
@@ -115,7 +114,7 @@ struct NodeStats {
 
 class Node {
  public:
-  Node(sim::Simulator& simulator, sim::Network& network,
+  Node(sim::Simulator& simulator, Network& network,
        sim::EndpointId control_plane, NodeConfig config, uint32_t node_id,
        uint64_t seed);
   ~Node();
@@ -162,8 +161,8 @@ class Node {
   double PowerWatts(SimTime window_ns) const;
 
  private:
-  void OnMessage(sim::Message msg);
-  void Dispatch(sim::Message msg);
+  void OnMessage(Message msg);
+  void Dispatch(Message msg);
 
   void HandleClientRequest(ClientRequestMsg req);
   void HandleGet(ClientRequestMsg req);
@@ -229,8 +228,7 @@ class Node {
   void SweepParkedReads();
 
   // Send any message to another node/client, charging tx cycles.
-  template <typename M>
-  void SendMsg(sim::EndpointId to, M msg);
+  void SendMsg(sim::EndpointId to, WireMsg msg);
 
   sim::CpuCore& NetCore();
   // replicas_[id] with registry gauges attached on first creation.
@@ -242,7 +240,7 @@ class Node {
   void ReforwardPending();
 
   sim::Simulator& sim_;
-  sim::Network& net_;
+  Network& net_;
   sim::EndpointId cp_endpoint_;
   NodeConfig config_;
   uint32_t node_id_;

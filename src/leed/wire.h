@@ -1,28 +1,109 @@
-// Data-path wire messages (client <-> node, node <-> node).
+// The wire schema: every message the simulated fabric carries.
 //
-// The paper's transport is RDMA with a hybrid verb scheme (§3.5): requests
-// use two-sided SENDs, responses one-sided WRITEs into pre-allocated client
-// memory with the request id in the 32-bit IMM field. At the simulation's
-// message level that maps to: requests and responses are single messages,
-// responses carry `req_id` for completion matching, and every response
-// piggybacks the target SSD's token allocation (the flow-control feedback).
+// Data path (client <-> node, node <-> node). The paper's transport is RDMA
+// with a hybrid verb scheme (§3.5): requests use two-sided SENDs, responses
+// one-sided WRITEs into pre-allocated client memory with the request id in
+// the 32-bit IMM field. At the simulation's message level that maps to:
+// requests and responses are single messages, responses carry `req_id` for
+// completion matching, and every response piggybacks the target SSD's token
+// allocation (the flow-control feedback).
 //
 // The hop counter (§3.8.1) rides in every request: the receiver recomputes
 // the chain in *its* view and verifies it really is chain[hop] for this
 // key; any mismatch NACKs back to the client, which refreshes its view and
 // retries. This is what keeps cross-view windows safe during membership
 // changes.
+//
+// Control plane (§3.1.2, §3.8): views, heartbeats, COPY streams and store
+// failures flow between the control-plane manager (the etcd-backed service
+// in the paper) and the JBOF nodes / clients.
+//
+// WireMsg is the closed set of both; each alternative has a WireSize
+// overload (header + payload bytes), and the network charges exactly that,
+// so no sender computes a byte count.
 
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cluster/hash_ring.h"
+#include "cluster/membership.h"
 #include "common/status.h"
 #include "engine/storage_service.h"
 #include "sim/network.h"
+
+namespace leed::cluster {
+
+struct ViewUpdateMsg {
+  ClusterView view;
+};
+
+// Client asking the control plane for the current view (after a NACK).
+struct ViewRequestMsg {
+  sim::EndpointId reply_to = sim::kInvalidEndpoint;
+};
+
+struct HeartbeatMsg {
+  uint32_t node = 0;
+};
+
+// Control plane -> node owning `src`: stream every live item whose ring
+// position lies in (range_start, range_end] to `dst`.
+struct CopyCommandMsg {
+  uint64_t copy_id = 0;
+  VNodeId src = kInvalidVNode;
+  VNodeId dst = kInvalidVNode;
+  uint32_t dst_node = 0;
+  sim::EndpointId dst_endpoint = sim::kInvalidEndpoint;
+  uint64_t range_start = 0;
+  uint64_t range_end = 0;
+  uint64_t transition_epoch = 0;
+};
+
+// One copied item, node -> node. `last` marks the end of the stream.
+struct CopyItemMsg {
+  uint64_t copy_id = 0;
+  VNodeId dst = kInvalidVNode;
+  uint64_t transition_epoch = 0;
+  std::string key;
+  std::vector<uint8_t> value;
+  bool last = false;
+};
+
+// Destination node -> control plane once the final item is durable.
+struct CopyDoneMsg {
+  uint64_t copy_id = 0;
+  VNodeId dst = kInvalidVNode;
+};
+
+// Node -> control plane: a local store's SSD latched permanently failed
+// (N consecutive hard IO errors). The node keeps serving its other stores;
+// the control plane fails over just this store's vnodes (FailStore).
+struct StoreFailedMsg {
+  uint32_t node = 0;
+  uint32_t local_store = 0;
+};
+
+// Approximate wire sizes (header + payload), for honest bandwidth charging.
+constexpr uint64_t kControlHeaderBytes = 48;
+
+inline uint64_t WireSize(const ViewUpdateMsg& m) {
+  return kControlHeaderBytes + m.view.vnodes.size() * 24 +
+         m.view.filling.size() * 28;
+}
+inline uint64_t WireSize(const ViewRequestMsg&) { return kControlHeaderBytes; }
+inline uint64_t WireSize(const HeartbeatMsg&) { return kControlHeaderBytes; }
+inline uint64_t WireSize(const CopyCommandMsg&) { return kControlHeaderBytes; }
+inline uint64_t WireSize(const CopyItemMsg& m) {
+  return kControlHeaderBytes + m.key.size() + m.value.size();
+}
+inline uint64_t WireSize(const CopyDoneMsg&) { return kControlHeaderBytes; }
+inline uint64_t WireSize(const StoreFailedMsg&) { return kControlHeaderBytes; }
+
+}  // namespace leed::cluster
 
 namespace leed {
 
@@ -121,5 +202,20 @@ inline uint64_t WireSize(const CraqQueryMsg& m) {
   return kRpcHeaderBytes + m.key.size();
 }
 inline uint64_t WireSize(const CraqReplyMsg&) { return kRpcHeaderBytes; }
+
+// Every message the fabric carries; nothing outside this list can be sent.
+using WireMsg =
+    std::variant<ClientRequestMsg, ResponseMsg, ChainWriteMsg, ChainAckMsg,
+                 CraqQueryMsg, CraqReplyMsg, cluster::ViewUpdateMsg,
+                 cluster::ViewRequestMsg, cluster::HeartbeatMsg,
+                 cluster::CopyCommandMsg, cluster::CopyItemMsg,
+                 cluster::CopyDoneMsg, cluster::StoreFailedMsg>;
+
+inline uint64_t WireSize(const WireMsg& m) {
+  return std::visit([](const auto& alt) { return WireSize(alt); }, m);
+}
+
+using Network = sim::Network<WireMsg>;
+using Message = sim::Message<WireMsg>;
 
 }  // namespace leed

@@ -36,7 +36,7 @@
 namespace leed::sim {
 
 // Inline capture budget. 64 bytes covers the tree's hot lambdas (a network
-// delivery with a moved Message is 56; an SSD completion with an IoCallback
+// delivery with a moved Message is 48; an SSD completion with an IoCallback
 // is 48) without bloating the slot slab.
 inline constexpr std::size_t kEventInlineBytes = 64;
 

@@ -8,7 +8,6 @@
 #include <map>
 #include <vector>
 
-#include "cluster/wire.h"
 #include "leed/client.h"
 #include "leed/wire.h"
 #include "sim/network.h"
@@ -20,11 +19,11 @@ namespace {
 
 class FakeNode {
  public:
-  FakeNode(sim::Simulator& simulator, sim::Network& net, uint32_t id)
+  FakeNode(sim::Simulator& simulator, Network& net, uint32_t id)
       : sim_(simulator), net_(net), id_(id) {
     endpoint_ = net_.AddEndpoint(sim::NicSpec{});
-    net_.SetReceiver(endpoint_, [this](sim::Message m) {
-      if (auto* req = std::any_cast<ClientRequestMsg>(&m.payload)) {
+    net_.SetReceiver(endpoint_, [this](Message m) {
+      if (auto* req = std::get_if<ClientRequestMsg>(m.payload.get())) {
         requests.push_back(*req);
         if (!respond) return;  // scripted silence (timeout tests)
         ResponseMsg resp;
@@ -37,7 +36,7 @@ class FakeNode {
         if (next_code == StatusCode::kOk && req->op == engine::OpType::kGet) {
           resp.value = {1, 2, 3};
         }
-        net_.Send(endpoint_, req->reply_to, WireSize(resp), std::move(resp));
+        net_.Send(endpoint_, req->reply_to, std::move(resp));
         next_code = StatusCode::kOk;  // one-shot scripting
       }
     });
@@ -52,7 +51,7 @@ class FakeNode {
 
  private:
   sim::Simulator& sim_;
-  sim::Network& net_;
+  Network& net_;
   uint32_t id_;
   sim::EndpointId endpoint_;
 };
@@ -61,11 +60,11 @@ class ClientTest : public ::testing::Test {
  protected:
   ClientTest() : net_(sim_) {
     cp_endpoint_ = net_.AddEndpoint(sim::NicSpec{});
-    net_.SetReceiver(cp_endpoint_, [this](sim::Message m) {
-      if (std::any_cast<cluster::ViewRequestMsg>(&m.payload)) {
+    net_.SetReceiver(cp_endpoint_, [this](Message m) {
+      if (std::get_if<cluster::ViewRequestMsg>(m.payload.get())) {
         ++view_requests_;
         cluster::ViewUpdateMsg upd{view_};
-        net_.Send(cp_endpoint_, m.src, 64, std::move(upd));
+        net_.Send(cp_endpoint_, m.src, std::move(upd));
       }
     });
     for (uint32_t i = 0; i < 3; ++i) {
@@ -100,7 +99,7 @@ class ClientTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  sim::Network net_;
+  Network net_;
   sim::EndpointId cp_endpoint_;
   std::vector<std::unique_ptr<FakeNode>> nodes_;
   std::map<uint32_t, sim::EndpointId> endpoints_;
@@ -235,15 +234,15 @@ TEST_F(ClientTest, LatencySpansRetries) {
 // calls with the same seed must be byte-identical.
 uint64_t RunBackoffScenario(uint64_t seed) {
   sim::Simulator sim;
-  sim::Network net(sim);
+  Network net(sim);
   cluster::ClusterView view;
   view.epoch = 1;
   view.replication_factor = 3;
   sim::EndpointId cp = net.AddEndpoint(sim::NicSpec{});
-  net.SetReceiver(cp, [&](sim::Message m) {
-    if (std::any_cast<cluster::ViewRequestMsg>(&m.payload)) {
+  net.SetReceiver(cp, [&](Message m) {
+    if (std::get_if<cluster::ViewRequestMsg>(m.payload.get())) {
       cluster::ViewUpdateMsg upd{view};
-      net.Send(cp, m.src, 64, std::move(upd));
+      net.Send(cp, m.src, std::move(upd));
     }
   });
   std::vector<std::unique_ptr<FakeNode>> nodes;

@@ -9,7 +9,6 @@
 #include "cluster/control_plane.h"
 #include "cluster/hash_ring.h"
 #include "cluster/membership.h"
-#include "cluster/wire.h"
 #include "leed/cluster_sim.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -190,16 +189,16 @@ class ControlPlaneTest : public ::testing::Test {
       auto node = std::make_unique<FakeNode>();
       node->ep = net_.AddEndpoint(sim::NicSpec{});
       FakeNode* raw = node.get();
-      net_.SetReceiver(node->ep, [this, raw](sim::Message m) {
-        if (auto* v = std::any_cast<ViewUpdateMsg>(&m.payload)) {
+      net_.SetReceiver(node->ep, [this, raw](Message m) {
+        if (auto* v = std::get_if<ViewUpdateMsg>(m.payload.get())) {
           raw->views.push_back(v->view);
-        } else if (auto* c = std::any_cast<CopyCommandMsg>(&m.payload)) {
+        } else if (auto* c = std::get_if<CopyCommandMsg>(m.payload.get())) {
           raw->copies.push_back(*c);
           // Fake an instant copy: report done immediately.
           CopyDoneMsg done;
           done.copy_id = c->copy_id;
           done.dst = c->dst;
-          net_.Send(raw->ep, cp_->endpoint(), 64, done);
+          net_.Send(raw->ep, cp_->endpoint(), done);
         }
       });
       cp_->RegisterNode(i, node->ep);
@@ -215,7 +214,7 @@ class ControlPlaneTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  sim::Network net_;
+  Network net_;
   std::unique_ptr<ControlPlane> cp_;
   std::vector<std::unique_ptr<FakeNode>> nodes_;
 };
@@ -322,7 +321,7 @@ TEST_F(ControlPlaneTest, FailStoreRemovesOnlyThatStoresVnodes) {
 
   // The node keeps heartbeating for its healthy stores; those heartbeats
   // are NOT stale (the node is not administratively dead).
-  net_.Send(nodes_[1]->ep, cp_->endpoint(), 32, HeartbeatMsg{1});
+  net_.Send(nodes_[1]->ep, cp_->endpoint(), HeartbeatMsg{1});
   sim_.Run();
   EXPECT_EQ(cp_->stats().stale_heartbeats_ignored, 0u);
 
@@ -347,12 +346,12 @@ TEST_F(ControlPlaneTest, HeartbeatTimeoutTriggersFailure) {
     auto node = std::make_unique<FakeNode>();
     node->ep = net_.AddEndpoint(sim::NicSpec{});
     FakeNode* raw = node.get();
-    net_.SetReceiver(node->ep, [this, raw](sim::Message m) {
-      if (auto* c = std::any_cast<CopyCommandMsg>(&m.payload)) {
+    net_.SetReceiver(node->ep, [this, raw](Message m) {
+      if (auto* c = std::get_if<CopyCommandMsg>(m.payload.get())) {
         CopyDoneMsg done;
         done.copy_id = c->copy_id;
         done.dst = c->dst;
-        net_.Send(raw->ep, cp_->endpoint(), 64, done);
+        net_.Send(raw->ep, cp_->endpoint(), done);
       }
     });
     cp_->RegisterNode(i, node->ep);
@@ -364,7 +363,7 @@ TEST_F(ControlPlaneTest, HeartbeatTimeoutTriggersFailure) {
   }
   cp_->Start();
   sim::PeriodicTimer hb(sim_, 10 * kMillisecond, [&] {
-    net_.Send(nodes_[0]->ep, cp_->endpoint(), 32, HeartbeatMsg{0});
+    net_.Send(nodes_[0]->ep, cp_->endpoint(), HeartbeatMsg{0});
   });
   hb.Start();
   sim_.RunUntil(200 * kMillisecond);
@@ -391,12 +390,12 @@ TEST_F(ControlPlaneTest, DeadNodeLateMessagesAreIgnored) {
     auto node = std::make_unique<FakeNode>();
     node->ep = net_.AddEndpoint(sim::NicSpec{});
     FakeNode* raw = node.get();
-    net_.SetReceiver(node->ep, [this, raw](sim::Message m) {
-      if (auto* c = std::any_cast<CopyCommandMsg>(&m.payload)) {
+    net_.SetReceiver(node->ep, [this, raw](Message m) {
+      if (auto* c = std::get_if<CopyCommandMsg>(m.payload.get())) {
         CopyDoneMsg done;
         done.copy_id = c->copy_id;
         done.dst = c->dst;
-        net_.Send(raw->ep, cp_->endpoint(), 64, done);
+        net_.Send(raw->ep, cp_->endpoint(), done);
       }
     });
     cp_->RegisterNode(i, node->ep);
@@ -410,14 +409,14 @@ TEST_F(ControlPlaneTest, DeadNodeLateMessagesAreIgnored) {
   // Node 0 heartbeats throughout; node 1 only "wakes up" after it has
   // already been declared dead.
   sim::PeriodicTimer hb0(sim_, 10 * kMillisecond, [&] {
-    net_.Send(nodes_[0]->ep, cp_->endpoint(), 32, HeartbeatMsg{0});
+    net_.Send(nodes_[0]->ep, cp_->endpoint(), HeartbeatMsg{0});
   });
   hb0.Start();
   sim_.RunUntil(100 * kMillisecond);
   ASSERT_EQ(cp_->stats().failures_detected, 1u);
 
   sim::PeriodicTimer hb1(sim_, 10 * kMillisecond, [&] {
-    net_.Send(nodes_[1]->ep, cp_->endpoint(), 32, HeartbeatMsg{1});
+    net_.Send(nodes_[1]->ep, cp_->endpoint(), HeartbeatMsg{1});
   });
   hb1.Start();
   sim_.RunUntil(200 * kMillisecond);
@@ -438,7 +437,7 @@ TEST_F(ControlPlaneTest, DeadNodeLateMessagesAreIgnored) {
   CopyDoneMsg stale;
   stale.copy_id = 1;
   stale.dst = 0;
-  net_.Send(nodes_[1]->ep, cp_->endpoint(), 64, stale);
+  net_.Send(nodes_[1]->ep, cp_->endpoint(), stale);
   sim_.Run();
   EXPECT_GT(cp_->stats().stale_copy_acks_rejected, rejected_before);
 }
@@ -447,12 +446,12 @@ TEST_F(ControlPlaneTest, ViewRequestGetsReply) {
   Setup(2, 2);
   sim::EndpointId client = net_.AddEndpoint(sim::NicSpec{});
   bool got = false;
-  net_.SetReceiver(client, [&](sim::Message m) {
-    if (std::any_cast<ViewUpdateMsg>(&m.payload)) got = true;
+  net_.SetReceiver(client, [&](Message m) {
+    if (std::get_if<ViewUpdateMsg>(m.payload.get())) got = true;
   });
   ViewRequestMsg req;
   req.reply_to = client;
-  net_.Send(client, cp_->endpoint(), 32, req);
+  net_.Send(client, cp_->endpoint(), req);
   sim_.Run();
   EXPECT_TRUE(got);
 }

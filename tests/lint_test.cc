@@ -35,10 +35,9 @@ std::vector<Finding> CorpusFindings() {
 
 bool HasFindingAt(const std::vector<Finding>& findings,
                   const std::string& file, int line) {
-  return std::any_of(findings.begin(), findings.end(),
-                     [&](const Finding& f) {
-                       return f.file == file && f.line == line;
-                     });
+  return std::ranges::any_of(findings, [&](const Finding& f) {
+    return f.file == file && f.line == line;
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <string>
+#include <variant>
+#include <vector>
 
-#include "cluster/wire.h"
 #include "leed/node.h"
 #include "leed/wire.h"
 #include "test_util.h"
@@ -19,7 +22,7 @@ class NodeProtocolTest : public ::testing::Test {
  protected:
   NodeProtocolTest() : net_(sim_) {
     cp_endpoint_ = net_.AddEndpoint(sim::NicSpec{});
-    net_.SetReceiver(cp_endpoint_, [](sim::Message) {});  // sink heartbeats
+    net_.SetReceiver(cp_endpoint_, [](Message) {});  // sink heartbeats
 
     NodeConfig cfg;
     cfg.platform = sim::StingrayJbof();
@@ -42,8 +45,8 @@ class NodeProtocolTest : public ::testing::Test {
     }
     // Client endpoint for responses.
     client_ep_ = net_.AddEndpoint(sim::NicSpec{});
-    net_.SetReceiver(client_ep_, [this](sim::Message m) {
-      if (auto* r = std::any_cast<ResponseMsg>(&m.payload)) {
+    net_.SetReceiver(client_ep_, [this](Message m) {
+      if (auto* r = std::get_if<ResponseMsg>(m.payload.get())) {
         responses_.push_back(*r);
       }
     });
@@ -61,7 +64,7 @@ class NodeProtocolTest : public ::testing::Test {
 
   void DeliverView(const cluster::ClusterView& v) {
     for (auto& [id, ep] : endpoints_) {
-      net_.Send(cp_endpoint_, ep, 64, cluster::ViewUpdateMsg{v});
+      net_.Send(cp_endpoint_, ep, cluster::ViewUpdateMsg{v});
     }
     sim_.Run();
   }
@@ -71,7 +74,7 @@ class NodeProtocolTest : public ::testing::Test {
   }
 
   void SendRequest(ClientRequestMsg msg, uint32_t to_node) {
-    net_.Send(client_ep_, endpoints_[to_node], WireSize(msg), std::move(msg));
+    net_.Send(client_ep_, endpoints_[to_node], std::move(msg));
   }
 
   ResponseMsg WaitResponse() {
@@ -116,7 +119,7 @@ class NodeProtocolTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  sim::Network net_;
+  Network net_;
   sim::EndpointId cp_endpoint_;
   sim::EndpointId client_ep_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -232,11 +235,11 @@ TEST_F(NodeProtocolTest, DuplicateChainWriteIgnoredAfterCommit) {
   w.hop = 2;
   w.reply_to = client_ep_;
   w.req_id = next_req_id_++;
-  net_.Send(client_ep_, endpoints_[tail_owner], WireSize(w), w);
+  net_.Send(client_ep_, endpoints_[tail_owner], w);
   (void)WaitResponse();
   uint64_t commits1 = nodes_[tail_owner]->stats().commits_as_tail;
   // Replay the identical write (re-forward after a view change).
-  net_.Send(client_ep_, endpoints_[tail_owner], WireSize(w), w);
+  net_.Send(client_ep_, endpoints_[tail_owner], w);
   sim_.Run();
   EXPECT_EQ(nodes_[tail_owner]->stats().commits_as_tail, commits1);
 }
@@ -304,6 +307,53 @@ TEST_F(NodeProtocolTest, StaleViewEpochIgnored) {
   DeliverView(old);
   EXPECT_EQ(nodes_[0]->view().epoch, 1u);  // unchanged
   EXPECT_EQ(nodes_[0]->view().vnodes.size(), 3u);
+}
+
+// The network charges every message WireSize(msg): a header (64 B data
+// path, 48 B control plane) plus its key, value, scan items or view
+// entries. This table pins the size of every alternative, so net.bytes_*
+// cannot drift.
+TEST(WireSchemaTest, EveryMessageChargesItsSenderSize) {
+  const std::string key(16, 'k');
+  const std::vector<uint8_t> value(100, 0xab);
+  cluster::ClusterView view;
+  view.vnodes[0] = cluster::VNodeInfo{.id = 0, .position = 10};
+  view.vnodes[1] = cluster::VNodeInfo{.id = 1, .owner_node = 1, .position = 20};
+  view.filling.push_back(cluster::FillingRange{1, 10, 20, 1});
+  const std::vector<store::ScanItem> items = {{key, value},
+                                              {"short", {1, 2, 3}}};
+
+  struct Row {
+    const char* name;
+    WireMsg msg;
+    uint64_t bytes;
+  };
+  const std::vector<Row> rows = {
+      {"ClientRequestMsg", ClientRequestMsg{.key = key, .value = value},
+       64 + 16 + 100},
+      {"ResponseMsg", ResponseMsg{.value = value, .scan_items = items},
+       64 + 100 + (16 + 100) + (5 + 3)},
+      {"ChainWriteMsg", ChainWriteMsg{.key = key, .value = value},
+       64 + 16 + 100},
+      {"ChainAckMsg", ChainAckMsg{.key = key}, 64 + 16},
+      {"CraqQueryMsg", CraqQueryMsg{.key = key}, 64 + 16},
+      {"CraqReplyMsg", CraqReplyMsg{}, 64},
+      {"ViewUpdateMsg", cluster::ViewUpdateMsg{view}, 48 + 24 * 2 + 28 * 1},
+      {"ViewRequestMsg", cluster::ViewRequestMsg{}, 48},
+      {"HeartbeatMsg", cluster::HeartbeatMsg{}, 48},
+      {"CopyCommandMsg", cluster::CopyCommandMsg{}, 48},
+      {"CopyItemMsg", cluster::CopyItemMsg{.key = key, .value = value},
+       48 + 16 + 100},
+      {"CopyDoneMsg", cluster::CopyDoneMsg{}, 48},
+      {"StoreFailedMsg", cluster::StoreFailedMsg{}, 48},
+  };
+  std::set<size_t> alternatives;
+  for (const Row& row : rows) {
+    EXPECT_EQ(WireSize(row.msg), row.bytes) << row.name;
+    alternatives.insert(row.msg.index());
+  }
+  EXPECT_EQ(alternatives.size(), std::variant_size_v<WireMsg>)
+      << "every schema alternative needs a row";
 }
 
 }  // namespace

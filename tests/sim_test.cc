@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/cpu_model.h"
+#include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/platform.h"
 #include "sim/power.h"
@@ -351,45 +352,60 @@ TEST_F(SsdTest, JitterProducesLatencySpread) {
 // Network
 // ---------------------------------------------------------------------------
 
+// The network is generic over its message schema; these tests use a
+// packet that declares its own wire size.
+struct Packet {
+  uint64_t bytes = 0;
+  int tag = 0;
+  bool operator==(const Packet&) const = default;
+};
+uint64_t WireSize(const Packet& p) { return p.bytes; }
+
+using Net = Network<Packet>;
+using Msg = Message<Packet>;
+
 TEST(NetworkTest, DeliversPayloadWithLatency) {
   Simulator s;
-  Network net(s);
+  Net net(s);
   NicSpec nic;  // 100GbE, 2us base
   EndpointId a = net.AddEndpoint(nic);
   EndpointId b = net.AddEndpoint(nic);
   SimTime delivered_at = -1;
-  int payload_out = 0;
-  net.SetReceiver(b, [&](Message m) {
+  Packet payload_out;
+  uint64_t wire_bytes = 0;
+  net.SetReceiver(b, [&](Msg m) {
     delivered_at = s.Now();
-    payload_out = std::any_cast<int>(m.payload);
+    payload_out = *m.payload;
+    wire_bytes = m.wire_bytes;
   });
-  ASSERT_TRUE(net.Send(a, b, 1500, 7).ok());
+  ASSERT_TRUE(net.Send(a, b, Packet{1500, 7}).ok());
   s.Run();
-  EXPECT_EQ(payload_out, 7);
+  EXPECT_EQ(payload_out, (Packet{1500, 7}));
+  EXPECT_EQ(wire_bytes, 1500u);
   // 1500B / 12.5 B/ns = 120ns tx + 2us base + 120ns rx.
   EXPECT_NEAR(static_cast<double>(delivered_at), 2240, 50);
 }
 
 TEST(NetworkTest, UnknownEndpointRejected) {
   Simulator s;
-  Network net(s);
+  Net net(s);
   EndpointId a = net.AddEndpoint(NicSpec{});
-  EXPECT_FALSE(net.Send(a, 99, 100, 0).ok());
+  EXPECT_FALSE(net.Send(a, 99, Packet{100, 0}).ok());
 }
 
 TEST(NetworkTest, MissingReceiverCountsDrop) {
   Simulator s;
-  Network net(s);
+  Net net(s);
   EndpointId a = net.AddEndpoint(NicSpec{});
   EndpointId b = net.AddEndpoint(NicSpec{});
-  net.Send(a, b, 100, 1);
+  net.Send(a, b, Packet{100, 1});
   s.Run();
   EXPECT_EQ(net.dropped_messages(), 1u);
 }
 
 TEST(NetworkTest, IngressSerializationCreatesIncast) {
   Simulator s;
-  Network net(s);
+  Net net(s);
   NicSpec slow;
   slow.bandwidth_bpns = GbpsToBytesPerNs(1.0);  // 1 Gb/s receiver
   slow.base_latency_ns = 1000;
@@ -397,10 +413,10 @@ TEST(NetworkTest, IngressSerializationCreatesIncast) {
   std::vector<EndpointId> sources;
   for (int i = 0; i < 8; ++i) sources.push_back(net.AddEndpoint(NicSpec{}));
   std::vector<SimTime> arrivals;
-  net.SetReceiver(dst, [&](Message) { arrivals.push_back(s.Now()); });
+  net.SetReceiver(dst, [&](Msg) { arrivals.push_back(s.Now()); });
   // 8 concurrent 125KB sends: each takes 1ms on the 1Gb/s ingress pipe, so
   // they arrive spaced ~1ms apart.
-  for (auto src : sources) net.Send(src, dst, 125000, 0);
+  for (auto src : sources) net.Send(src, dst, Packet{125000, 0});
   s.Run();
   ASSERT_EQ(arrivals.size(), 8u);
   EXPECT_GT(arrivals.back() - arrivals.front(), 6 * kMillisecond);
@@ -409,15 +425,38 @@ TEST(NetworkTest, IngressSerializationCreatesIncast) {
 
 TEST(NetworkTest, StatsCountMessages) {
   Simulator s;
-  Network net(s);
+  Net net(s);
   EndpointId a = net.AddEndpoint(NicSpec{});
   EndpointId b = net.AddEndpoint(NicSpec{});
-  net.SetReceiver(b, [](Message) {});
-  net.Send(a, b, 64, 0);
-  net.Send(a, b, 64, 0);
+  net.SetReceiver(b, [](Msg) {});
+  net.Send(a, b, Packet{64, 0});
+  net.Send(a, b, Packet{64, 0});
   s.Run();
   EXPECT_EQ(net.stats(a).messages_sent, 2u);
   EXPECT_EQ(net.stats(b).messages_received, 2u);
+}
+
+TEST(NetworkTest, InjectedDuplicateDeliversTwoEqualCopies) {
+  Simulator s;
+  Net net(s);
+  obs::Registry registry;
+  FaultInjector faults(s, 1, &registry);
+  NetFaultSpec spec;
+  spec.dup_prob = 1.0;
+  faults.net().set_spec(spec);
+  net.set_faults(&faults.net());
+  EndpointId a = net.AddEndpoint(NicSpec{});
+  EndpointId b = net.AddEndpoint(NicSpec{});
+  std::vector<Packet> got;
+  net.SetReceiver(b, [&](Msg m) { got.push_back(*m.payload); });
+  ASSERT_TRUE(net.Send(a, b, Packet{256, 42}).ok());
+  s.Run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], (Packet{256, 42}));
+  EXPECT_EQ(got[1], got[0]);
+  EXPECT_EQ(net.stats(a).messages_sent, 2u);
+  EXPECT_EQ(net.stats(b).messages_received, 2u);
+  EXPECT_EQ(net.stats(b).bytes_received, 512u);
 }
 
 // ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ namespace {
 
 TEST(CopyReassignTest, SourceDeathRedirectsToSurvivor) {
   sim::Simulator sim;
-  sim::Network net(sim);
+  Network net(sim);
   ControlPlaneConfig ccfg;
   ccfg.replication_factor = 3;
   ccfg.monitor_heartbeats = false;
@@ -210,14 +210,14 @@ TEST(CopyReassignTest, SourceDeathRedirectsToSurvivor) {
     auto n = std::make_unique<FakeNode>();
     n->ep = net.AddEndpoint(sim::NicSpec{});
     FakeNode* raw = n.get();
-    net.SetReceiver(n->ep, [&net, &cp, raw](sim::Message m) {
-      if (auto* c = std::any_cast<CopyCommandMsg>(&m.payload)) {
+    net.SetReceiver(n->ep, [&net, &cp, raw](Message m) {
+      if (auto* c = std::get_if<CopyCommandMsg>(m.payload.get())) {
         raw->copies.push_back(*c);
         if (!raw->respond) return;  // dead-ish source: never finishes
         CopyDoneMsg done;
         done.copy_id = c->copy_id;
         done.dst = c->dst;
-        net.Send(raw->ep, cp.endpoint(), 64, done);
+        net.Send(raw->ep, cp.endpoint(), done);
       }
     });
     cp.RegisterNode(i, n->ep);
@@ -258,7 +258,7 @@ TEST(CopyReassignTest, SourceDeathRedirectsToSurvivor) {
       CopyDoneMsg done;
       done.copy_id = c.copy_id;
       done.dst = c.dst;
-      net.Send(nodes[i]->ep, cp.endpoint(), 64, done);
+      net.Send(nodes[i]->ep, cp.endpoint(), done);
     }
   }
   sim.Run();
