@@ -96,7 +96,7 @@ void BaselineExecutor::Submit(engine::Request request) {
         });
         break;
       case engine::OpType::kPut:
-        st.Put(shared->key, shared->value,
+        st.Put(shared->key, shared->value.bytes(),
                [complete](Status s) { complete(std::move(s), {}); });
         break;
       case engine::OpType::kDel:
@@ -114,7 +114,7 @@ void BaselineExecutor::Submit(engine::Request request) {
         });
         break;
       case engine::OpType::kPut:
-        st.Put(shared->key, shared->value,
+        st.Put(shared->key, shared->value.bytes(),
                [complete](Status s) { complete(std::move(s), {}); });
         break;
       case engine::OpType::kDel:

@@ -1,6 +1,9 @@
 #include "cluster/control_plane.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace leed::cluster {
 
@@ -11,6 +14,15 @@ ControlPlane::ControlPlane(sim::Simulator& simulator, Network& network,
       config_(config),
       scope_(config.metrics_registry, "cluster"),
       trace_(config.trace ? config.trace : &obs::TraceRing::Default()) {
+  // Chains are inline arrays of at most Chain::kMaxLength vnodes; a larger
+  // replication factor cannot be served, so refuse it in every build type.
+  if (config_.replication_factor > Chain::kMaxLength) {
+    std::fprintf(stderr,
+                 "ControlPlane: replication_factor %u exceeds the maximum "
+                 "chain length %u\n",
+                 config_.replication_factor, Chain::kMaxLength);
+    std::abort();
+  }
   view_.replication_factor = config_.replication_factor;
   m_.copies_abandoned = scope_.GetCounter("copies_abandoned");
   m_.store_failures = scope_.GetCounter("store_failures");

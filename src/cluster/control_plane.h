@@ -38,7 +38,7 @@
 namespace leed::cluster {
 
 struct ControlPlaneConfig {
-  uint32_t replication_factor = 3;
+  uint32_t replication_factor = 3;  // > Chain::kMaxLength aborts
   SimTime heartbeat_period = 50 * kMillisecond;
   SimTime failure_timeout = 250 * kMillisecond;
   bool monitor_heartbeats = true;

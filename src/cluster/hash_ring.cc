@@ -1,10 +1,22 @@
 #include "cluster/hash_ring.h"
 
+#include <cstdlib>
+
 namespace leed::cluster {
 
+std::vector<HashRing::Entry>::const_iterator HashRing::LowerBound(
+    uint64_t position) const {
+  return std::lower_bound(
+      ring_.begin(), ring_.end(), position,
+      [](const Entry& e, uint64_t pos) { return e.first < pos; });
+}
+
 bool HashRing::Insert(VNodeId id, uint64_t position) {
-  if (ring_.contains(position) || positions_.contains(id)) return false;
-  ring_[position] = id;
+  auto it = LowerBound(position);
+  if ((it != ring_.end() && it->first == position) || positions_.contains(id)) {
+    return false;
+  }
+  ring_.insert(it, Entry{position, id});
   positions_[id] = position;
   return true;
 }
@@ -12,29 +24,27 @@ bool HashRing::Insert(VNodeId id, uint64_t position) {
 bool HashRing::Remove(VNodeId id) {
   auto it = positions_.find(id);
   if (it == positions_.end()) return false;
-  ring_.erase(it->second);
+  ring_.erase(LowerBound(it->second));
   positions_.erase(it);
   return true;
 }
 
 VNodeId HashRing::PrimaryOf(uint64_t key_hash) const {
   if (ring_.empty()) return kInvalidVNode;
-  auto it = ring_.lower_bound(key_hash);
+  auto it = LowerBound(key_hash);
   if (it == ring_.end()) it = ring_.begin();  // wrap
   return it->second;
 }
 
-std::vector<VNodeId> HashRing::ChainOf(uint64_t key_hash, uint32_t r) const {
-  std::vector<VNodeId> chain;
+Chain HashRing::ChainOf(uint64_t key_hash, uint32_t r) const {
+  Chain chain;
   if (ring_.empty()) return chain;
-  auto it = ring_.lower_bound(key_hash);
-  if (it == ring_.end()) it = ring_.begin();
-  const uint32_t take = std::min<uint32_t>(r, static_cast<uint32_t>(ring_.size()));
-  chain.reserve(take);
+  if (r > Chain::kMaxLength) std::abort();  // no silent short chains
+  size_t i = static_cast<size_t>(LowerBound(key_hash) - ring_.begin());
+  const size_t take = std::min<size_t>(r, ring_.size());
   while (chain.size() < take) {
-    chain.push_back(it->second);
-    ++it;
-    if (it == ring_.end()) it = ring_.begin();
+    if (i == ring_.size()) i = 0;  // wrap
+    chain.push_back(ring_[i++].second);
   }
   return chain;
 }
@@ -42,7 +52,7 @@ std::vector<VNodeId> HashRing::ChainOf(uint64_t key_hash, uint32_t r) const {
 VNodeId HashRing::SuccessorOf(VNodeId id) const {
   auto pit = positions_.find(id);
   if (pit == positions_.end() || ring_.size() < 2) return kInvalidVNode;
-  auto it = ring_.upper_bound(pit->second);
+  auto it = LowerBound(pit->second) + 1;
   if (it == ring_.end()) it = ring_.begin();
   return it->second;
 }
@@ -50,8 +60,9 @@ VNodeId HashRing::SuccessorOf(VNodeId id) const {
 std::pair<uint64_t, uint64_t> HashRing::ArcOf(VNodeId id) const {
   uint64_t end = positions_.at(id);
   if (ring_.size() == 1) return {end, end};  // whole ring
-  auto it = ring_.find(end);
-  uint64_t start = (it == ring_.begin()) ? ring_.rbegin()->first : std::prev(it)->first;
+  auto it = LowerBound(end);
+  uint64_t start =
+      (it == ring_.begin()) ? ring_.back().first : std::prev(it)->first;
   return {start, end};
 }
 
@@ -64,10 +75,10 @@ bool HashRing::InArcOf(VNodeId id, uint64_t key_hash) const {
 
 uint64_t HashRing::WidestArcMidpoint() const {
   if (ring_.empty()) return UINT64_MAX / 2;
-  if (ring_.size() == 1) return ring_.begin()->first + UINT64_MAX / 2;  // wraps
+  if (ring_.size() == 1) return ring_.front().first + UINT64_MAX / 2;  // wraps
   uint64_t best_width = 0;
   uint64_t best_mid = 0;
-  uint64_t prev = ring_.rbegin()->first;  // predecessor of the first entry
+  uint64_t prev = ring_.back().first;  // predecessor of the first entry
   for (const auto& [pos, id] : ring_) {
     (void)id;
     uint64_t width = pos - prev;  // modular arithmetic handles wrap

@@ -10,10 +10,14 @@
 
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
+#include <iterator>
 #include <map>
-#include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -22,6 +26,39 @@ namespace leed::cluster {
 
 using VNodeId = uint32_t;
 constexpr VNodeId kInvalidVNode = UINT32_MAX;
+
+// A key's replication chain: at most kMaxLength virtual nodes, held inline
+// so routing a request allocates nothing.
+class Chain {
+ public:
+  static constexpr uint32_t kMaxLength = 8;  // bounds the replication factor
+
+  void push_back(VNodeId id) {
+    assert(size_ < kMaxLength);
+    ids_[size_++] = id;
+  }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  VNodeId operator[](size_t i) const { return ids_[i]; }
+  VNodeId front() const { return ids_[0]; }
+  VNodeId back() const { return ids_[size_ - 1]; }
+  const VNodeId* begin() const { return ids_.data(); }
+  const VNodeId* end() const { return ids_.data() + size_; }
+  std::reverse_iterator<const VNodeId*> rbegin() const {
+    return std::reverse_iterator<const VNodeId*>(end());
+  }
+  std::reverse_iterator<const VNodeId*> rend() const {
+    return std::reverse_iterator<const VNodeId*>(begin());
+  }
+
+  friend bool operator==(const Chain& a, const Chain& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<VNodeId, kMaxLength> ids_{};
+  uint32_t size_ = 0;
+};
 
 class HashRing {
  public:
@@ -38,7 +75,8 @@ class HashRing {
 
   // The R distinct virtual nodes clockwise from the hash: chain[0] is the
   // head, chain[r-1] the tail. Fewer than r entries if the ring is small.
-  std::vector<VNodeId> ChainOf(uint64_t key_hash, uint32_t r) const;
+  // Aborts if r exceeds Chain::kMaxLength.
+  Chain ChainOf(uint64_t key_hash, uint32_t r) const;
 
   // Next virtual node clockwise after `id` (the node that inherits its arc
   // on leave). kInvalidVNode if the ring has no other member.
@@ -66,8 +104,13 @@ class HashRing {
   std::vector<VNodeId> Members() const;
 
  private:
-  std::map<uint64_t, VNodeId> ring_;        // position -> vnode
-  std::map<VNodeId, uint64_t> positions_;   // vnode -> position
+  // (position, vnode) sorted by position: a lookup is one binary search
+  // over a flat array. Membership changes are rare; lookups are per op.
+  using Entry = std::pair<uint64_t, VNodeId>;
+  std::vector<Entry>::const_iterator LowerBound(uint64_t position) const;
+
+  std::vector<Entry> ring_;
+  std::map<VNodeId, uint64_t> positions_;  // vnode -> position
 };
 
 }  // namespace leed::cluster

@@ -37,11 +37,11 @@ HashRing ClusterView::ServingRing() const {
   return ring;
 }
 
-std::vector<VNodeId> ClusterView::ChainForKey(std::string_view key) const {
+Chain ClusterView::ChainForKey(std::string_view key) const {
   return ChainForHash(HashRing::KeyPosition(key));
 }
 
-std::vector<VNodeId> ClusterView::ChainForHash(uint64_t ring_position) const {
+Chain ClusterView::ChainForHash(uint64_t ring_position) const {
   return ServingRing().ChainOf(ring_position, replication_factor);
 }
 

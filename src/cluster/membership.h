@@ -66,8 +66,9 @@ struct ClusterView {
   HashRing ServingRing() const;
 
   // The replication chain for a key: R consecutive serving virtual nodes.
-  std::vector<VNodeId> ChainForKey(std::string_view key) const;
-  std::vector<VNodeId> ChainForHash(uint64_t ring_position) const;
+  // Each call builds the ring; hot paths keep a ServingRing() instead.
+  Chain ChainForKey(std::string_view key) const;
+  Chain ChainForHash(uint64_t ring_position) const;
 
   const VNodeInfo* Find(VNodeId id) const;
 };

@@ -450,7 +450,9 @@ void IoEngine::Execute(uint32_t ssd, Request req) {
       });
       break;
     case OpType::kPut:
-      ds.Put(shared->key, shared->value, [this, ssd, cost, started, shared](Status st) {
+      // OnComplete reads neither the key nor the value: hand both over.
+      ds.Put(std::move(shared->key), std::move(shared->value),
+             [this, ssd, cost, started, shared](Status st) {
         OnComplete(ssd, cost, started, *shared, std::move(st), {});
       });
       break;

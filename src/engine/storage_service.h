@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "store/format.h"
@@ -32,7 +33,7 @@ struct ResponseMeta {
 struct Request {
   OpType type = OpType::kGet;
   std::string key;
-  std::vector<uint8_t> value;  // PUT payload
+  SharedBytes value;           // PUT payload
   uint32_t store_id = 0;       // virtual node / partition index on this node
   // Tenant identity for weighted token allocation (§3.5: each SSD splits
   // its available tokens among co-located tenants in a weighted fashion).

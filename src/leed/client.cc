@@ -84,7 +84,7 @@ void Client::StartOp(std::shared_ptr<Inflight> op) {
     uint32_t size = static_cast<uint32_t>(op->value.size());
     if (op->op == engine::OpType::kPut) {
       kind = check::OpKind::kPut;
-      digest = check::ValueDigest(op->value);
+      digest = check::ValueDigest(op->value.bytes());
     } else if (op->op == engine::OpType::kDel) {
       kind = check::OpKind::kDel;
     } else if (op->op == engine::OpType::kScan) {

@@ -27,6 +27,7 @@
 #include "cluster/membership.h"
 #include "common/histogram.h"
 #include "common/rand.h"
+#include "common/shared_bytes.h"
 #include "engine/token_bucket.h"
 #include "flowctl/scheduler.h"
 #include "leed/wire.h"
@@ -126,7 +127,7 @@ class Client {
   struct Inflight {
     engine::OpType op;
     std::string key;
-    std::vector<uint8_t> value;
+    SharedBytes value;  // every attempt's request shares it
     uint32_t scan_limit = 0;
     GetCallback get_cb;
     OpCallback op_cb;

@@ -82,14 +82,23 @@ void ClusterSim::Preload(uint64_t num_keys, uint32_t value_size) {
   const uint64_t batch = 512;
   uint64_t issued = 0;
   uint64_t completed = 0;
+  // One serving ring for the whole preload, rebuilt only if the view moves.
+  const cluster::ClusterView& view = cp_->view();
+  cluster::HashRing ring = view.ServingRing();
+  uint64_t ring_epoch = view.epoch;
   while (issued < num_keys) {
     uint64_t upto = std::min(num_keys, issued + batch);
+    if (view.epoch != ring_epoch) {
+      ring = view.ServingRing();
+      ring_epoch = view.epoch;
+    }
     for (; issued < upto; ++issued) {
       std::string key = workload::YcsbGenerator::KeyName(issued);
-      const std::vector<uint8_t> value = gen.MakeValue(issued);
-      auto chain = cp_->view().ChainForKey(key);
+      const SharedBytes value = gen.MakeValue(issued);  // one buffer, R replicas
+      const cluster::Chain chain = ring.ChainOf(cluster::HashRing::KeyPosition(key),
+                                                view.replication_factor);
       for (cluster::VNodeId v : chain) {
-        const cluster::VNodeInfo* info = cp_->view().Find(v);
+        const cluster::VNodeInfo* info = view.Find(v);
         if (!info) continue;
         ++completed;  // decremented on completion below via counter trick
         nodes_[info->owner_node]->DirectPut(

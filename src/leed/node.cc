@@ -190,7 +190,7 @@ void Node::SendMsg(sim::EndpointId to, WireMsg msg) {
   net_.Send(endpoint_, to, std::move(msg));
 }
 
-std::vector<VNodeId> Node::ChainForKey(std::string_view key) const {
+cluster::Chain Node::ChainForKey(std::string_view key) const {
   return serving_ring_.ChainOf(cluster::HashRing::KeyPosition(key),
                                view_.replication_factor);
 }
@@ -761,7 +761,7 @@ void Node::HandleChainWrite(ChainWriteMsg w) {
   pw.write_id = w.write_id;
   pw.is_del = w.is_del;
   pw.key = w.key;
-  pw.value = w.value;
+  pw.value = w.value;  // shared with the forwarded message, not copied
   pw.reply_to = w.reply_to;
   pw.req_id = w.req_id;
   pw.view_epoch = w.view_epoch;
@@ -785,7 +785,7 @@ void Node::HandleChainWrite(ChainWriteMsg w) {
 }
 
 void Node::CommitAsTail(VNodeId vnode, PendingWrite w,
-                        const std::vector<VNodeId>& chain) {
+                        const cluster::Chain& chain) {
   m_.commits_as_tail->Inc();
   auto& rep = Replica(vnode);
   rep.RecordChainWrite(w.key);
@@ -806,7 +806,7 @@ void Node::CommitAsTail(VNodeId vnode, PendingWrite w,
   });
 }
 
-void Node::SendAckBackward(const std::vector<VNodeId>& chain, VNodeId self,
+void Node::SendAckBackward(const cluster::Chain& chain, VNodeId self,
                            uint64_t write_id, const std::string& key,
                            bool success, replication::CommitStamp commit) {
   VNodeId prev = replication::PrevIn(chain, self);
@@ -889,7 +889,7 @@ void Node::ApplyAckedWrite(VNodeId vnode, uint64_t write_id, std::string key) {
 }
 
 void Node::ApplyLocal(VNodeId vnode, bool is_del, std::string key,
-                      std::vector<uint8_t> value,
+                      SharedBytes value,
                       std::function<void(Status)> done, uint32_t attempt) {
   const cluster::VNodeInfo* info = view_.Find(vnode);
   if (!info || info->owner_node != node_id_) {
@@ -901,7 +901,9 @@ void Node::ApplyLocal(VNodeId vnode, bool is_del, std::string key,
   req.key = key;
   req.value = value;
   req.store_id = info->local_store;
-  req.callback = [this, vnode, is_del, key, value, done, attempt](
+  // The key and value stay here for an overload retry.
+  req.callback = [this, vnode, is_del, key = std::move(key), value = std::move(value),
+                  done = std::move(done), attempt](
                      Status st, std::vector<uint8_t>, engine::ResponseMeta) mutable {
     if (st.IsOverloaded()) {
       // Chain obligations cannot be silently dropped: retry with capped
@@ -1148,19 +1150,17 @@ void Node::HandleCopyItem(cluster::CopyItemMsg item) {
 // Preload
 // ---------------------------------------------------------------------------
 
-void Node::DirectPut(uint32_t local_store, std::string key,
-                     std::vector<uint8_t> value, std::function<void(Status)> done) {
+void Node::DirectPut(uint32_t local_store, std::string key, SharedBytes value,
+                     std::function<void(Status)> done) {
   if (leed_engine_) {
     leed_engine_->data_store(local_store).Put(std::move(key), std::move(value),
                                               std::move(done));
     return;
   }
   if (baseline_->config().kind == baselines::BaselineKind::kFawn) {
-    baseline_->fawn(local_store).Put(std::move(key), std::move(value),
-                                     std::move(done));
+    baseline_->fawn(local_store).Put(std::move(key), value.bytes(), std::move(done));
   } else {
-    baseline_->kvell(local_store).Put(std::move(key), std::move(value),
-                                      std::move(done));
+    baseline_->kvell(local_store).Put(std::move(key), value.bytes(), std::move(done));
   }
 }
 

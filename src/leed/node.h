@@ -153,7 +153,7 @@ class Node {
   const NodeConfig& config() const { return config_; }
 
   // Direct store access for preloading (bypasses the network on purpose).
-  void DirectPut(uint32_t local_store, std::string key, std::vector<uint8_t> value,
+  void DirectPut(uint32_t local_store, std::string key, SharedBytes value,
                  std::function<void(Status)> done);
 
   // Mean power draw over [0, window] given this node's platform and CPU
@@ -202,7 +202,7 @@ class Node {
   // capped exponential backoff (a chain obligation cannot be silently
   // dropped); after max_internal_retries the apply fails kUnavailable.
   void ApplyLocal(cluster::VNodeId vnode, bool is_del, std::string key,
-                  std::vector<uint8_t> value, std::function<void(Status)> done,
+                  SharedBytes value, std::function<void(Status)> done,
                   uint32_t attempt = 0);
 
   // tokens_override: pass the engine's tenant-weighted allocation through
@@ -211,12 +211,12 @@ class Node {
                        std::vector<uint8_t> value, uint32_t local_store,
                        bool with_tokens, uint32_t tokens_override = UINT32_MAX);
   void SendNack(sim::EndpointId reply_to, uint64_t req_id);
-  void SendAckBackward(const std::vector<cluster::VNodeId>& chain,
+  void SendAckBackward(const cluster::Chain& chain,
                        cluster::VNodeId self, uint64_t write_id,
                        const std::string& key, bool success,
                        replication::CommitStamp commit);
   void CommitAsTail(cluster::VNodeId vnode, replication::PendingWrite w,
-                    const std::vector<cluster::VNodeId>& chain);
+                    const cluster::Chain& chain);
   // Apply an ack-admitted pending write (commit-stamp order per key), then
   // release the key's apply slot and continue with any queued successor.
   void ApplyAckedWrite(cluster::VNodeId vnode, uint64_t write_id,
@@ -233,7 +233,7 @@ class Node {
   sim::CpuCore& NetCore();
   // replicas_[id] with registry gauges attached on first creation.
   replication::ReplicaState& Replica(cluster::VNodeId id);
-  std::vector<cluster::VNodeId> ChainForKey(std::string_view key) const;
+  cluster::Chain ChainForKey(std::string_view key) const;
   const cluster::VNodeInfo* OwnedVNode(cluster::VNodeId id) const;
   uint64_t MakeWriteId() { return (static_cast<uint64_t>(node_id_) << 40) | next_write_seq_++; }
   void RefreshFillTracking();

@@ -31,6 +31,7 @@
 
 #include "cluster/hash_ring.h"
 #include "cluster/membership.h"
+#include "common/shared_bytes.h"
 #include "common/status.h"
 #include "engine/storage_service.h"
 #include "sim/network.h"
@@ -111,7 +112,7 @@ struct ClientRequestMsg {
   uint64_t req_id = 0;
   engine::OpType op = engine::OpType::kGet;
   std::string key;            // SCAN: the inclusive start key
-  std::vector<uint8_t> value;
+  SharedBytes value;          // PUT payload, shared with the client's op
   uint32_t scan_limit = 0;    // SCAN: max items returned (0 for point ops)
   cluster::VNodeId vnode = cluster::kInvalidVNode;  // addressed chain member
   uint8_t hop = 0;            // expected index of `vnode` in the key's chain
@@ -141,7 +142,7 @@ struct ChainWriteMsg {
   uint64_t write_id = 0;
   bool is_del = false;
   std::string key;
-  std::vector<uint8_t> value;
+  SharedBytes value;  // shared with every replica's pending buffer
   cluster::VNodeId vnode = cluster::kInvalidVNode;  // addressed member
   uint8_t hop = 0;
   uint64_t view_epoch = 0;

@@ -2,14 +2,14 @@
 
 namespace leed::replication {
 
-int IndexIn(const std::vector<cluster::VNodeId>& chain, cluster::VNodeId v) {
+int IndexIn(std::span<const cluster::VNodeId> chain, cluster::VNodeId v) {
   for (size_t i = 0; i < chain.size(); ++i) {
     if (chain[i] == v) return static_cast<int>(i);
   }
   return -1;
 }
 
-Role RoleIn(const std::vector<cluster::VNodeId>& chain, cluster::VNodeId v) {
+Role RoleIn(std::span<const cluster::VNodeId> chain, cluster::VNodeId v) {
   int idx = IndexIn(chain, v);
   if (idx < 0) return Role::kNone;
   if (idx == 0) return Role::kHead;
@@ -17,7 +17,7 @@ Role RoleIn(const std::vector<cluster::VNodeId>& chain, cluster::VNodeId v) {
   return Role::kMid;
 }
 
-cluster::VNodeId NextIn(const std::vector<cluster::VNodeId>& chain,
+cluster::VNodeId NextIn(std::span<const cluster::VNodeId> chain,
                         cluster::VNodeId v) {
   int idx = IndexIn(chain, v);
   if (idx < 0 || idx + 1 >= static_cast<int>(chain.size()))
@@ -25,7 +25,7 @@ cluster::VNodeId NextIn(const std::vector<cluster::VNodeId>& chain,
   return chain[idx + 1];
 }
 
-cluster::VNodeId PrevIn(const std::vector<cluster::VNodeId>& chain,
+cluster::VNodeId PrevIn(std::span<const cluster::VNodeId> chain,
                         cluster::VNodeId v) {
   int idx = IndexIn(chain, v);
   if (idx <= 0) return cluster::kInvalidVNode;

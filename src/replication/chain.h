@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "cluster/hash_ring.h"
 
@@ -18,19 +18,19 @@ namespace leed::replication {
 
 enum class Role : uint8_t { kNone, kHead, kMid, kTail };
 
-Role RoleIn(const std::vector<cluster::VNodeId>& chain, cluster::VNodeId v);
+Role RoleIn(std::span<const cluster::VNodeId> chain, cluster::VNodeId v);
 
 // Successor of v along the chain (toward the tail); kInvalidVNode if v is
 // the tail or not a member.
-cluster::VNodeId NextIn(const std::vector<cluster::VNodeId>& chain,
+cluster::VNodeId NextIn(std::span<const cluster::VNodeId> chain,
                         cluster::VNodeId v);
 
 // Predecessor of v along the chain (toward the head); kInvalidVNode if v is
 // the head or not a member.
-cluster::VNodeId PrevIn(const std::vector<cluster::VNodeId>& chain,
+cluster::VNodeId PrevIn(std::span<const cluster::VNodeId> chain,
                         cluster::VNodeId v);
 
 // Index of v in the chain, or -1.
-int IndexIn(const std::vector<cluster::VNodeId>& chain, cluster::VNodeId v);
+int IndexIn(std::span<const cluster::VNodeId> chain, cluster::VNodeId v);
 
 }  // namespace leed::replication

@@ -29,6 +29,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
 
@@ -54,7 +55,7 @@ struct PendingWrite {
   uint64_t write_id = 0;
   bool is_del = false;
   std::string key;
-  std::vector<uint8_t> value;
+  SharedBytes value;  // shared with the chain message and the apply
   // Carried along the chain so a promoted tail can still answer the client.
   sim::EndpointId reply_to = sim::kInvalidEndpoint;
   uint64_t req_id = 0;

@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include "common/bytes.h"
 #include "sim/fault.h"
 
 namespace leed::sim {
+
+PageStore::PageStore(uint64_t capacity_bytes, uint32_t page_size)
+    : capacity_(capacity_bytes),
+      page_size_(page_size),
+      chunk_pages_(static_cast<uint32_t>(
+          std::clamp<uint64_t>(kChunkBytes / page_size, 1, 64))),
+      chunk_bytes_(uint64_t{chunk_pages_} * page_size) {}
 
 Status PageStore::CheckRange(uint64_t offset, uint64_t length) const {
   if (length == 0) return Status::InvalidArgument("zero-length IO");
@@ -15,28 +23,31 @@ Status PageStore::CheckRange(uint64_t offset, uint64_t length) const {
   return Status::Ok();
 }
 
-const uint8_t* PageStore::Find(uint64_t page_no) const {
+const PageStore::Slot* PageStore::Find(uint64_t chunk_no) const {
   if (slots_.empty()) return nullptr;
   const size_t mask = slots_.size() - 1;
-  for (size_t i = Home(page_no);; i = (i + 1) & mask) {
+  for (size_t i = Home(chunk_no);; i = (i + 1) & mask) {
     const Slot& s = slots_[i];
-    if (!s.page) return nullptr;
-    if (s.page_no == page_no) return s.page.get();
+    if (!s.bytes) return nullptr;
+    if (s.chunk_no == chunk_no) return &s;
   }
 }
 
-uint8_t* PageStore::FindOrInsert(uint64_t page_no) {
-  if (2 * (resident_ + 1) > slots_.size()) Grow();
+PageStore::Slot& PageStore::FindOrInsert(uint64_t chunk_no) {
+  if (2 * (chunks_ + 1) > slots_.size()) Grow();
   const size_t mask = slots_.size() - 1;
-  for (size_t i = Home(page_no);; i = (i + 1) & mask) {
+  for (size_t i = Home(chunk_no);; i = (i + 1) & mask) {
     Slot& s = slots_[i];
-    if (!s.page) {
-      s.page_no = page_no;
-      s.page.reset(new uint8_t[page_size_]());
-      ++resident_;
-      return s.page.get();
+    if (!s.bytes) {
+      s.chunk_no = chunk_no;
+      s.written = 0;
+      // Uninitialized on purpose: a page's bytes are defined by its first
+      // write, which zero-fills whatever of the page it does not cover.
+      s.bytes = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes_);
+      ++chunks_;
+      return s;
     }
-    if (s.page_no == page_no) return s.page.get();
+    if (s.chunk_no == chunk_no) return s;
   }
 }
 
@@ -46,9 +57,9 @@ void PageStore::Grow() {
   shift_ = static_cast<uint32_t>(64 - std::countr_zero(slots_.size()));
   const size_t mask = slots_.size() - 1;
   for (Slot& s : old) {
-    if (!s.page) continue;
-    size_t i = Home(s.page_no);
-    while (slots_[i].page) i = (i + 1) & mask;
+    if (!s.bytes) continue;
+    size_t i = Home(s.chunk_no);
+    while (slots_[i].bytes) i = (i + 1) & mask;
     slots_[i] = std::move(s);
   }
 }
@@ -57,36 +68,61 @@ void PageStore::Write(uint64_t offset, const std::vector<uint8_t>& data,
                       uint64_t length) {
   uint64_t pos = 0;
   while (pos < length) {
-    uint64_t page_no = (offset + pos) / page_size_;
-    uint64_t in_page = (offset + pos) % page_size_;
-    uint64_t chunk = std::min<uint64_t>(page_size_ - in_page, length - pos);
-    uint8_t* page = FindOrInsert(page_no);
-    if (pos < data.size()) {
-      uint64_t copy = std::min<uint64_t>(chunk, data.size() - pos);
-      leed::CopyBytes(page + in_page, data.data() + pos, copy);
-      if (copy < chunk) {
-        leed::FillBytes(page + in_page + copy, 0, chunk - copy);
-      }
-    } else {
-      leed::FillBytes(page + in_page, 0, chunk);
+    const uint64_t chunk_no = (offset + pos) / chunk_bytes_;
+    const uint64_t begin = (offset + pos) % chunk_bytes_;
+    const uint64_t n = std::min(chunk_bytes_ - begin, length - pos);
+    const uint64_t end = begin + n;
+    Slot& slot = FindOrInsert(chunk_no);
+    uint8_t* bytes = slot.bytes.get();
+    // A page's first write defines all of it: zero what this write leaves
+    // of its first and last page (the only partially covered ones).
+    const uint64_t first = begin / page_size_;
+    const uint64_t last = (end - 1) / page_size_;
+    if (!(slot.written >> first & 1)) {
+      leed::FillBytes(bytes + first * page_size_, 0, begin - first * page_size_);
     }
-    pos += chunk;
+    if (!(slot.written >> last & 1)) {
+      leed::FillBytes(bytes + end, 0, (last + 1) * page_size_ - end);
+    }
+    const uint64_t copy = pos < data.size() ? std::min(n, data.size() - pos) : 0;
+    if (copy > 0) leed::CopyBytes(bytes + begin, data.data() + pos, copy);
+    leed::FillBytes(bytes + begin + copy, 0, n - copy);
+    const uint64_t span = last - first + 1;
+    const uint64_t mask = (span == 64 ? ~uint64_t{0} : (uint64_t{1} << span) - 1)
+                          << first;
+    resident_ += static_cast<uint64_t>(std::popcount(mask & ~slot.written));
+    slot.written |= mask;
+    pos += n;
   }
 }
 
 std::vector<uint8_t> PageStore::Read(uint64_t offset, uint64_t length) const {
-  // Append page by page: resident bytes are copied once, and only holes
-  // (never-written pages) are zero-filled.
+  // Append run by run: each run of written pages is copied once, and only
+  // never-written pages (or absent chunks) are zero-filled.
   std::vector<uint8_t> out;
   out.reserve(length);
   while (out.size() < length) {
-    uint64_t page_no = (offset + out.size()) / page_size_;
-    uint64_t in_page = (offset + out.size()) % page_size_;
-    uint64_t chunk = std::min<uint64_t>(page_size_ - in_page, length - out.size());
-    if (const uint8_t* page = Find(page_no)) {
-      out.insert(out.end(), page + in_page, page + in_page + chunk);
-    } else {
-      out.resize(out.size() + chunk, 0);
+    const uint64_t chunk_no = (offset + out.size()) / chunk_bytes_;
+    const uint64_t begin = (offset + out.size()) % chunk_bytes_;
+    const uint64_t end = begin + std::min(chunk_bytes_ - begin, length - out.size());
+    const Slot* slot = Find(chunk_no);
+    if (slot == nullptr) {
+      out.resize(out.size() + (end - begin), 0);
+      continue;
+    }
+    for (uint64_t pos = begin; pos < end;) {
+      uint64_t page = pos / page_size_;
+      const bool written = slot->written >> page & 1;
+      while (++page < chunk_pages_ && page * page_size_ < end &&
+             (slot->written >> page & 1) == written) {
+      }
+      const uint64_t run_end = std::min(end, page * page_size_);
+      if (written) {
+        out.insert(out.end(), slot->bytes.get() + pos, slot->bytes.get() + run_end);
+      } else {
+        out.resize(out.size() + (run_end - pos), 0);
+      }
+      pos = run_end;
     }
   }
   return out;

@@ -7,8 +7,9 @@
 // a GET returns exactly what the matching PUT persisted — so the data-path
 // logic above is exercised functionally, not just for timing.
 //
-// The byte store is sparse (page map): simulating a 960 GB SSD does not
-// allocate 960 GB; only written pages exist.
+// The byte store is sparse (chunked, with a written-page bitmap per chunk):
+// simulating a 960 GB SSD does not allocate 960 GB; only chunks holding a
+// written page exist.
 
 #pragma once
 
@@ -99,41 +100,54 @@ class BlockDevice {
   std::function<void(bool ok, SimTime latency_ns)> io_observer_;
 };
 
-// Sparse in-memory byte store shared by device implementations. Pages are
-// allocated on first write; never-written bytes read as zero. The page
-// table is a flat open-addressing table (linear probing, power-of-two size,
-// multiplicative hash, at most half full), so a lookup is one multiply and
-// usually one probe. Pages are never freed, so there are no tombstones.
+// Sparse in-memory byte store shared by device implementations. Bytes live
+// in fixed-size chunks (16 KiB, at most 64 pages), one heap allocation
+// each, found through a flat open-addressing table (linear probing,
+// power-of-two size, multiplicative hash, at most half full; chunks are
+// never freed, so no tombstones). Each chunk keeps a bitmap of its written
+// pages: a never-written page reads as zero without being stored or
+// zeroed, a first write zero-fills only the bytes of its pages it does not
+// cover, and a read copies each run of written pages once. A chunk is
+// small enough that the unwritten tail of a partly written chunk (one at
+// each log's write frontier) costs little memory, and large enough that
+// a sequential log append touches one table slot per 4 pages.
 class PageStore {
  public:
-  explicit PageStore(uint64_t capacity_bytes, uint32_t page_size = 4096)
-      : capacity_(capacity_bytes), page_size_(page_size) {}
+  PageStore(uint64_t capacity_bytes, uint32_t page_size = 4096);
 
   Status CheckRange(uint64_t offset, uint64_t length) const;
+  // Stores data[0, length); bytes past data.size() are written as zeros.
   void Write(uint64_t offset, const std::vector<uint8_t>& data, uint64_t length);
   std::vector<uint8_t> Read(uint64_t offset, uint64_t length) const;
 
   uint64_t capacity() const { return capacity_; }
+  // Pages written at least once (never-written pages read as zero).
   uint64_t resident_pages() const { return resident_; }
   uint64_t resident_bytes() const { return resident_ * page_size_; }
 
  private:
+  static constexpr uint64_t kChunkBytes = 16 * 1024;
+
   struct Slot {
-    uint64_t page_no = 0;
-    std::unique_ptr<uint8_t[]> page;  // null: empty slot
+    uint64_t chunk_no = 0;
+    uint64_t written = 0;              // bit p: page p of the chunk written
+    std::unique_ptr<uint8_t[]> bytes;  // null: empty slot
   };
 
-  size_t Home(uint64_t page_no) const {
-    return static_cast<size_t>((page_no * 0x9e3779b97f4a7c15ull) >> shift_);
+  size_t Home(uint64_t chunk_no) const {
+    return static_cast<size_t>((chunk_no * 0x9e3779b97f4a7c15ull) >> shift_);
   }
-  const uint8_t* Find(uint64_t page_no) const;
-  uint8_t* FindOrInsert(uint64_t page_no);  // a new page is zero-filled
+  const Slot* Find(uint64_t chunk_no) const;
+  Slot& FindOrInsert(uint64_t chunk_no);  // a new chunk is uninitialized
   void Grow();
 
   uint64_t capacity_;
   uint32_t page_size_;
+  uint32_t chunk_pages_;     // pages per chunk, 1..64
+  uint64_t chunk_bytes_;     // chunk_pages_ * page_size_
   std::vector<Slot> slots_;  // empty until the first write
   uint32_t shift_ = 64;      // 64 - log2(slots_.size())
+  uint64_t chunks_ = 0;
   uint64_t resident_ = 0;
 };
 

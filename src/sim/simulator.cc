@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+
 namespace leed::sim {
 
 uint32_t Simulator::AllocSlot() {
@@ -33,7 +35,8 @@ EventId Simulator::AtImpl(SimTime when, EventFn fn, bool daemon) {
   s.fn = std::move(fn);
   s.live = true;
   s.daemon = daemon;
-  queue_.push(HeapEntry{when, next_seq_, index, s.gen});
+  heap_.push_back(HeapEntry{when, next_seq_, index, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++next_seq_;
   if (!daemon) ++live_pending_;
   return MakeId(index, s.gen);
@@ -52,12 +55,30 @@ bool Simulator::Cancel(EventId id) {
   // drop shared state) runs after the slot bookkeeping is consistent.
   EventCallback dead = std::move(s.fn);
   ReleaseSlot(index);
+  ++dead_;
+  if (dead_ > kPurgeFloor && dead_ > heap_.size() - dead_) PurgeDead();
   return true;
 }
 
+void Simulator::PurgeDead() {
+  std::erase_if(heap_, [this](const HeapEntry& e) { return !IsLive(e); });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  dead_ = 0;
+}
+
+Simulator::HeapEntry Simulator::PopTop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const HeapEntry entry = heap_.back();
+  heap_.pop_back();
+  return entry;
+}
+
 bool Simulator::Dispatch(const HeapEntry& entry) {
+  if (!IsLive(entry)) {  // dead: was cancelled
+    --dead_;
+    return false;
+  }
   Slot& s = slots_[entry.slot];
-  if (!s.live || s.gen != entry.gen) return false;  // stale: was cancelled
   // Move the callable out and release the slot *before* invoking: the
   // callback may schedule new events, which can recycle this slot or grow
   // the slab (relocating every Slot) while we are still running.
@@ -72,30 +93,22 @@ bool Simulator::Dispatch(const HeapEntry& entry) {
 }
 
 SimTime Simulator::Run() {
-  while (!queue_.empty() && live_pending_ > 0) {
-    const HeapEntry entry = queue_.top();
-    queue_.pop();
-    Dispatch(entry);
-  }
+  while (!heap_.empty() && live_pending_ > 0) Dispatch(PopTop());
   return now_;
 }
 
 uint64_t Simulator::RunUntil(SimTime deadline) {
   uint64_t n = 0;
-  while (!queue_.empty() && queue_.top().when <= deadline) {
-    const HeapEntry entry = queue_.top();
-    queue_.pop();
-    if (Dispatch(entry)) ++n;
+  while (!heap_.empty() && heap_.front().when <= deadline) {
+    if (Dispatch(PopTop())) ++n;
   }
   if (now_ < deadline) now_ = deadline;
   return n;
 }
 
 bool Simulator::Step() {
-  while (!queue_.empty()) {
-    const HeapEntry entry = queue_.top();
-    queue_.pop();
-    if (Dispatch(entry)) return true;
+  while (!heap_.empty()) {
+    if (Dispatch(PopTop())) return true;
   }
   return false;
 }

@@ -23,12 +23,18 @@
 //   * An EventId encodes (slot, generation). Cancel is an O(1) generation
 //     check + slot release: no tombstone set, no hashing on dispatch, and
 //     the id of an event that already fired can never cancel anything
-//     because firing bumped the generation. Cancelled events leave a stale
-//     heap entry behind that dispatch skips with one integer compare.
+//     because firing bumped the generation. A cancelled event leaves a
+//     dead heap entry behind that dispatch skips with one integer compare.
+//   * Dead entries are counted. Once they outnumber the live ones past a
+//     fixed floor, the heap is rebuilt without them, so the heap holds at
+//     most 2 x live + floor entries. Every client op arms a timeout that is
+//     almost always cancelled; without the purge those dead timeouts
+//     dominate the heap and every sift walks past them.
 //
 // None of this changes what executes when: event order is (when, seq), seq
-// is assigned in Schedule order, and cancellation only ever removes work.
-// Replay therefore stays byte-identical for a given seed.
+// is assigned in Schedule order and unique, so any heap over the same live
+// entries pops them in the same order, and cancellation only ever removes
+// work. Replay therefore stays byte-identical for a given seed.
 //
 // One simulation runs on one thread. Parallelism lives a level up, across
 // independent simulations: the seed-parallel sweep driver (sim/sweep.h,
@@ -38,7 +44,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <type_traits>
 #include <vector>
 
@@ -78,8 +83,9 @@ class Simulator {
   }
 
   // Cancel a pending event. Returns false if it already ran, was already
-  // cancelled, or the id was never issued. O(1): flips the slot's
-  // generation; the heap entry is skipped when it surfaces.
+  // cancelled, or the id was never issued. Amortized O(1): flips the slot's
+  // generation; the heap entry is skipped when it surfaces or dropped by
+  // the next purge.
   bool Cancel(EventId id);
 
   // Run until the event queue drains. Returns the final time.
@@ -101,6 +107,12 @@ class Simulator {
   // simultaneously-pending events — cancelled/fired slots are recycled, so
   // unbounded growth here is the regression the generation scheme fixed.
   size_t slab_size() const { return slots_.size(); }
+  // Heap entries, live and dead: at most 2 x pending events + kPurgeFloor.
+  size_t heap_size() const { return heap_.size(); }
+
+  // Dead heap entries tolerated before a purge is considered at all, so
+  // small queues never pay for a rebuild.
+  static constexpr size_t kPurgeFloor = 512;
 
  private:
   static constexpr uint32_t kNilSlot = 0xffffffffu;
@@ -143,9 +155,16 @@ class Simulator {
   EventId AtImpl(SimTime when, EventFn fn, bool daemon);
   uint32_t AllocSlot();
   void ReleaseSlot(uint32_t index);
+  bool IsLive(const HeapEntry& entry) const {
+    const Slot& s = slots_[entry.slot];
+    return s.live && s.gen == entry.gen;
+  }
+  HeapEntry PopTop();
   bool Dispatch(const HeapEntry& entry);
+  void PurgeDead();
 
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue_;
+  std::vector<HeapEntry> heap_;  // binary min-heap under Later
+  size_t dead_ = 0;              // entries of cancelled events still in heap_
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNilSlot;
   SimTime now_ = 0;

@@ -328,7 +328,7 @@ void DataStore::GetFinish(std::shared_ptr<GetOp> op, Status status,
 
 struct DataStore::PutOp {
   std::string key;
-  std::vector<uint8_t> value;
+  SharedBytes value;
   bool is_del = false;
   OpCallback callback;
   uint32_t segment = 0;
@@ -346,7 +346,7 @@ struct DataStore::PutOp {
   std::optional<BucketView> head;
 };
 
-void DataStore::Put(std::string key, std::vector<uint8_t> value, OpCallback callback) {
+void DataStore::Put(std::string key, SharedBytes value, OpCallback callback) {
   auto op = std::make_shared<PutOp>();
   op->key = std::move(key);
   op->value = std::move(value);
@@ -470,7 +470,7 @@ void DataStore::PutApply(std::shared_ptr<PutOp> op) {
       op->value_len = item.value_len;
       op->pending_appends++;
       m_.ssd_writes->Inc();
-      target.value_log->Append(EncodeValueEntry(op->segment, op->key, op->value),
+      target.value_log->Append(EncodeValueEntry(op->segment, op->key, op->value.bytes()),
                                [this, op](log::AppendResult r) {
         if (!r.status.ok()) op->append_status = r.status;
         if (--op->pending_appends == 0) PutCommit(op);
@@ -645,8 +645,8 @@ std::vector<ScanLoc> DataStore::ScanKeys(std::string_view start,
   if (limit == 0) return out;
   out.reserve(limit);
   range_index_.VisitFrom(
-      start, [&out, limit](const std::string& key, const RangeIndex::ValueLoc& loc) {
-        out.push_back({key, loc.ssd, loc.offset, loc.value_len});
+      start, [&out, limit](std::string_view key, const RangeIndex::ValueLoc& loc) {
+        out.push_back({std::string(key), loc.ssd, loc.offset, loc.value_len});
         return out.size() < limit;
       });
   return out;

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/shared_bytes.h"
 #include "common/status.h"
 #include "log/circular_log.h"
 #include "obs/metrics.h"
@@ -167,7 +168,8 @@ class DataStore {
   // compaction-induced retry demotes the op back to the charged CPU path.
   bool FastGetEligible(std::string_view key) const;
   void FastGet(std::string key, GetCallback callback);
-  void Put(std::string key, std::vector<uint8_t> value, OpCallback callback);
+  // The value is shared, not copied: the log encode is its only copy.
+  void Put(std::string key, SharedBytes value, OpCallback callback);
   void Del(std::string key, OpCallback callback);
 
   // Stream all live items whose key satisfies `want` (used by COPY, §3.8).

@@ -15,12 +15,19 @@
 // SCAN takes a synchronous snapshot of the ordered (key, location) run via
 // VisitFrom — one simulator event, hence atomic with respect to the store —
 // and then fetches the immutable value-log entries asynchronously.
+//
+// Node layout: every node is one allocation of fixed-capacity arrays. A
+// key is stored as its first 16 bytes, zero-padded and read as two
+// big-endian words, plus its length; the rare key longer than 16 bytes
+// keeps the rest in an out-of-line tail. Comparing prefix words orders
+// keys exactly like std::string (bytes as unsigned), so a node is searched
+// by binary search over its prefix array and a 16-byte YCSB key never
+// touches the heap or a second cache line.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -62,14 +69,15 @@ class RangeIndex {
   int height() const;
 
   // In-order visit of every entry with key >= start; stop when fn returns
-  // false. Synchronous — callers snapshot under one simulator event.
+  // false. Synchronous — callers snapshot under one simulator event. The
+  // key view is valid only during the call.
   void VisitFrom(std::string_view start,
-                 const std::function<bool(const std::string&, const ValueLoc&)>&
+                 const std::function<bool(std::string_view, const ValueLoc&)>&
                      fn) const;
 
   // Full in-order visit (VisitFrom "").
-  void Visit(const std::function<void(const std::string&, const ValueLoc&)>&
-                 fn) const;
+  void Visit(
+      const std::function<void(std::string_view, const ValueLoc&)>& fn) const;
 
   // Structural invariants (tests): strict key ordering, uniform leaf depth,
   // fanout bounds. Returns false and stops early on violation.
@@ -87,15 +95,20 @@ class RangeIndex {
 
  private:
   struct Node;
-  struct InsertResult;
+  struct Leaf;
+  struct Inner;
+  struct Key;
+  struct Split;
 
-  InsertResult InsertRec(Node* node, std::string_view key, ValueLoc loc);
-  bool EraseRec(Node* node, std::string_view key);
-  bool VisitRec(const Node* node, std::string_view start,
-                const std::function<bool(const std::string&, const ValueLoc&)>&
-                    fn) const;
+  static void Free(Node* node);
+  Split InsertRec(Node* node, const Key& key, ValueLoc loc, bool* inserted);
+  bool EraseRec(Node* node, const Key& key);
+  bool VisitRec(
+      const Node* node, const Key* start,
+      const std::function<bool(std::string_view, const ValueLoc&)>& fn) const;
+  Leaf* FindLeaf(const Key& key) const;
 
-  std::unique_ptr<Node> root_;
+  Node* root_;
   size_t size_ = 0;
   size_t key_bytes_ = 0;
 };

@@ -2,17 +2,21 @@
 // operation, whatever the number of items per bucket: a key-compaction
 // collapse of a maximum-length chain and a PUT that rewrites its chain
 // head merge, pack and encode on the bytes they read, never one object per
-// key item. The same idea as the EventFitsInline static_asserts, checked
-// at run time: this binary replaces the global operator new with a
-// counting one.
+// key item. Also pins how often a replicated PUT's value is copied on its
+// way through the chain. The same idea as the EventFitsInline
+// static_asserts, checked at run time: this binary replaces the global
+// operator new with a counting one.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "leed/node.h"
+#include "leed/wire.h"
 #include "log/circular_log.h"
 #include "sim/block_device.h"
 #include "sim/cpu_model.h"
@@ -22,9 +26,14 @@
 
 namespace {
 uint64_t g_allocs = 0;
+// Allocations of [g_sized_lo, g_sized_hi) bytes: the value-sized ones.
+uint64_t g_sized_allocs = 0;
+std::size_t g_sized_lo = 0;
+std::size_t g_sized_hi = 0;
 
 void* CountedAlloc(std::size_t n) {
   ++g_allocs;
+  if (n >= g_sized_lo && n < g_sized_hi) ++g_sized_allocs;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -184,3 +193,103 @@ TEST(WritePathAllocTest, MaxChainCollapseIsConstant) {
 
 }  // namespace
 }  // namespace leed::store
+
+namespace leed {
+namespace {
+
+// Three LEED nodes, one vnode each, R = 3: a PUT sent to the head walks
+// head -> mid -> tail, commits at the tail and acks back.
+class ChainPutAllocs {
+ public:
+  ChainPutAllocs() : net_(sim_) {
+    cp_ = net_.AddEndpoint(sim::NicSpec{});
+    net_.SetReceiver(cp_, [](Message) {});
+    client_ = net_.AddEndpoint(sim::NicSpec{});
+    net_.SetReceiver(client_, [this](Message m) {
+      if (auto* r = std::get_if<ResponseMsg>(m.payload.get())) last_ = r->code;
+    });
+    NodeConfig cfg;
+    cfg.platform = sim::StingrayJbof();
+    cfg.engine.ssd_count = 1;
+    cfg.engine.stores_per_ssd = 1;
+    cfg.engine.ssd = sim::Dct983Spec();
+    cfg.engine.ssd.capacity_bytes = 1ull << 30;
+    cfg.engine.store_template.num_segments = 256;
+    cfg.engine.store_template.bucket_size = 4096;
+    for (uint32_t i = 0; i < 3; ++i) {
+      nodes_.push_back(
+          std::make_unique<Node>(sim_, net_, cp_, cfg, i, 100 + i));
+      endpoints_[i] = nodes_[i]->endpoint();
+      nodes_[i]->set_node_endpoints(&endpoints_);
+    }
+    view_.epoch = 1;
+    view_.replication_factor = 3;
+    for (uint32_t i = 0; i < 3; ++i) {
+      view_.vnodes[i] = cluster::VNodeInfo{i, i, 0, i * (UINT64_MAX / 3),
+                                           cluster::VNodeState::kRunning};
+    }
+    for (auto& [id, ep] : endpoints_) {
+      net_.Send(cp_, ep, cluster::ViewUpdateMsg{view_});
+    }
+    sim_.Run();
+  }
+
+  // Runs one PUT to completion (client response and every replica's
+  // apply) and returns the value-sized allocations it made.
+  uint64_t PutValueAllocs(const std::string& key, size_t value_len) {
+    const auto chain = view_.ChainForKey(key);
+    ClientRequestMsg msg;
+    msg.req_id = ++req_id_;
+    msg.op = engine::OpType::kPut;
+    msg.key = key;
+    msg.value = std::vector<uint8_t>(value_len, 0xab);
+    msg.vnode = chain[0];
+    msg.view_epoch = view_.epoch;
+    msg.reply_to = client_;
+    last_ = StatusCode::kInternal;
+    g_sized_lo = value_len;
+    g_sized_hi = 2 * value_len;
+    const uint64_t before = g_sized_allocs;
+    const uint32_t head = view_.Find(chain[0])->owner_node;
+    net_.Send(client_, endpoints_[head], std::move(msg));
+    sim_.Run();
+    const uint64_t allocs = g_sized_allocs - before;
+    g_sized_lo = g_sized_hi = 0;
+    EXPECT_EQ(last_, StatusCode::kOk);
+    return allocs;
+  }
+
+ private:
+  sim::Simulator sim_;
+  Network net_;
+  sim::EndpointId cp_;
+  sim::EndpointId client_;
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::map<uint32_t, sim::EndpointId> endpoints_;
+  cluster::ClusterView view_;
+  StatusCode last_ = StatusCode::kOk;
+  uint64_t req_id_ = 0;
+};
+
+// A 2000-byte value: larger than every IO header and message, smaller than
+// a 4 KB key-log bucket or a device chunk, so [2000, 4000)-byte
+// allocations are the value's copies and its log encodes. Every replica
+// keeps its value for re-forwarding and encodes it once into its value
+// log; sharing the bytes between chain message, pending buffer and engine
+// request leaves at most two value-sized allocations per replica; today
+// the three log encodes are the only ones. When each hand-off copied the
+// value, this PUT made 20 (17 copies and the 3 encodes).
+constexpr size_t kValueLen = 2000;
+constexpr uint64_t kReplicas = 3;
+
+TEST(ChainPutAllocTest, ValueIsSharedNotCopiedAlongTheChain) {
+  ChainPutAllocs cluster;
+  cluster.PutValueAllocs("warm-up-key", kValueLen);
+  const uint64_t fresh = cluster.PutValueAllocs("measured-key", kValueLen);
+  const uint64_t overwrite = cluster.PutValueAllocs("measured-key", kValueLen);
+  EXPECT_LE(fresh, 2 * kReplicas) << fresh;
+  EXPECT_LE(overwrite, 2 * kReplicas) << overwrite;
+}
+
+}  // namespace
+}  // namespace leed

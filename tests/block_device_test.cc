@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -106,6 +107,66 @@ TEST(PageStoreTest, RandomizedAgainstMapOracle) {
   EXPECT_GT(pages.size(), 256u);
   EXPECT_EQ(store.resident_bytes(), pages.size() * kPage);
   for (uint64_t offset = 0; offset < kCapacity; offset += 64 * 1024) check(offset, 64 * 1024);
+}
+
+// The same oracle, aimed at the chunk layout: a small window spanning a few
+// chunks, so reads and writes straddle chunk boundaries and land on
+// never-written pages inside written chunks (one page in the middle of the
+// window is never written); first writes that cover only part of a page;
+// and crash/torn writes that persist only a `keep` prefix of the data they
+// carry. Page sizes give 4, 16 and (capped by the 64-bit bitmap) 64 pages
+// per chunk.
+TEST(PageStoreTest, ChunkBoundaryOracle) {
+  for (const uint32_t page : {4096u, 1024u, 128u}) {
+    SCOPED_TRACE(page);
+    constexpr uint64_t kCapacity = 1ull << 30;
+    constexpr uint64_t kWindow = 5 * 64 * 1024;  // many chunks, any page size
+    // Away from zero, so the chunk table hashes non-trivial chunk numbers.
+    const uint64_t base = kCapacity / 2 - 7 * 64 * 1024;
+    const uint64_t hole = base + kWindow / 2 / page * page;  // never written
+    PageStore store(kCapacity, page);
+    // Bytes [base - 64 KiB, base + kWindow + 64 KiB); unwritten read as 0.
+    std::vector<uint8_t> oracle(kWindow + 2 * 64 * 1024, 0);
+    const uint64_t origin = base - 64 * 1024;
+    std::set<uint64_t> pages;
+    Rng rng(testutil::TestSeed(0xc4a7));
+    auto check = [&](uint64_t offset, uint64_t length) {
+      const auto got = store.Read(offset, length);
+      ASSERT_EQ(got.size(), length);
+      for (uint64_t i = 0; i < length; ++i) {
+        ASSERT_EQ(got[i], oracle[offset - origin + i]) << "byte " << offset + i;
+      }
+    };
+    // The hole's neighbors hold one byte each: the hole's chunk is resident.
+    for (const uint64_t at : {hole - 1, hole + page}) {
+      store.Write(at, {0x5a}, 1);
+      oracle[at - origin] = 0x5a;
+      pages.insert(at / page);
+    }
+    for (int op = 0; op < 300; ++op) {
+      // Mostly partial-page writes, some spanning more than a chunk.
+      const uint64_t length = 1 + rng.NextBounded(op % 8 == 0 ? 96 * 1024 : page);
+      const uint64_t offset = base + rng.NextBounded(kWindow - length);
+      std::vector<uint8_t> data(length);
+      for (auto& b : data) b = static_cast<uint8_t>(1 + rng.NextBounded(255));
+      // Every fifth write is torn: only a prefix of what it carries lands
+      // (the crash model's `keep`), and nothing past the prefix is touched.
+      const uint64_t keep = op % 5 == 0 ? 1 + rng.NextBounded(length) : length;
+      if (offset < hole + page && hole < offset + keep) continue;
+      store.Write(offset, data, keep);
+      std::copy(data.begin(), data.begin() + static_cast<long>(keep),
+                oracle.begin() + static_cast<long>(offset - origin));
+      for (uint64_t p = offset / page; p <= (offset + keep - 1) / page; ++p) {
+        pages.insert(p);
+      }
+      ASSERT_EQ(store.resident_pages(), pages.size());
+      const uint64_t rlen = 1 + rng.NextBounded(2 * 64 * 1024);
+      check(origin + rng.NextBounded(oracle.size() - rlen), rlen);
+    }
+    EXPECT_EQ(store.resident_bytes(), pages.size() * page);
+    EXPECT_FALSE(pages.contains(hole / page));
+    check(origin, oracle.size());
+  }
 }
 
 TEST(MemBlockDeviceTest, CompletionIsAsynchronousButImmediate) {

@@ -37,9 +37,11 @@ TEST(HashRingTest, ChainIsConsecutiveDistinct) {
   HashRing ring;
   for (VNodeId i = 0; i < 5; ++i) ring.Insert(i, i * 1000);
   auto chain = ring.ChainOf(1500, 3);
-  EXPECT_EQ(chain, (std::vector<VNodeId>{2, 3, 4}));
+  EXPECT_EQ(std::vector<VNodeId>(chain.begin(), chain.end()),
+            (std::vector<VNodeId>{2, 3, 4}));
   auto wrap = ring.ChainOf(4500, 3);
-  EXPECT_EQ(wrap, (std::vector<VNodeId>{0, 1, 2}));
+  EXPECT_EQ(std::vector<VNodeId>(wrap.begin(), wrap.end()),
+            (std::vector<VNodeId>{0, 1, 2}));
 }
 
 TEST(HashRingTest, ChainClampsToRingSize) {
@@ -48,6 +50,13 @@ TEST(HashRingTest, ChainClampsToRingSize) {
   ring.Insert(8, 20);
   auto chain = ring.ChainOf(0, 5);
   EXPECT_EQ(chain.size(), 2u);
+}
+
+TEST(HashRingTest, ChainOfMaxLengthIsFullAndLongerAborts) {
+  HashRing ring;
+  for (VNodeId i = 0; i < Chain::kMaxLength + 2; ++i) ring.Insert(i, i * 10);
+  EXPECT_EQ(ring.ChainOf(0, Chain::kMaxLength).size(), Chain::kMaxLength);
+  EXPECT_DEATH(ring.ChainOf(0, Chain::kMaxLength + 1), "");
 }
 
 TEST(HashRingTest, ArcAndMembershipChecks) {
@@ -332,6 +341,15 @@ TEST_F(ControlPlaneTest, FailStoreRemovesOnlyThatStoresVnodes) {
   for (const auto& [id, info] : cp_->view().vnodes) {
     EXPECT_NE(info.owner_node, 1u) << "vnode " << id << " outlived both stores";
   }
+}
+
+TEST(ControlPlaneConfigTest, ReplicationFactorAboveMaxChainLengthAborts) {
+  sim::Simulator sim;
+  Network net(sim);
+  ControlPlaneConfig cfg;
+  cfg.replication_factor = Chain::kMaxLength + 1;
+  EXPECT_DEATH(ControlPlane(sim, net, cfg),
+               "replication_factor 9 exceeds the maximum chain length 8");
 }
 
 TEST_F(ControlPlaneTest, HeartbeatTimeoutTriggersFailure) {

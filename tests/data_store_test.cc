@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/rand.h"
 #include "log/circular_log.h"
 #include "sim/block_device.h"
 #include "sim/cpu_model.h"
@@ -473,6 +475,117 @@ TEST_F(DataStoreTest, CopyOutEmptyStore) {
   testutil::RunUntilFlag(sim_, done);
   EXPECT_TRUE(done);
   EXPECT_EQ(items, 0);
+}
+
+// ---------------------------------------------------------------------------
+// RangeIndex against a std::map oracle
+// ---------------------------------------------------------------------------
+
+// The oracle's DebugDump: the same escaping as RangeIndex::DebugDump.
+std::string OracleDump(const std::map<std::string, RangeIndex::ValueLoc>& m) {
+  std::string out;
+  for (const auto& [k, l] : m) {
+    for (char c : k) {
+      if (c <= ' ' || c == '%' || c == 0x7f) {
+        char esc[4];
+        std::snprintf(esc, sizeof esc, "%%%02x", static_cast<unsigned char>(c));
+        out += esc;
+      } else {
+        out += c;
+      }
+    }
+    out += " " + std::to_string(l.ssd) + " " + std::to_string(l.offset) + " " +
+           std::to_string(l.value_len) + "\n";
+  }
+  return out;
+}
+
+// Keys of 0-40 bytes drawn from a few shared 16-byte stems, so many keys
+// tie on the stored prefix and order by length and tail; bytes include NUL
+// and 0xff, which the prefix words must order as unsigned.
+TEST(RangeIndexTest, RandomizedAgainstMapOracle) {
+  Rng rng(testutil::TestSeed(0x1dea));
+  const std::string alphabet("\x00\x01a\x7f\x80\xfe\xff", 7);
+  std::vector<std::string> stems;
+  for (int i = 0; i < 6; ++i) {
+    std::string stem;
+    for (int b = 0; b < 16; ++b) stem += alphabet[rng.NextBounded(alphabet.size())];
+    stems.push_back(stem);
+  }
+  auto random_key = [&] {
+    const size_t len = rng.NextBounded(41);
+    std::string k = stems[rng.NextBounded(stems.size())].substr(0, len);
+    while (k.size() < len) k += alphabet[rng.NextBounded(alphabet.size())];
+    return k;
+  };
+  auto random_loc = [&] {
+    return RangeIndex::ValueLoc{static_cast<uint8_t>(rng.NextBounded(4)),
+                                rng.NextBounded(1 << 30),
+                                static_cast<uint32_t>(rng.NextBounded(4096))};
+  };
+
+  RangeIndex index;
+  std::map<std::string, RangeIndex::ValueLoc> oracle;
+  for (int op = 0; op < 20000; ++op) {
+    const std::string key = random_key();
+    const uint64_t dice = rng.NextBounded(10);
+    if (dice < 5) {
+      const RangeIndex::ValueLoc loc = random_loc();
+      const bool fresh = !oracle.contains(key);
+      ASSERT_EQ(index.Upsert(key, loc), fresh) << op;
+      oracle[key] = loc;
+    } else if (dice < 8) {
+      ASSERT_EQ(index.Erase(key), oracle.erase(key) == 1) << op;
+    } else if (dice < 9) {
+      // Repair from the current location succeeds; from any other fails.
+      auto it = oracle.find(key);
+      const RangeIndex::ValueLoc to = random_loc();
+      if (it != oracle.end() && rng.NextBounded(2) == 0) {
+        ASSERT_TRUE(index.Repair(key, it->second, to)) << op;
+        it->second = to;
+      } else {
+        const RangeIndex::ValueLoc other{9, 1ull << 40, 1};
+        ASSERT_FALSE(index.Repair(key, other, to)) << op;
+      }
+    } else {
+      // VisitFrom a random start yields the oracle's lower_bound run.
+      const uint32_t limit = 1 + static_cast<uint32_t>(rng.NextBounded(20));
+      std::vector<std::pair<std::string, RangeIndex::ValueLoc>> got;
+      index.VisitFrom(key, [&](std::string_view k, const RangeIndex::ValueLoc& l) {
+        got.emplace_back(std::string(k), l);
+        return got.size() < limit;
+      });
+      auto it = oracle.lower_bound(key);
+      for (const auto& [k, l] : got) {
+        ASSERT_TRUE(it != oracle.end()) << op;
+        ASSERT_EQ(k, it->first) << op;
+        ASSERT_TRUE(l == it->second) << op;
+        ++it;
+      }
+      if (got.size() < limit) {
+        ASSERT_TRUE(it == oracle.end()) << op;
+      }
+    }
+    auto found = index.Find(key);
+    auto want = oracle.find(key);
+    ASSERT_EQ(found.has_value(), want != oracle.end()) << op;
+    if (found) {
+      ASSERT_TRUE(*found == want->second) << op;
+    }
+    ASSERT_EQ(index.size(), oracle.size());
+    if (op % 500 == 0) {
+      ASSERT_TRUE(index.CheckInvariants()) << op;
+      ASSERT_EQ(index.DebugDump(), OracleDump(oracle)) << op;
+    }
+  }
+  EXPECT_GT(index.height(), 2);  // splits and pruning at several levels
+  EXPECT_TRUE(index.CheckInvariants());
+  EXPECT_EQ(index.DebugDump(), OracleDump(oracle));
+  // Erase everything (no rebalancing: the empty tree may keep its depth).
+  for (const auto& [k, l] : oracle) ASSERT_TRUE(index.Erase(k));
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_TRUE(index.CheckInvariants());
+  EXPECT_EQ(index.DebugDump(), "");
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ class NodeProtocolTest : public ::testing::Test {
     sim_.Run();
   }
 
-  std::vector<cluster::VNodeId> ChainFor(const std::string& key) {
+  cluster::Chain ChainFor(const std::string& key) {
     return view_.ChainForKey(key);
   }
 
@@ -132,7 +132,6 @@ class NodeProtocolTest : public ::testing::Test {
 TEST_F(NodeProtocolTest, WriteReplicatesThroughChainAndAcksBackward) {
   EXPECT_EQ(DoPut("alpha", testutil::TestValue(1, 64)), StatusCode::kOk);
   sim_.Run();  // let backward acks apply at head/mid
-  auto chain = ChainFor("alpha");
   // Each chain member counted the traversing write; the tail committed.
   uint64_t commits = 0, writes = 0, acks = 0;
   for (auto& n : nodes_) {
@@ -157,7 +156,7 @@ TEST_F(NodeProtocolTest, WrongHopNacks) {
   msg.req_id = next_req_id_++;
   msg.op = engine::OpType::kPut;
   msg.key = "beta";
-  msg.value = {1};
+  msg.value = std::vector<uint8_t>{1};
   msg.vnode = chain[1];  // mid node addressed as if it were the head
   msg.hop = 0;
   msg.reply_to = client_ep_;

@@ -401,8 +401,8 @@ TEST(RangeIndexShadowModel, OrderedViewMatchesOracleThroughCompactionSwapWrap) {
   auto check_against_oracle = [&](int op) {
     std::vector<std::string> indexed;
     ds.range_index().Visit(
-        [&](const std::string& k, const store::RangeIndex::ValueLoc&) {
-          indexed.push_back(k);
+        [&](std::string_view k, const store::RangeIndex::ValueLoc&) {
+          indexed.emplace_back(k);
         });
     ASSERT_TRUE(std::is_sorted(indexed.begin(), indexed.end()))
         << "op " << op << " seed " << seed;
@@ -416,8 +416,8 @@ TEST(RangeIndexShadowModel, OrderedViewMatchesOracleThroughCompactionSwapWrap) {
     std::string start = "rk" + std::to_string(rng.NextBounded(64));
     std::vector<std::string> suffix;
     ds.range_index().VisitFrom(
-        start, [&](const std::string& k, const store::RangeIndex::ValueLoc&) {
-          suffix.push_back(k);
+        start, [&](std::string_view k, const store::RangeIndex::ValueLoc&) {
+          suffix.emplace_back(k);
           return suffix.size() < 8;
         });
     auto it = oracle.lower_bound(start);
@@ -493,7 +493,8 @@ TEST(RangeIndexShadowModel, OrderedViewMatchesOracleThroughCompactionSwapWrap) {
   // compare bytes against the oracle (locations repaired by compaction and
   // merge-back still point at live value-log entries).
   ds.range_index().Visit(
-      [&](const std::string& k, const store::RangeIndex::ValueLoc&) {
+      [&](std::string_view key, const store::RangeIndex::ValueLoc&) {
+        const std::string k(key);
         std::vector<uint8_t> out;
         ASSERT_TRUE(testutil::SyncGet(sim, ds, k, &out).ok())
             << k << " seed " << seed;

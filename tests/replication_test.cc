@@ -47,7 +47,7 @@ PendingWrite MakeWrite(uint64_t id, const std::string& key) {
   PendingWrite w;
   w.write_id = id;
   w.key = key;
-  w.value = {1, 2, 3};
+  w.value = std::vector<uint8_t>{1, 2, 3};
   return w;
 }
 
@@ -119,6 +119,21 @@ TEST(ReplicaStateTest, AppliedWindowEvictsOldest) {
   // Duplicate marks do not double-insert into the eviction order.
   rep.MarkApplied(n - 1);
   EXPECT_TRUE(rep.SeenApplied(100));
+}
+
+TEST(ReplicaStateTest, AppliedWindowBoundaryEvictsExactlyTheOldest) {
+  constexpr uint64_t kW = ReplicaState::kAppliedWindow;
+  ReplicaState rep;
+  const uint64_t base = 7ull << 40;  // write ids carry the node in the top bits
+  for (uint64_t i = 0; i < kW; ++i) rep.MarkApplied(base + i);
+  EXPECT_TRUE(rep.SeenApplied(base));  // exactly full: nothing evicted yet
+  // Id N + window evicts id N, and only it.
+  for (uint64_t n = 0; n < 3; ++n) {
+    rep.MarkApplied(base + kW + n);
+    EXPECT_FALSE(rep.SeenApplied(base + n)) << n;
+    EXPECT_TRUE(rep.SeenApplied(base + n + 1)) << n;
+    EXPECT_TRUE(rep.SeenApplied(base + kW + n)) << n;
+  }
 }
 
 TEST(ReplicaStateTest, FillTrackingRecordsOnlyWhileActive) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -143,6 +145,67 @@ TEST(SimulatorTest, StaleIdCannotCancelSlotReuser) {
   EXPECT_FALSE(s.Cancel(a));  // stale id aims at b's slot but wrong gen
   s.Run();
   EXPECT_EQ(fired, 1);  // b survived
+}
+
+// A client-like load: a window of ops, each arming a timeout that the op's
+// completion almost always cancels. Returns the dispatch order of the
+// events that did something (op i completing: i; its timeout firing: -i-1).
+// With `cancel` false the timeouts are never cancelled, only disarmed, so
+// every one of them runs as a no-op: the reference order. Every completion
+// also checks that dead entries stay bounded.
+std::vector<int> TimeoutChurn(bool cancel, size_t* max_heap_excess) {
+  Simulator s;
+  std::vector<int> order;
+  uint64_t rng = 12345;
+  auto next = [&rng](uint64_t mod) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return (rng >> 33) % mod;
+  };
+  constexpr int kOps = 20000;
+  constexpr int kWindow = 64;
+  int started = 0;
+  std::vector<char> disarmed(kOps, 0);
+  std::function<void()> start = [&] {
+    const int i = started++;
+    // Mostly quick completions (with same-instant ties), sometimes one
+    // slow enough for its timeout to fire first.
+    const SimTime work = next(100) == 0 ? 3000 + next(500) : next(8);
+    const EventId timeout = s.Schedule(1000 + next(4), [&order, &disarmed, i] {
+      if (!disarmed[i]) order.push_back(-i - 1);
+    });
+    s.Schedule(work, [&, i, timeout] {
+      order.push_back(i);
+      if (cancel) {
+        s.Cancel(timeout);
+      } else {
+        disarmed[i] = 1;
+      }
+      if (s.heap_size() > 2 * s.events_pending() + Simulator::kPurgeFloor) {
+        *max_heap_excess = std::max(
+            *max_heap_excess,
+            s.heap_size() - 2 * s.events_pending() - Simulator::kPurgeFloor);
+      }
+      if (started < kOps) start();
+    });
+  };
+  for (int w = 0; w < kWindow; ++w) start();
+  s.Run();
+  EXPECT_EQ(started, kOps);
+  return order;
+}
+
+TEST(SimulatorTest, CancelHeavyHeapStaysBoundedAndOrderIsExact) {
+  size_t excess = 0;
+  const std::vector<int> cancelled = TimeoutChurn(true, &excess);
+  EXPECT_EQ(excess, 0u) << "dead heap entries outgrew 2 x live + floor";
+  size_t ignored = 0;
+  const std::vector<int> reference = TimeoutChurn(false, &ignored);
+  ASSERT_EQ(cancelled.size(), reference.size());
+  EXPECT_EQ(cancelled, reference);
+  // The load really did keep timeouts armed past completion.
+  EXPECT_GT(std::count_if(cancelled.begin(), cancelled.end(),
+                          [](int v) { return v < 0; }),
+            0);
 }
 
 TEST(SimulatorTest, DaemonEventsDoNotKeepRunAlive) {
