@@ -6,7 +6,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "baselines/btree_index.h"
 #include "common/crc32.h"
 #include "common/hash.h"
 #include "common/histogram.h"
@@ -15,6 +14,7 @@
 #include "engine/spsc_ring.h"
 #include "sim/simulator.h"
 #include "store/format.h"
+#include "store/range_index.h"
 
 namespace leed {
 namespace {
@@ -130,10 +130,10 @@ void BM_SpscRingPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscRingPushPop);
 
-void BM_BTreeFind(benchmark::State& state) {
-  baselines::BTreeIndex tree;
+void BM_RangeIndexFind(benchmark::State& state) {
+  store::RangeIndex tree;
   for (int i = 0; i < 100000; ++i) {
-    tree.Insert("user" + std::to_string(i), {static_cast<uint64_t>(i), 0});
+    tree.Upsert("user" + std::to_string(i), {0, static_cast<uint64_t>(i), 0});
   }
   Rng rng(3);
   for (auto _ : state) {
@@ -141,7 +141,7 @@ void BM_BTreeFind(benchmark::State& state) {
         tree.Find("user" + std::to_string(rng.NextBounded(100000))));
   }
 }
-BENCHMARK(BM_BTreeFind);
+BENCHMARK(BM_RangeIndexFind);
 
 void BM_SimulatorEventLoop(benchmark::State& state) {
   for (auto _ : state) {

@@ -108,7 +108,7 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
         sim::IoRequest req;
         req.type = sim::IoType::kRead;
         req.pattern = sim::IoPattern::kRandom;
-        req.offset = SlotOffset(loc->slot);
+        req.offset = SlotOffset(loc->offset);
         req.length = slot_bytes_;
         device_.Submit(std::move(req), [this, shared](sim::IoResult r) {
           core_.Run(Cycles(config_.costs.complete),
@@ -150,7 +150,7 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
         uint64_t slot;
         auto loc = index_.Find(shared->key);
         if (loc) {
-          slot = loc->slot;  // in-place update
+          slot = loc->offset;  // in-place update
         } else if (!free_slots_.empty()) {
           slot = free_slots_.back();
           free_slots_.pop_back();
@@ -177,7 +177,7 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
           core_.Run(Cycles(config_.costs.complete),
                     [this, shared, slot, st = std::move(r.status)]() mutable {
             if (st.ok()) {
-              index_.Insert(shared->key, BTreeIndex::Location{slot, slot_bytes_});
+              index_.Upsert(shared->key, {0, slot, slot_bytes_});
             }
             shared->op_cb(std::move(st));
             Finish();
@@ -195,7 +195,7 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
           });
           return;
         }
-        uint64_t slot = loc->slot;
+        uint64_t slot = loc->offset;
         index_.Erase(shared->key);
         free_slots_.push_back(slot);
         // KVell persists the freelist lazily; the in-place tombstone write

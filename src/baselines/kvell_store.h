@@ -4,7 +4,7 @@
 // Faithful properties:
 //   * shared-nothing: one KvellStore per core, no cross-partition
 //     synchronization;
-//   * in-memory sorted B+-tree index (btree_index.h) mapping key ->
+//   * in-memory sorted B+-tree index (store/range_index.h) mapping key ->
 //     fixed-size slot; the per-op index cost in cycles is the calibration
 //     constant that makes KVell CPU-bound on ARM (Table 3) while the wide
 //     Xeon divides it by its ipc factor;
@@ -24,11 +24,11 @@
 #include <string>
 #include <vector>
 
-#include "baselines/btree_index.h"
 #include "common/status.h"
 #include "sim/block_device.h"
 #include "sim/cpu_model.h"
 #include "sim/simulator.h"
+#include "store/range_index.h"
 
 namespace leed::baselines {
 
@@ -75,7 +75,7 @@ class KvellStore {
   void Del(std::string key, OpCallback callback);
 
   const KvellStats& stats() const { return stats_; }
-  const BTreeIndex& index() const { return index_; }
+  const store::RangeIndex& index() const { return index_; }
   size_t queue_depth() const { return queue_.size(); }
   uint64_t slots_in_use() const { return next_slot_ - free_slots_.size(); }
 
@@ -111,7 +111,7 @@ class KvellStore {
   KvellConfig config_;
   uint32_t slot_bytes_;
 
-  BTreeIndex index_;
+  store::RangeIndex index_;  // slot number in ValueLoc::offset
   std::vector<uint64_t> free_slots_;
   uint64_t next_slot_ = 0;
 

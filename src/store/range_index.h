@@ -1,10 +1,10 @@
 // DRAM range index (ordered view over the key log).
 //
 // LEED's hash layout (SegTbl + bucket chains) answers point ops in 2/3/2
-// NVMe accesses but cannot answer range queries. This B+-tree — promoted
-// from the KVell baseline's `baselines::BTreeIndex` substrate — keeps a
+// NVMe accesses but cannot answer range queries. This B+-tree keeps a
 // sorted key -> value-log-location map in DRAM alongside SegTbl, following
-// KVell's sorted-in-DRAM / unsorted-on-SSD split:
+// KVell's sorted-in-DRAM / unsorted-on-SSD split (the KVell baseline keys
+// its slots with the same tree):
 //
 //   * PUT/DEL maintain it at commit time (upsert / erase-on-tombstone),
 //   * recovery rebuilds it from a full bucket scan of the recovered SegTbl,

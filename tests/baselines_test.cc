@@ -1,17 +1,13 @@
-// Tests for the FAWN and KVell baseline stores and the B+-tree index.
+// Tests for the FAWN and KVell baseline stores.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "baselines/btree_index.h"
 #include "baselines/executor.h"
 #include "baselines/fawn_store.h"
 #include "baselines/kvell_store.h"
-#include "common/rand.h"
 #include "sim/block_device.h"
 #include "sim/cpu_model.h"
 #include "sim/simulator.h"
@@ -24,85 +20,6 @@ using testutil::SyncDel;
 using testutil::SyncGet;
 using testutil::SyncPut;
 using testutil::TestValue;
-
-// ---------------------------------------------------------------------------
-// B+-tree
-// ---------------------------------------------------------------------------
-
-TEST(BTreeTest, InsertFindErase) {
-  BTreeIndex tree;
-  EXPECT_TRUE(tree.Insert("b", {2, 0}));
-  EXPECT_TRUE(tree.Insert("a", {1, 0}));
-  EXPECT_FALSE(tree.Insert("a", {9, 0}));  // overwrite, not new
-  ASSERT_TRUE(tree.Find("a").has_value());
-  EXPECT_EQ(tree.Find("a")->slot, 9u);
-  EXPECT_FALSE(tree.Find("c").has_value());
-  EXPECT_TRUE(tree.Erase("a"));
-  EXPECT_FALSE(tree.Erase("a"));
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(BTreeTest, ManyKeysSplitAndStaySorted) {
-  BTreeIndex tree;
-  constexpr int kN = 5000;
-  for (int i = 0; i < kN; ++i) {
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "k%06d", (i * 2654435761u) % kN);
-    tree.Insert(buf, {static_cast<uint64_t>(i), 0});
-  }
-  EXPECT_GT(tree.height(), 2);
-  EXPECT_TRUE(tree.CheckInvariants());
-  std::string prev;
-  size_t visited = 0;
-  tree.Visit([&](std::string_view k, BTreeIndex::Location) {
-    if (visited > 0) {
-      EXPECT_LT(prev, std::string(k));
-    }
-    prev = std::string(k);
-    ++visited;
-  });
-  EXPECT_EQ(visited, tree.size());
-}
-
-TEST(BTreeTest, RandomizedAgainstStdMap) {
-  BTreeIndex tree;
-  std::map<std::string, uint64_t> ref;
-  Rng rng(99);
-  for (int i = 0; i < 20000; ++i) {
-    std::string key = "key" + std::to_string(rng.NextBounded(3000));
-    switch (rng.NextBounded(3)) {
-      case 0: {
-        uint64_t v = rng.Next();
-        tree.Insert(key, {v, 0});
-        ref[key] = v;
-        break;
-      }
-      case 1: {
-        auto found = tree.Find(key);
-        auto rit = ref.find(key);
-        EXPECT_EQ(found.has_value(), rit != ref.end());
-        if (found && rit != ref.end()) {
-          EXPECT_EQ(found->slot, rit->second);
-        }
-        break;
-      }
-      case 2:
-        EXPECT_EQ(tree.Erase(key), ref.erase(key) > 0);
-        break;
-    }
-  }
-  EXPECT_EQ(tree.size(), ref.size());
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(BTreeTest, EraseDownToEmpty) {
-  BTreeIndex tree;
-  for (int i = 0; i < 1000; ++i) tree.Insert("k" + std::to_string(i), {0, 0});
-  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(tree.Erase("k" + std::to_string(i)));
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_FALSE(tree.Find("k1").has_value());
-  EXPECT_TRUE(tree.Insert("fresh", {1, 0}));
-}
 
 // ---------------------------------------------------------------------------
 // FAWN store

@@ -586,6 +586,10 @@ TEST(RangeIndexTest, RandomizedAgainstMapOracle) {
   EXPECT_EQ(index.size(), 0u);
   EXPECT_TRUE(index.CheckInvariants());
   EXPECT_EQ(index.DebugDump(), "");
+  // The emptied tree still answers lookups and takes new keys.
+  EXPECT_FALSE(index.Find(oracle.begin()->first).has_value());
+  EXPECT_TRUE(index.Upsert("fresh", random_loc()));
+  EXPECT_TRUE(index.CheckInvariants());
 }
 
 }  // namespace
