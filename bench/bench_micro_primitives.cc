@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot primitives on the real
 // host CPU: hashing, CRC-32, Zipf sampling, histogram recording, bucket
-// codec, SPSC ring, B+-tree, and the discrete-event loop itself. These bound the
+// codec, B+-tree, and the discrete-event loop itself. These bound the
 // simulator's own overhead and the per-op cost of the data structures a
 // SmartNIC core would actually execute.
 
@@ -11,7 +11,6 @@
 #include "common/histogram.h"
 #include "common/rand.h"
 #include "common/zipf.h"
-#include "engine/spsc_ring.h"
 #include "sim/simulator.h"
 #include "store/format.h"
 #include "store/range_index.h"
@@ -119,16 +118,6 @@ void BM_BucketViewFind(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BucketViewFind);
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  engine::SpscRing<uint64_t> ring(1024);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    ring.TryPush(i++);
-    benchmark::DoNotOptimize(ring.TryPop());
-  }
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 void BM_RangeIndexFind(benchmark::State& state) {
   store::RangeIndex tree;

@@ -51,8 +51,7 @@ Point RunE(uint32_t max_scan_len, bool json) {
   opt.warmup = run.warmup;
   opt.duration = run.duration;
   RunResult result = cluster.Run(gen, opt);
-  bench::MaybeWriteBenchJson(run.label, result, {},
-                             cluster.config().node.metrics_registry);
+  bench::MaybeWriteBenchJson(run.label, result, {}, cluster.registry());
   return Point{max_scan_len, std::move(result)};
 }
 

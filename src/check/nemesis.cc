@@ -36,7 +36,7 @@ ClusterConfig NemesisCluster(const NemesisOptions& opt, uint64_t seed,
   cfg.num_nodes = 3;
   cfg.num_clients = opt.num_clients;
   cfg.seed = seed;
-  // Never the process-wide defaults: seeds may run on parallel sweep
+  // Never the process-wide trace ring: seeds may run on parallel sweep
   // workers, so all observability state must be per-seed.
   cfg.node.metrics_registry = registry;
   cfg.node.trace = trace;

@@ -44,7 +44,7 @@ struct ControlPlaneConfig {
   bool monitor_heartbeats = true;
 
   // Observability: the control plane registers its instruments under
-  // "cluster.*" in `metrics_registry` (default: the process-wide registry)
+  // "cluster.*" in `metrics_registry` (null: a registry of its own)
   // and emits transition trace events to `trace`.
   obs::Registry* metrics_registry = nullptr;
   obs::TraceRing* trace = nullptr;

@@ -11,7 +11,6 @@ TokenPool::TokenPool(TokenConfig config)
       ewma_ns_(static_cast<double>(config.reference_latency_ns)) {}
 
 bool TokenPool::TryTake(uint32_t cost) {
-  MutexLock lock(&mu_);
   if (cost > available_) return false;
   available_ -= cost;
   outstanding_ += cost;
@@ -19,7 +18,6 @@ bool TokenPool::TryTake(uint32_t cost) {
 }
 
 void TokenPool::Refund(uint32_t cost) {
-  MutexLock lock(&mu_);
   cost = std::min(cost, outstanding_);
   outstanding_ -= cost;
   // Refund against the (possibly rescaled) capacity.
@@ -28,7 +26,6 @@ void TokenPool::Refund(uint32_t cost) {
 }
 
 void TokenPool::OnIoCompleted(SimTime latency_ns) {
-  MutexLock lock(&mu_);
   ewma_ns_ = config_.ewma_alpha * static_cast<double>(latency_ns) +
              (1.0 - config_.ewma_alpha) * ewma_ns_;
   Rescale();

@@ -13,8 +13,6 @@
 
 #include <cstdint>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/units.h"
 #include "engine/storage_service.h"
 
@@ -65,53 +63,35 @@ inline uint32_t ScanTokenCost(const TokenConfig& cfg, uint32_t items) {
   return cfg.get_cost * (units == 0 ? 1 : units);
 }
 
-// Internally synchronized: in the single-threaded simulator the lock is
-// uncontended (and cheap next to the event-queue work per command), and on
-// the multi-threaded road the ROADMAP points down, take/refund/rescale
-// from different cores is already safe. Lock discipline is verified by
-// clang's `-Wthread-safety`; see tests/concurrency_test.cc for the TSan
-// stress that exercises it for real.
 class TokenPool {
  public:
   explicit TokenPool(TokenConfig config);
 
   // Try to take `cost` tokens; false when the pool cannot cover it.
-  bool TryTake(uint32_t cost) EXCLUDES(mu_);
+  bool TryTake(uint32_t cost);
   // Return tokens after the command retires.
-  void Refund(uint32_t cost) EXCLUDES(mu_);
+  void Refund(uint32_t cost);
 
   // Feed a measured per-IO latency; rescales the pool capacity.
-  void OnIoCompleted(SimTime latency_ns) EXCLUDES(mu_);
+  void OnIoCompleted(SimTime latency_ns);
 
-  uint32_t available() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return available_;
-  }
-  uint32_t capacity() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return capacity_;
-  }
-  uint32_t in_use() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  uint32_t available() const { return available_; }
+  uint32_t capacity() const { return capacity_; }
+  uint32_t in_use() const {
     return capacity_ > available_ ? capacity_ - available_ : 0;
   }
-  double ewma_latency_us() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return ewma_ns_ / 1e3;
-  }
+  double ewma_latency_us() const { return ewma_ns_ / 1e3; }
 
-  // Immutable after construction; safe without the lock.
   const TokenConfig& config() const { return config_; }
 
  private:
-  void Rescale() REQUIRES(mu_);
+  void Rescale();
 
   const TokenConfig config_;
-  mutable Mutex mu_;
-  uint32_t capacity_ GUARDED_BY(mu_);
-  uint32_t available_ GUARDED_BY(mu_);
-  uint32_t outstanding_ GUARDED_BY(mu_) = 0;  // tokens held by commands
-  double ewma_ns_ GUARDED_BY(mu_);
+  uint32_t capacity_;
+  uint32_t available_;
+  uint32_t outstanding_ = 0;  // tokens held by commands
+  double ewma_ns_;
 };
 
 }  // namespace leed::engine

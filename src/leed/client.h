@@ -159,6 +159,7 @@ class Client {
   sim::EndpointId cp_endpoint_;
   const std::map<uint32_t, sim::EndpointId>* node_endpoints_;
   ClientConfig config_;
+  obs::Scope scope_;  // "<metrics_prefix>", used only when that is non-empty
   sim::EndpointId endpoint_;
 
   cluster::ClusterView view_;

@@ -7,7 +7,12 @@
 
 namespace leed {
 
-ClusterSim::ClusterSim(ClusterConfig config) : config_(std::move(config)) {
+ClusterSim::ClusterSim(ClusterConfig config)
+    : owned_registry_(config.node.metrics_registry
+                          ? nullptr
+                          : std::make_unique<obs::Registry>()),
+      config_(std::move(config)) {
+  if (owned_registry_) config_.node.metrics_registry = owned_registry_.get();
   sim_ = std::make_unique<sim::Simulator>();
   net_ = std::make_unique<Network>(*sim_);
   // Fabric counters live beside the per-node trees: "net.*" in the same

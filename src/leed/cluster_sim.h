@@ -120,6 +120,9 @@ class ClusterSim {
   Client& client(uint32_t i) { return *clients_[i]; }
   uint32_t num_clients() const { return static_cast<uint32_t>(clients_.size()); }
   const ClusterConfig& config() const { return config_; }
+  // Where every component registers: config().node.metrics_registry when
+  // the caller set one, else a registry this cluster owns.
+  obs::Registry& registry() const { return *config_.node.metrics_registry; }
   // Non-null iff ClusterConfig::record_history was set.
   const check::HistoryLog* history() const { return history_.get(); }
   check::HistoryLog* mutable_history() { return history_.get(); }
@@ -135,6 +138,7 @@ class ClusterSim {
   // empty for baseline stacks. Owned here so they outlive node objects.
   std::vector<sim::SimSsd*> NodeDevices(uint32_t node_id);
 
+  std::unique_ptr<obs::Registry> owned_registry_;  // outlives every handle
   ClusterConfig config_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<Network> net_;

@@ -78,7 +78,7 @@ struct NodeConfig {
   uint32_t max_internal_retries = 16;
 
   // Observability: the node registers its instruments as "node<id>.*" in
-  // `metrics_registry` (default: the process-wide registry) and rewrites
+  // `metrics_registry` (null: a registry of the node's own) and rewrites
   // the engine's scope to "node<id>.engine.*". Trace events go to `trace`.
   obs::Registry* metrics_registry = nullptr;
   obs::TraceRing* trace = nullptr;

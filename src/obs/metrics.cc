@@ -83,34 +83,28 @@ const Registry::Instrument* Registry::Find(const std::string& name) const {
 }
 
 Counter* Registry::GetCounter(const std::string& name) {
-  MutexLock lock(&mu_);
   return Resolve(name, InstrumentKind::kCounter).counter.get();
 }
 
 Gauge* Registry::GetGauge(const std::string& name) {
-  MutexLock lock(&mu_);
   return Resolve(name, InstrumentKind::kGauge).gauge.get();
 }
 
 Histogram* Registry::GetHistogram(const std::string& name) {
-  MutexLock lock(&mu_);
   return Resolve(name, InstrumentKind::kHistogram).histogram.get();
 }
 
 const Counter* Registry::FindCounter(const std::string& name) const {
-  MutexLock lock(&mu_);
   const Instrument* inst = Find(name);
   return inst ? inst->counter.get() : nullptr;
 }
 
 const Gauge* Registry::FindGauge(const std::string& name) const {
-  MutexLock lock(&mu_);
   const Instrument* inst = Find(name);
   return inst ? inst->gauge.get() : nullptr;
 }
 
 const Histogram* Registry::FindHistogram(const std::string& name) const {
-  MutexLock lock(&mu_);
   const Instrument* inst = Find(name);
   return inst ? inst->histogram.get() : nullptr;
 }
@@ -128,7 +122,6 @@ double Registry::GaugeValue(const std::string& name) const {
 void Registry::ResetAll() { ResetPrefix(""); }
 
 void Registry::ResetPrefix(const std::string& prefix) {
-  MutexLock lock(&mu_);
   for (auto it = prefix.empty() ? instruments_.begin()
                                 : instruments_.lower_bound(prefix);
        it != instruments_.end(); ++it) {
@@ -153,7 +146,6 @@ std::string Registry::SnapshotJson() const {
   // std::map iteration is name-sorted, which makes the snapshot
   // byte-deterministic for a given registry state — the property the CI
   // diff gates (including the bit-exact replay gate) depend on.
-  MutexLock lock(&mu_);
   std::string counters, gauges, histograms;
   for (const auto& [name, inst] : instruments_) {
     switch (inst.kind) {
@@ -206,11 +198,6 @@ bool Registry::WriteJsonFile(const std::string& path) const {
   const std::string json = SnapshotJson();
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   return std::fclose(f) == 0 && ok;
-}
-
-Registry& Registry::Default() {
-  static Registry* instance = new Registry();  // leaked: outlives all users
-  return *instance;
 }
 
 std::map<std::string, uint64_t> ParseSnapshotCounters(const std::string& json) {

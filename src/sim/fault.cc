@@ -280,22 +280,22 @@ Result<FaultPlan> ParseFaultPlan(const std::string& text) {
 FaultInjector::FaultInjector(Simulator& sim, uint64_t seed,
                              obs::Registry* registry, obs::TraceRing* trace)
     : sim_(sim),
+      scope_(registry, "faults"),
       trace_(trace ? trace : &obs::TraceRing::Default()),
       net_(SplitMix64(seed ^ 0xfa017eedULL).Next(), &counters_) {
-  obs::Scope scope(registry, "faults");
-  scope.ResetInstruments();
-  counters_.dev_dead = scope.GetCounter("dev.dead");
-  counters_.dev_read_errors = scope.GetCounter("dev_read_errors");
-  counters_.dev_write_errors = scope.GetCounter("dev_write_errors");
-  counters_.dev_torn_writes = scope.GetCounter("dev_torn_writes");
-  counters_.dev_latency_spikes = scope.GetCounter("dev_latency_spikes");
-  counters_.dev_crash_dropped = scope.GetCounter("dev_crash_dropped");
-  counters_.net_drops_injected = scope.GetCounter("net_drops_injected");
-  counters_.net_dups = scope.GetCounter("net_dups");
-  counters_.net_delays = scope.GetCounter("net_delays");
-  counters_.net_partition_drops = scope.GetCounter("net_partition_drops");
-  counters_.node_crashes = scope.GetCounter("node_crashes");
-  counters_.node_restarts = scope.GetCounter("node_restarts");
+  scope_.ResetInstruments();
+  counters_.dev_dead = scope_.GetCounter("dev.dead");
+  counters_.dev_read_errors = scope_.GetCounter("dev_read_errors");
+  counters_.dev_write_errors = scope_.GetCounter("dev_write_errors");
+  counters_.dev_torn_writes = scope_.GetCounter("dev_torn_writes");
+  counters_.dev_latency_spikes = scope_.GetCounter("dev_latency_spikes");
+  counters_.dev_crash_dropped = scope_.GetCounter("dev_crash_dropped");
+  counters_.net_drops_injected = scope_.GetCounter("net_drops_injected");
+  counters_.net_dups = scope_.GetCounter("net_dups");
+  counters_.net_delays = scope_.GetCounter("net_delays");
+  counters_.net_partition_drops = scope_.GetCounter("net_partition_drops");
+  counters_.node_crashes = scope_.GetCounter("node_crashes");
+  counters_.node_restarts = scope_.GetCounter("node_restarts");
 }
 
 DeviceFaults* FaultInjector::AddDevice(const DeviceFaultSpec& spec,

@@ -229,7 +229,8 @@ Result<FaultPlan> ParseFaultPlan(const std::string& text);
 
 class FaultInjector {
  public:
-  // `registry`/`trace` default to the process-wide instances. `seed`
+  // Counters register as "faults.*" in `registry` (null: a registry of
+  // the injector's own); `trace` defaults to the process-wide ring. `seed`
   // drives the network-fault Rng (device Rngs get their own seeds at
   // AddDevice so they stay stable as devices come and go).
   FaultInjector(Simulator& sim, uint64_t seed,
@@ -268,6 +269,7 @@ class FaultInjector {
 
  private:
   Simulator& sim_;
+  obs::Scope scope_;
   obs::TraceRing* trace_;
   FaultCounters counters_;
   NetFaults net_;

@@ -20,7 +20,7 @@ TaskPool::TaskPool(uint32_t jobs) : jobs_(jobs == 0 ? 1 : jobs) {
 
 TaskPool::~TaskPool() {
   {
-    MutexLock lock(&mu_);
+    std::lock_guard lock(mu_);
     shutdown_ = true;
   }
   round_start_.notify_all();
@@ -39,16 +39,14 @@ void TaskPool::WorkerLoop() {
   uint64_t seen_round = 0;
   for (;;) {
     {
-      // Plain wait loop (no predicate lambda): every guarded access sits
-      // lexically inside the MutexLock scope, where the analysis can see
-      // the capability is held.
-      MutexLock lock(&mu_);
-      while (!shutdown_ && round_ == seen_round) round_start_.wait(mu_);
+      std::unique_lock lock(mu_);
+      round_start_.wait(lock,
+                        [&] { return shutdown_ || round_ != seen_round; });
       if (shutdown_) return;
       seen_round = round_;
     }
     DrainCursor();
-    MutexLock lock(&mu_);
+    std::lock_guard lock(mu_);
     if (++workers_done_ + 1 == jobs_) round_done_.notify_all();
   }
 }
@@ -60,7 +58,7 @@ void TaskPool::Run(uint32_t count, const std::function<void(uint32_t)>& task) {
     return;
   }
   {
-    MutexLock lock(&mu_);
+    std::lock_guard lock(mu_);
     count_ = count;
     task_ = &task;
     workers_done_ = 0;
@@ -71,8 +69,8 @@ void TaskPool::Run(uint32_t count, const std::function<void(uint32_t)>& task) {
   // The caller is worker zero: it drains the same cursor, so a pool of J
   // never leaves the calling core idle while J-1 workers grind.
   DrainCursor();
-  MutexLock lock(&mu_);
-  while (workers_done_ + 1 != jobs_) round_done_.wait(mu_);
+  std::unique_lock lock(mu_);
+  round_done_.wait(lock, [&] { return workers_done_ + 1 == jobs_; });
   task_ = nullptr;
 }
 

@@ -4,7 +4,7 @@
 // replay comparisons, multi-seed benches — runs N *independent* simulations
 // that only ever meet again at the report. That is embarrassingly parallel,
 // as long as each job is self-contained: its own sim::Simulator, its own
-// obs::Registry and obs::TraceRing (never the process-wide defaults), its
+// obs::Registry and obs::TraceRing (never the process-wide trace ring), its
 // own output files. The driver here supplies the thread pool and the
 // determinism discipline:
 //
@@ -28,11 +28,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace leed::sim {
 
@@ -48,9 +46,7 @@ uint32_t ResolveJobs(uint32_t requested);
 //
 // Synchronization here is intentionally boring (one mutex + two condvars):
 // a sweep round is milliseconds-to-seconds of simulation per index, so
-// wakeup latency is noise. The mutex is a leed::Mutex so clang's
-// thread-safety analysis proves the round-state lock discipline; the
-// condvars are condition_variable_any, which can wait on it directly.
+// wakeup latency is noise.
 class TaskPool {
  public:
   explicit TaskPool(uint32_t jobs);
@@ -74,16 +70,15 @@ class TaskPool {
   const uint32_t jobs_;
   std::vector<std::thread> workers_;
 
-  Mutex mu_;
-  std::condition_variable_any round_start_;
-  std::condition_variable_any round_done_;
-  uint64_t round_ GUARDED_BY(mu_) = 0;  // bumped per Run(); workers wake on change
-  bool shutdown_ GUARDED_BY(mu_) = false;
-  // Round-stable, deliberately NOT guarded: written under mu_ by Run()
-  // before the round_ bump publishes the round, then only *read* by
-  // workers until the round completes — the mutex handoff on round_ is the
-  // happens-before edge. Annotating them GUARDED_BY would outlaw exactly
-  // the lock-free reads the round protocol exists to permit.
+  std::mutex mu_;
+  std::condition_variable round_start_;
+  std::condition_variable round_done_;
+  // Guarded by mu_.
+  uint64_t round_ = 0;  // bumped per Run(); workers wake on change
+  bool shutdown_ = false;
+  // Round-stable: written under mu_ by Run() before the round_ bump
+  // publishes the round, then only *read* by workers until the round
+  // completes — the mutex handoff on round_ is the happens-before edge.
   uint32_t count_ = 0;
   const std::function<void(uint32_t)>* task_ = nullptr;
   std::atomic<uint32_t> cursor_{0};
@@ -91,7 +86,7 @@ class TaskPool {
   // round, and Run() returns only once all of them have left it (by then
   // the cursor is dry, so every index ran): no straggler can still be
   // reading count_/task_ when the next Run() rewrites them.
-  uint32_t workers_done_ GUARDED_BY(mu_) = 0;
+  uint32_t workers_done_ = 0;  // guarded by mu_
 };
 
 // One-shot convenience: run task(0..count-1) on up to `jobs` threads

@@ -9,7 +9,6 @@
 //  * CircularLog: contents survive arbitrary wrap patterns across region
 //    and entry-size combinations.
 //  * Histogram: percentile monotonicity and bounds across distributions.
-//  * SpscRing: FIFO + exactly-once across capacities.
 //  * Zipf: samples in range and monotone concentration across theta.
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "common/histogram.h"
 #include "common/rand.h"
 #include "common/zipf.h"
-#include "engine/spsc_ring.h"
 #include "log/circular_log.h"
 #include "sim/block_device.h"
 #include "sim/cpu_model.h"
@@ -305,38 +303,6 @@ TEST_P(HistogramSweep, PercentilesMonotoneAndBounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Distributions, HistogramSweep, ::testing::Range(0, 4));
-
-// ---------------------------------------------------------------------------
-// SpscRing exactly-once FIFO across capacities
-// ---------------------------------------------------------------------------
-
-class RingSweep : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(RingSweep, ExactlyOnceFifoUnderChurn) {
-  engine::SpscRing<uint64_t> ring(GetParam());
-  Rng rng(GetParam());
-  uint64_t pushed = 0, popped = 0;
-  for (int step = 0; step < 20000; ++step) {
-    if (rng.NextBool(0.55)) {
-      if (ring.TryPush(pushed + 0)) ++pushed;
-    } else {
-      auto v = ring.TryPop();
-      if (v) {
-        ASSERT_EQ(*v, popped);
-        ++popped;
-      }
-    }
-    ASSERT_LE(ring.Size(), ring.Capacity());
-  }
-  while (auto v = ring.TryPop()) {
-    ASSERT_EQ(*v, popped);
-    ++popped;
-  }
-  EXPECT_EQ(pushed, popped);
-}
-
-INSTANTIATE_TEST_SUITE_P(Capacities, RingSweep,
-                         ::testing::Values(1, 2, 3, 8, 64, 1000));
 
 // ---------------------------------------------------------------------------
 // Zipf concentration monotone in theta

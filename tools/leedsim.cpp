@@ -476,7 +476,7 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.metrics_out.empty()) {
-    if (!obs::Registry::Default().WriteJsonFile(opt.metrics_out)) {
+    if (!cluster.registry().WriteJsonFile(opt.metrics_out)) {
       std::fprintf(stderr, "failed to write metrics to '%s'\n",
                    opt.metrics_out.c_str());
       return 1;
