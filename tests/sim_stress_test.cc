@@ -2,10 +2,10 @@
 // interleaved Schedule/Cancel/daemon churn asserting events_pending()
 // invariants, FIFO tie-breaking, slab-growth bounds, and id-reuse safety.
 //
-// Companion to tests/concurrency_test.cc: the simulator is single-threaded
-// by contract, so the hazards here are not data races but lifetime races —
-// slots recycled while stale heap entries are still queued, the slab
-// relocating mid-dispatch, cancels aimed at ids whose slot was reused.
+// The simulator is single-threaded by contract, so the hazards here are
+// not data races but lifetime races — slots recycled while stale heap
+// entries are still queued, the slab relocating mid-dispatch, cancels
+// aimed at ids whose slot was reused.
 // Runs under the ASan/UBSan and TSan CI jobs like every other test, where
 // a use-after-free in the slab or callable storage is a hard failure.
 
