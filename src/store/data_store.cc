@@ -151,7 +151,7 @@ void DataStore::FastGet(std::string key, GetCallback callback) {
   const SegmentEntry& e = segtbl_.At(op->segment);
   // Fixed offload-engine latency, then straight to the device read; no
   // op_dispatch charge and no core queueing.
-  sim_.Schedule(config_.offload_engine_ns,
+  sim_.Schedule(kOffloadEngineNs,
                 [this, op, ssd = e.ssd, off = e.offset] {
                   GetReadBucket(op, ssd, off, 1);
                 });
@@ -299,7 +299,7 @@ void DataStore::GetFound(std::shared_ptr<GetOp> op, const KeyItem& item) {
 }
 
 void DataStore::GetRetry(std::shared_ptr<GetOp> op) {
-  if (++op->attempts > config_.max_get_retries) {
+  if (++op->attempts > kMaxGetRetries) {
     GetFinish(op, Status::Internal("GET retry budget exhausted"), {});
     return;
   }
@@ -712,7 +712,7 @@ void DataStore::ScanFetchStep(std::shared_ptr<ScanOp> op) {
     ScanFinish(op, Status::Ok());
     return;
   }
-  if (op->in_step >= config_.scan_step_items) {
+  if (op->in_step >= kScanStepItems) {
     // Yield so queued point ops interleave with a long scan.
     op->in_step = 0;
     sim_.Schedule(0, [this, op] { ScanFetchStep(op); });
@@ -784,7 +784,7 @@ void DataStore::Scan(std::string start_key, uint32_t limit, ScanCallback callbac
       std::vector<ScanLoc> snapshot = ScanKeys(start_key, limit);
       ScanFetch(std::move(snapshot),
                 [this, callback, attempt, self](Status st, std::vector<ScanItem> items) {
-                  if (st.IsBusy() && ++*attempt <= config_.max_get_retries) {
+                  if (st.IsBusy() && ++*attempt <= kMaxGetRetries) {
                     (*self)();
                     return;
                   }

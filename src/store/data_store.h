@@ -84,17 +84,8 @@ struct StoreConfig {
   uint64_t compaction_chunk = 256 * 1024;  // bytes of log head per run
   uint32_t subcompactions = 8;         // S-way intra-parallelism (Fig 13a)
   bool prefetch = true;                // prefetch run N+1's chunk during N
-  uint32_t max_get_retries = 4;
-  // SCAN fetch pacing: a scan reads its values one at a time, and after
-  // this many reads it yields to the event loop, so long scans interleave
-  // with point ops deterministically (as CopyOut yields per segment).
-  uint32_t scan_step_items = 8;
   CpuCosts costs;
   double ipc_factor = 1.0;
-  // Fixed latency of the host-bypass offload engine (Scalio-style): the NIC
-  // hardware path that resolves an index-hit GET without touching a DPU
-  // core. Charged as wall-clock delay, not CPU cycles. See DESIGN.md §10.
-  SimTime offload_engine_ns = 900;
   // Optional shared limit on co-scheduled compactions (Fig. 13b).
   std::shared_ptr<CompactionGate> compaction_gate;
 
@@ -146,6 +137,18 @@ class DataStore {
   // CopyOut sink: called once per live item, then the done callback.
   using ItemSink = std::function<void(std::string key, std::vector<uint8_t> value)>;
 
+  // Bound on a GET's restarts (and a convenience Scan's re-snapshots) after
+  // compaction moved what it was reading.
+  static constexpr uint32_t kMaxGetRetries = 4;
+  // SCAN fetch pacing: a scan reads its values one at a time, and after
+  // this many reads it yields to the event loop, so long scans interleave
+  // with point ops deterministically (as CopyOut yields per segment).
+  static constexpr uint32_t kScanStepItems = 8;
+  // Fixed latency of the host-bypass offload engine (Scalio-style): the NIC
+  // hardware path that resolves an index-hit GET without touching a DPU
+  // core. Charged as wall-clock delay, not CPU cycles. See DESIGN.md §10.
+  static constexpr SimTime kOffloadEngineNs = 900;
+
   DataStore(sim::Simulator& simulator, sim::CpuCore& core, LogSet home,
             StoreConfig config);
   ~DataStore();
@@ -165,7 +168,7 @@ class DataStore {
   // Host-bypass fast path (Scalio-style offload). FastGetEligible reports
   // whether the in-DRAM index resolves `key` without a second consultation
   // (single-bucket chain); FastGet then runs the GET charging no CPU
-  // cycles — only the fixed offload_engine_ns plus device time. A
+  // cycles — only the fixed kOffloadEngineNs plus device time. A
   // compaction-induced retry demotes the op back to the charged CPU path.
   bool FastGetEligible(std::string_view key) const;
   void FastGet(std::string key, GetCallback callback);
@@ -189,13 +192,13 @@ class DataStore {
   std::vector<ScanLoc> ScanKeys(std::string_view start, uint32_t limit) const;
 
   // Phase 2: fetch the snapshot's value-log entries one read at a time,
-  // yielding every scan_step_items reads. Locations are immutable log
+  // yielding every kScanStepItems reads. Locations are immutable log
   // offsets; if compaction reclaimed one under the snapshot (read rejected,
   // or the entry's key echo mismatches), the fetch fails with kBusy and the
   // caller re-snapshots — see Scan() for the bounded-retry composition.
   void ScanFetch(std::vector<ScanLoc> snapshot, ScanCallback callback);
 
-  // Snapshot + fetch with bounded internal restarts (max_get_retries), the
+  // Snapshot + fetch with bounded internal restarts (kMaxGetRetries), the
   // convenience composition used by tests and baselines. The cluster path
   // splits the phases so the node layer can run its CRRS dirty-window check
   // between them (node.cc HandleScan).
