@@ -338,6 +338,81 @@ TEST_F(IoEngineTest, SwapDisabledNeverActivates) {
   EXPECT_EQ(engine.stats().swap_activations, 0u);
 }
 
+// Every command leaves through one retirement: CPU-path point ops, scans
+// and offload fast-path GETs are each counted, sampled and refunded once,
+// and full-queue rejections are answered without being retired.
+TEST_F(IoEngineTest, EveryCommandRetiresOnce) {
+  sim::CpuModel cpu(sim_, 8, 3.0);
+  EngineConfig cfg = SmallEngine(2);
+  cfg.offload_enabled = true;
+  cfg.tokens.base_tokens = 12;
+  cfg.tokens.min_tokens = 12;
+  cfg.tokens.max_tokens = 12;
+  cfg.wait_queue_capacity = 8;
+  IoEngine engine(sim_, cpu, cfg, 1);
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(SyncOp(engine, OpType::kPut, "key" + std::to_string(i),
+                       testutil::TestValue(i, 64),
+                       static_cast<uint32_t>(i) % engine.num_stores())
+                    .ok());
+  }
+
+  uint64_t answered = 0;
+  auto point = [&](OpType type, int i) {
+    Request req;
+    req.type = type;
+    req.key = "key" + std::to_string(i % 16);
+    if (type == OpType::kPut) req.value = testutil::TestValue(100 + i, 64);
+    req.store_id = static_cast<uint32_t>(i) % engine.num_stores();
+    req.callback = [&](Status, std::vector<uint8_t>, ResponseMeta) {
+      ++answered;
+    };
+    return req;
+  };
+  // Offload fast-path GETs first, while the token pools are full.
+  uint64_t offloaded = 0;
+  for (int i = 0; i < 4; ++i) {
+    Request req = point(OpType::kGet, i);
+    if (engine.TrySubmitOffload(req)) {
+      ++offloaded;
+    } else {
+      engine.Submit(std::move(req));
+    }
+  }
+  for (int i = 0; i < 64; ++i) {
+    if (i % 8 == 7) {
+      Request scan;
+      scan.type = OpType::kScan;
+      scan.key = "key";
+      scan.store_id = static_cast<uint32_t>(i) % engine.num_stores();
+      scan.scan_limit = 4;
+      scan.scan_snapshot = engine.ScanSnapshot(scan.store_id, scan.key, 4);
+      scan.scan_callback = [&](Status, std::vector<store::ScanItem>,
+                               ResponseMeta) { ++answered; };
+      engine.Submit(std::move(scan));
+      continue;
+    }
+    static constexpr OpType kMix[] = {OpType::kGet, OpType::kPut, OpType::kDel};
+    engine.Submit(point(kMix[i % 3], i));
+  }
+  sim_.Run();
+
+  const EngineStats st = engine.stats();
+  EXPECT_GT(offloaded, 0u);
+  EXPECT_EQ(st.offload_fast_hits, offloaded);
+  EXPECT_GT(st.rejected_overloaded, 0u);
+  EXPECT_EQ(answered, 68u);
+  EXPECT_EQ(st.submitted, st.completed + st.rejected_overloaded);
+  EXPECT_EQ(st.completed, st.executed + st.offload_fast_hits);
+  EXPECT_EQ(st.service_us.count(), st.completed);
+  EXPECT_EQ(st.total_us.count(), st.completed);
+  EXPECT_EQ(st.queue_us.count(), st.executed);
+  for (uint32_t ssd = 0; ssd < engine.ssd_count(); ++ssd) {
+    EXPECT_EQ(engine.AvailableTokens(ssd), 12u) << "ssd " << ssd;
+    EXPECT_EQ(engine.ActiveCount(ssd), 0u) << "ssd " << ssd;
+  }
+}
+
 TEST_F(IoEngineTest, AdmissionControlOffIsFcfs) {
   sim::CpuModel cpu(sim_, 8, 3.0);
   EngineConfig cfg = SmallEngine(1);

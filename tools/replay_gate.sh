@@ -63,13 +63,17 @@ EOF
 CLUSTER=(--nodes=3 --keys=2000 --seed=12345)
 
 snap plain "${CLUSTER[@]}" --duration-ms=100
+# CRRS ships dirty-key reads to the tail (node.cc ShipRead).
+counter_at_least "$OUT/plain.a.metrics.json" reads_shipped 1
 
 # A (seed, FaultPlan) pair replays bit-exactly: partitions, a node crash
 # with restart+recovery, and probabilistic drops draw from the run's Rng
 # tree, never from ambient entropy.
 snap fault-plan "${CLUSTER[@]}" --duration-ms=200 \
   --fault-plan='part:a=0,b=1,at_ms=20,heal_ms=60;crash:node=2,at_ms=50,restart_ms=120;net:drop=0.001'
-for c in faults.node_crashes faults.node_restarts faults.net_partition_drops; do
+# nacks_sent: requests routed on a stale view fail the placement check.
+for c in faults.node_crashes faults.node_restarts faults.net_partition_drops \
+    nacks_sent; do
   counter_at_least "$OUT/fault-plan.a.metrics.json" "$c" 1
 done
 
