@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -124,6 +126,81 @@ TEST(CheckCorpus, ViolationsConvictedWithoutCheapPassesToo) {
   }
   auto ok_ops = LoadCorpus("linearizable.history");
   EXPECT_EQ(CheckHistory(ok_ops, opt).verdict, Verdict::kLinearizable);
+}
+
+TEST(CheckCorpus, ReportSummariesArePinned) {
+  // Every verdict, step count, blocked op and violation string of the
+  // corpus, with the cheap passes on and off. Refactors of the checker
+  // must leave these byte-identical; a deliberate change to the search or
+  // a pass updates them here.
+  struct Case {
+    const char* file;
+    const char* summary;
+    const char* search_only;
+  };
+  const Case cases[] = {
+      {"indeterminate_ok.history", "linearizable: 1 keys, 6 steps",
+       "linearizable: 1 keys, 6 steps"},
+      {"linearizable.history", "linearizable: 2 keys, 10 steps",
+       "linearizable: 2 keys, 10 steps"},
+      {"lost_update.history",
+       "violation: 1 keys, 4 steps, 1 violations (first: linearizability on "
+       "key 'k0' — no linearization order exists (search blocked at op 1))",
+       "violation: 1 keys, 4 steps, 1 violations (first: linearizability on "
+       "key 'k0' — no linearization order exists (search blocked at op 1))"},
+      {"nonmonotonic_read.history",
+       "violation: 1 keys, 0 steps, 1 violations (first: non-monotonic-read "
+       "on key 'k0' — client 2 read op 2's value (op 3) then went back to op "
+       "1's strictly older value (op 4))",
+       "violation: 1 keys, 13 steps, 1 violations (first: linearizability on "
+       "key 'k0' — no linearization order exists (search blocked at op 1))"},
+      {"nonmonotonic_scan.history",
+       "violation: 1 keys, 0 steps, 2 violations (first: non-monotonic-scan "
+       "on key 'k0' — client 2 scan op 3 observed op 2's value, then scan op "
+       "4 went back to op 1's strictly older value)",
+       "violation: 1 keys, 13 steps, 1 violations (first: linearizability on "
+       "key 'k0' — no linearization order exists (search blocked at op 1))"},
+      {"phantom_scan.history",
+       "violation: 2 keys, 2 steps, 2 violations (first: phantom-scan on key "
+       "'k1' — scan op 2 observed key 'k1' with a value no PUT in the "
+       "history ever wrote)",
+       "violation: 2 keys, 5 steps, 2 violations (first: linearizability on "
+       "key 'k1' — no linearization order exists (search blocked at op 2))"},
+      {"stale_read.history",
+       "violation: 1 keys, 0 steps, 1 violations (first: stale-read on key "
+       "'k0' — op 3 read the value of op 1 although op 2 overwrote it "
+       "strictly earlier)",
+       "violation: 1 keys, 7 steps, 1 violations (first: linearizability on "
+       "key 'k0' — no linearization order exists (search blocked at op 1))"},
+      {"torn_scan.history",
+       "violation: 2 keys, 9 steps, 1 violations (first: torn-scan on key "
+       "'ka' — scan op 5 straddled a commit: every observation is "
+       "individually feasible but no single instant satisfies all 2 of "
+       "them)",
+       "violation: 2 keys, 18 steps, 1 violations (first: "
+       "scan-linearizability on key 'ka' — no linearization order exists "
+       "for the 2-key scan cluster (search blocked at op 1))"},
+  };
+  std::set<std::string> pinned;
+  CheckOptions search_only;
+  search_only.read_semantics = false;
+  for (const Case& c : cases) {
+    pinned.insert(c.file);
+    auto ops = LoadCorpus(c.file);
+    ASSERT_FALSE(ops.empty()) << c.file;
+    EXPECT_EQ(CheckHistory(ops).Summary(), c.summary) << c.file;
+    EXPECT_EQ(CheckHistory(ops, search_only).Summary(), c.search_only)
+        << c.file;
+  }
+  // A corpus file added without a pinned summary fails here.
+  std::set<std::string> on_disk;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(LEED_CHECK_CORPUS_DIR)) {
+    if (entry.path().extension() == ".history") {
+      on_disk.insert(entry.path().filename().string());
+    }
+  }
+  EXPECT_EQ(on_disk, pinned);
 }
 
 TEST(CheckCorpus, MinimizedSubHistoryStillFails) {
@@ -312,6 +389,75 @@ TEST(Checker, StepBudgetReportsInconclusive) {
   // With a real budget the same history resolves.
   opt.step_budget = 4'000'000;
   EXPECT_EQ(CheckHistory(ops, opt).verdict, Verdict::kLinearizable);
+}
+
+// Seven PUTs on distinct keys, then one OK scan observing all of them:
+// a 7-key scan cluster, one key over the exact-search cap.
+std::vector<HistoryOp> WideScanHistory() {
+  std::vector<HistoryOp> ops;
+  HistoryOp scan;
+  scan.client = 9;
+  scan.kind = OpKind::kScan;
+  scan.key = "c0";
+  scan.value_size = 7;
+  scan.invoke = 100;
+  scan.response = 110;
+  scan.outcome = Outcome::kOk;
+  for (int i = 0; i < 7; ++i) {
+    HistoryOp put;
+    put.id = ops.size() + 1;
+    put.client = static_cast<uint32_t>(i);
+    put.kind = OpKind::kPut;
+    put.key = "c" + std::to_string(i);
+    put.value_digest = 0x700 + static_cast<uint64_t>(i);
+    put.value_size = 8;
+    put.invoke = 10 + i;
+    put.response = 20 + i;
+    put.outcome = Outcome::kOk;
+    ops.push_back(put);
+    scan.scan_obs.push_back({put.key, put.value_digest});
+  }
+  scan.id = ops.size() + 1;
+  ops.push_back(scan);
+  return ops;
+}
+
+TEST(Checker, WideScanClusterIsCappedAndCheckedByProjection) {
+  const char* kCapped = "1 scan clusters over the exact-search cap";
+  CheckOptions search_only;
+  search_only.read_semantics = false;
+
+  auto ops = WideScanHistory();
+  for (const CheckOptions& opt : {CheckOptions{}, search_only}) {
+    CheckReport report = CheckHistory(ops, opt);
+    EXPECT_EQ(report.verdict, Verdict::kLinearizable) << report.Summary();
+    EXPECT_EQ(report.scan_clusters_capped, 1u);
+    EXPECT_NE(report.Summary().find(kCapped), std::string::npos)
+        << report.Summary();
+  }
+
+  // Overwrite c3 before the scan: its observation is stale, and the
+  // per-key projection alone convicts it (the cluster is never searched).
+  HistoryOp put;
+  put.id = ops.size() + 1;
+  put.client = 3;
+  put.kind = OpKind::kPut;
+  put.key = "c3";
+  put.value_digest = 0x7ff;
+  put.value_size = 8;
+  put.invoke = 50;
+  put.response = 60;
+  put.outcome = Outcome::kOk;
+  ops.push_back(put);
+  for (const CheckOptions& opt : {CheckOptions{}, search_only}) {
+    CheckReport report = CheckHistory(ops, opt);
+    EXPECT_EQ(report.verdict, Verdict::kViolation) << report.Summary();
+    EXPECT_EQ(report.scan_clusters_capped, 1u);
+    EXPECT_NE(report.Summary().find(kCapped), std::string::npos)
+        << report.Summary();
+    ASSERT_FALSE(report.violations.empty());
+    EXPECT_EQ(report.violations[0].key, "c3");
+  }
 }
 
 TEST(Checker, PerKeyCompositionality) {
