@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_set>
 
@@ -12,14 +13,39 @@ namespace leed::check {
 namespace {
 
 constexpr SimTime kInfTime = INT64_MAX;
+// Greedy minimization re-checks the sub-history once per op (quadratic);
+// longer violating sub-histories are reported unminimized.
+constexpr size_t kMinimizeMaxOps = 400;
+// Ceilings for the exact scan-cluster search (its state space is
+// exponential in ops and keys). Clusters over either limit fall back to
+// per-key projection and count into scan_clusters_capped.
+constexpr size_t kScanClusterMaxKeys = 6;
+constexpr size_t kScanClusterMaxOps = 48;
 
-// One checkable operation of the per-key register model.
+// The client saw the op's outcome (not_found included); error and open ops
+// are indeterminate.
+bool Determinate(const HistoryOp& op) {
+  return op.outcome == Outcome::kOk || op.outcome == Outcome::kNotFound;
+}
+
+// Latest instant by which an op has definitely taken effect; indeterminate
+// ops may take effect arbitrarily late.
+SimTime EffectiveResponse(const HistoryOp& op) {
+  return Determinate(op) ? op.response : kInfTime;
+}
+
+// One checkable operation of the register-map model. Point ops act on
+// register `key`; a scan reads every register in `obs` at one instant.
 struct Call {
   const HistoryOp* src = nullptr;
+  int key = 0;             // register index
   bool is_write = false;   // PUT or DEL
   bool is_del = false;     // write of "absent"
   bool reads_absent = false;  // GET -> not_found
   uint64_t digest = 0;     // written (PUT) or observed (GET ok) value
+  // Scans: observed (register, digest) pairs that must hold jointly.
+  // Empty for point ops.
+  std::vector<std::pair<int, uint64_t>> obs;
   SimTime invoke = 0;
   SimTime response = kInfTime;  // kInfTime: indeterminate (may apply later)
 };
@@ -33,36 +59,49 @@ struct RegState {
 
 // Applies `c` to `s`. Returns false if the model forbids it (reads only;
 // writes always apply).
-bool StepModel(const RegState& s, const Call& c, RegState* out) {
+bool StepModel(const std::vector<RegState>& s, const Call& c,
+               std::vector<RegState>* out) {
+  auto holds = [&s](int k, uint64_t d) {
+    return s[k].present && s[k].value == d;
+  };
   if (c.is_write) {
-    out->present = !c.is_del;
-    out->value = c.is_del ? 0 : c.digest;
+    *out = s;
+    (*out)[c.key] = RegState{!c.is_del, c.is_del ? 0 : c.digest};
     return true;
   }
-  if (c.reads_absent) {
-    if (s.present) return false;
-  } else {
-    if (!s.present || s.value != c.digest) return false;
+  if (!c.obs.empty()) {
+    for (const auto& [k, d] : c.obs) {
+      if (!holds(k, d)) return false;
+    }
+  } else if (c.reads_absent ? s[c.key].present : !holds(c.key, c.digest)) {
+    return false;
   }
   *out = s;
   return true;
 }
 
-// Lowers history ops to model calls. Indeterminate reads return nullopt
-// (dropped); indeterminate writes keep an open response interval.
-std::vector<Call> LowerCalls(const std::vector<const HistoryOp*>& ops) {
+// Lowers the ops on the registers of `key_index` to model calls, in `ops`
+// order. Ops on other keys, failed or empty scans and indeterminate reads
+// constrain nothing and are dropped; indeterminate writes keep an open
+// response interval. A scan whose first observed key is in `key_index`
+// must have every observed key there.
+std::vector<Call> LowerCalls(const std::vector<const HistoryOp*>& ops,
+                             const std::map<std::string, int>& key_index) {
   std::vector<Call> calls;
   calls.reserve(ops.size());
   for (const HistoryOp* op : ops) {
-    const bool determinate =
-        op->outcome == Outcome::kOk || op->outcome == Outcome::kNotFound;
+    const bool scan = op->kind == OpKind::kScan;
+    if (scan && (op->outcome != Outcome::kOk || op->scan_obs.empty())) continue;
+    auto idx = key_index.find(scan ? op->scan_obs.front().key : op->key);
+    if (idx == key_index.end()) continue;
     Call c;
     c.src = op;
+    c.key = idx->second;
     c.invoke = op->invoke;
-    c.response = determinate ? op->response : kInfTime;
+    c.response = EffectiveResponse(*op);
     switch (op->kind) {
       case OpKind::kGet:
-        if (!determinate) continue;  // unconstrained, drop
+        if (!Determinate(*op)) continue;  // unconstrained, drop
         c.reads_absent = (op->outcome == Outcome::kNotFound);
         c.digest = op->value_digest;
         break;
@@ -76,13 +115,12 @@ std::vector<Call> LowerCalls(const std::vector<const HistoryOp*>& ops) {
         c.is_del = true;
         break;
       case OpKind::kScan:
-        // Scans never enter per-key sub-histories directly: CheckHistory
-        // projects each observation into a virtual per-key read, and the
-        // joint (same-instant) constraint is handled by the scan passes
-        // and the multi-key cluster search.
-        continue;
+        for (const ScanObservation& o : op->scan_obs) {
+          c.obs.emplace_back(key_index.at(o.key), o.digest);
+        }
+        break;
     }
-    calls.push_back(c);
+    calls.push_back(std::move(c));
   }
   return calls;
 }
@@ -101,14 +139,17 @@ struct EventNode {
 
 struct CacheKey {
   std::vector<uint64_t> bits;
-  RegState state;
+  std::vector<RegState> state;
 
   bool operator==(const CacheKey&) const = default;
 };
 
 struct CacheKeyHash {
   size_t operator()(const CacheKey& k) const {
-    uint64_t h = Mix64(k.state.value ^ (k.state.present ? 0x9e37u : 0));
+    uint64_t h = 0x5ca9;
+    for (const RegState& r : k.state) {
+      h = Mix64(h ^ r.value ^ (r.present ? 0x9e37u : 0));
+    }
     for (uint64_t w : k.bits) h = Mix64(h ^ w);
     return static_cast<size_t>(h);
   }
@@ -120,9 +161,10 @@ struct WgResult {
   int blocked_call = -1;  // violation: the op that could not linearize
 };
 
-// Checks one per-key sub-history against the register model. `budget`
-// bounds the number of explored configurations.
-WgResult WingGongCheck(const std::vector<Call>& calls, uint64_t budget) {
+// Checks `calls` against a model of `num_keys` registers, all initially
+// absent. `budget` bounds the number of explored configurations.
+WgResult WingGongCheck(const std::vector<Call>& calls, size_t num_keys,
+                       uint64_t budget) {
   WgResult result;
   const size_t n = calls.size();
   if (n == 0) return result;
@@ -187,13 +229,13 @@ WgResult WingGongCheck(const std::vector<Call>& calls, uint64_t budget) {
 
   const size_t words = (n + 63) / 64;
   std::vector<uint64_t> linearized(words, 0);
-  RegState state;
+  std::vector<RegState> state(num_keys);
   // Explored configurations; membership-only, never iterated.
   // leed-lint: allow(unordered-iter): membership probes only
   std::unordered_set<CacheKey, CacheKeyHash> cache;
   struct Frame {
     EventNode* call;
-    RegState prev_state;
+    std::vector<RegState> prev_state;
   };
   std::vector<Frame> stack;
 
@@ -203,186 +245,94 @@ WgResult WingGongCheck(const std::vector<Call>& calls, uint64_t budget) {
       result.verdict = Verdict::kInconclusive;
       return result;
     }
-    if (entry == nullptr) {
-      // Fell off the end without consuming everything: backtrack.
+    if (entry == nullptr || entry->match == nullptr) {
+      // Fell off the end without consuming everything, or reached a return
+      // event at the search frontier (the ops before it are pinned):
+      // backtrack. If nothing is left to undo the history is not
+      // linearizable.
       if (stack.empty()) {
         result.verdict = Verdict::kViolation;
-        result.blocked_call = root->next->call;
+        result.blocked_call = entry ? entry->call : root->next->call;
         return result;
       }
-      Frame f = stack.back();
+      Frame f = std::move(stack.back());
       stack.pop_back();
-      state = f.prev_state;
+      state = std::move(f.prev_state);
       const int c = f.call->call;
       linearized[c / 64] &= ~(1ull << (c % 64));
       unlift(f.call);
       entry = f.call->next;
       continue;
     }
-    if (entry->match != nullptr) {
-      // Call event: try to linearize this op here.
-      ++result.steps;
-      RegState next_state;
-      bool ok = StepModel(state, calls[entry->call], &next_state);
-      if (ok) {
-        CacheKey key{linearized, next_state};
-        key.bits[entry->call / 64] |= 1ull << (entry->call % 64);
-        if (!cache.insert(std::move(key)).second) ok = false;
-      }
-      if (ok) {
-        stack.push_back({entry, state});
-        state = next_state;
-        linearized[entry->call / 64] |= 1ull << (entry->call % 64);
-        lift(entry);
-        entry = root->next;
-      } else {
-        entry = entry->next;
-      }
+    // Call event: try to linearize this op here.
+    ++result.steps;
+    std::vector<RegState> next_state;
+    bool ok = StepModel(state, calls[entry->call], &next_state);
+    if (ok) {
+      CacheKey key{linearized, next_state};
+      key.bits[entry->call / 64] |= 1ull << (entry->call % 64);
+      if (!cache.insert(std::move(key)).second) ok = false;
+    }
+    if (ok) {
+      stack.push_back({entry, std::move(state)});
+      state = std::move(next_state);
+      linearized[entry->call / 64] |= 1ull << (entry->call % 64);
+      lift(entry);
+      entry = root->next;
     } else {
-      // Return event at the search frontier: the ops before it are pinned;
-      // if nothing is left to undo the history is not linearizable.
-      if (stack.empty()) {
-        result.verdict = Verdict::kViolation;
-        result.blocked_call = entry->call;
-        return result;
-      }
-      Frame f = stack.back();
-      stack.pop_back();
-      state = f.prev_state;
-      const int c = f.call->call;
-      linearized[c / 64] &= ~(1ull << (c % 64));
-      unlift(f.call);
-      entry = f.call->next;
+      entry = entry->next;
     }
   }
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Cheap targeted pass: stale / phantom / non-monotonic reads.
-// ---------------------------------------------------------------------------
-
-bool DigestsUniquePerKey(const std::vector<Call>& calls) {
-  std::vector<uint64_t> digests;
-  for (const Call& c : calls) {
-    if (c.is_write && !c.is_del) digests.push_back(c.digest);
+// Runs the search over `calls` on what is left of the step budget and
+// charges its steps to `report`. A spent or exhausted budget counts one
+// inconclusive unit. Returns the id of the op the search blocked at when
+// no linearization exists.
+std::optional<uint64_t> SearchForViolation(const std::vector<Call>& calls,
+                                           size_t num_keys,
+                                           uint64_t* budget_left,
+                                           CheckReport* report) {
+  if (*budget_left == 0) {
+    ++report->inconclusive_keys;
+    return std::nullopt;
   }
-  std::sort(digests.begin(), digests.end());
-  return std::adjacent_find(digests.begin(), digests.end()) == digests.end();
+  WgResult wg = WingGongCheck(calls, num_keys, *budget_left);
+  report->steps_used += wg.steps;
+  *budget_left -= std::min(*budget_left, wg.steps);
+  switch (wg.verdict) {
+    case Verdict::kLinearizable:
+      return std::nullopt;
+    case Verdict::kInconclusive:
+      ++report->inconclusive_keys;
+      return std::nullopt;
+    case Verdict::kViolation:
+      break;
+  }
+  return wg.blocked_call >= 0 ? calls[wg.blocked_call].src->id : 0;
 }
 
-std::vector<HistoryOp> CollectOps(std::initializer_list<const Call*> calls) {
-  std::vector<HistoryOp> ops;
-  for (const Call* c : calls) ops.push_back(*c->src);
-  std::sort(ops.begin(), ops.end(),
+// ---------------------------------------------------------------------------
+// Cheap targeted passes: stale / phantom / non-monotonic reads and scans.
+// ---------------------------------------------------------------------------
+
+// Copies `ops` sorted by id, each id once.
+std::vector<HistoryOp> CollectOps(const std::vector<const HistoryOp*>& ops) {
+  std::vector<HistoryOp> out;
+  out.reserve(ops.size());
+  for (const HistoryOp* op : ops) out.push_back(*op);
+  std::sort(out.begin(), out.end(),
             [](const HistoryOp& a, const HistoryOp& b) { return a.id < b.id; });
-  ops.erase(std::unique(ops.begin(), ops.end(),
+  out.erase(std::unique(out.begin(), out.end(),
                         [](const HistoryOp& a, const HistoryOp& b) {
                           return a.id == b.id;
                         }),
-            ops.end());
-  return ops;
+            out.end());
+  return out;
 }
 
-// Appends read-semantics violations for one key. Only called when PUT
-// digests are unique on the key (soundness precondition).
-void ReadSemanticsCheck(const std::string& key, const std::vector<Call>& calls,
-                        std::vector<Violation>* out) {
-  // Writers by digest (determinate and indeterminate PUTs).
-  std::map<uint64_t, const Call*> writer;
-  std::vector<const Call*> determinate_writes;  // PUT and DEL
-  std::vector<const Call*> reads;               // determinate GET -> value
-  for (const Call& c : calls) {
-    if (c.is_write) {
-      if (!c.is_del) writer[c.digest] = &c;
-      if (c.response != kInfTime) determinate_writes.push_back(&c);
-    } else if (!c.reads_absent) {
-      reads.push_back(&c);
-    }
-  }
-
-  for (const Call* r : reads) {
-    auto w_it = writer.find(r->digest);
-    if (w_it == writer.end()) {
-      Violation v;
-      v.key = key;
-      v.kind = "phantom-read";
-      v.detail = "op " + std::to_string(r->src->id) +
-                 " observed a value no PUT in the history ever wrote";
-      v.sub_history = CollectOps({r});
-      out->push_back(std::move(v));
-      continue;
-    }
-    const Call* w = w_it->second;
-    if (w->response == kInfTime) continue;  // indeterminate writer: no bound
-    for (const Call* w2 : determinate_writes) {
-      if (w2 == w) continue;
-      // w completed before w2 began, and w2 completed before the read
-      // began: the read observed a value that was definitely overwritten.
-      if (w->response < w2->invoke && w2->response < r->invoke) {
-        Violation v;
-        v.key = key;
-        v.kind = "stale-read";
-        v.detail = "op " + std::to_string(r->src->id) +
-                   " read the value of op " + std::to_string(w->src->id) +
-                   " although op " + std::to_string(w2->src->id) +
-                   " overwrote it strictly earlier";
-        v.sub_history = CollectOps({w, w2, r});
-        out->push_back(std::move(v));
-        break;  // one witness per read is enough
-      }
-    }
-  }
-
-  // Monotonic reads per client: a later read (same client, real-time
-  // ordered) must not observe a strictly older write.
-  std::map<uint32_t, std::vector<const Call*>> by_client;
-  for (const Call* r : reads) by_client[r->src->client].push_back(r);
-  for (auto& [client, rs] : by_client) {
-    (void)client;
-    std::sort(rs.begin(), rs.end(), [](const Call* a, const Call* b) {
-      if (a->invoke != b->invoke) return a->invoke < b->invoke;
-      return a->src->id < b->src->id;
-    });
-    for (size_t i = 0; i + 1 < rs.size(); ++i) {
-      const Call* r1 = rs[i];
-      const Call* r2 = rs[i + 1];
-      if (r1->response == kInfTime || r1->response >= r2->invoke) continue;
-      const Call* w1 =
-          writer.contains(r1->digest) ? writer.at(r1->digest) : nullptr;
-      const Call* w2 =
-          writer.contains(r2->digest) ? writer.at(r2->digest) : nullptr;
-      if (!w1 || !w2 || w2->response == kInfTime) continue;
-      if (w2->response < w1->invoke) {
-        Violation v;
-        v.key = key;
-        v.kind = "non-monotonic-read";
-        v.detail = "client " + std::to_string(r1->src->client) + " read op " +
-                   std::to_string(w1->src->id) + "'s value (op " +
-                   std::to_string(r1->src->id) + ") then went back to op " +
-                   std::to_string(w2->src->id) +
-                   "'s strictly older value (op " +
-                   std::to_string(r2->src->id) + ")";
-        v.sub_history = CollectOps({w1, w2, r1, r2});
-        out->push_back(std::move(v));
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Scan passes: phantom-scan / torn-scan / non-monotonic-scan.
-// ---------------------------------------------------------------------------
-
-// Latest instant by which an op has definitely taken effect; indeterminate
-// ops may take effect arbitrarily late.
-SimTime EffectiveResponse(const HistoryOp& op) {
-  const bool determinate =
-      op.outcome == Outcome::kOk || op.outcome == Outcome::kNotFound;
-  return determinate ? op.response : kInfTime;
-}
-
-// Per-key write summary over the original history (scan passes reason
+// Per-key write summary over the original history (the cheap passes reason
 // about writers directly, independent of the per-key projection).
 struct KeyWrites {
   std::map<uint64_t, const HistoryOp*> writer;     // PUT digest -> op
@@ -400,23 +350,95 @@ std::map<std::string, KeyWrites> SummarizeWrites(
       if (kw.writer.contains(op.value_digest)) kw.digests_unique = false;
       kw.writer[op.value_digest] = &op;
     }
-    if (EffectiveResponse(op) != kInfTime) kw.determinate_writes.push_back(&op);
+    if (Determinate(op)) kw.determinate_writes.push_back(&op);
   }
   return out;
 }
 
-std::vector<HistoryOp> CollectOpsVec(std::vector<const HistoryOp*> calls) {
-  std::vector<HistoryOp> ops;
-  ops.reserve(calls.size());
-  for (const HistoryOp* c : calls) ops.push_back(*c);
-  std::sort(ops.begin(), ops.end(),
-            [](const HistoryOp& a, const HistoryOp& b) { return a.id < b.id; });
-  ops.erase(std::unique(ops.begin(), ops.end(),
-                        [](const HistoryOp& a, const HistoryOp& b) {
-                          return a.id == b.id;
-                        }),
-            ops.end());
-  return ops;
+// Appends read-semantics violations for one key. `ops` is the key's
+// sub-history (projected scan reads included) in (invoke, id) order and
+// `kw` its write summary. Only called when PUT digests are unique on the
+// key (soundness precondition).
+void ReadSemanticsCheck(const std::string& key,
+                        const std::vector<const HistoryOp*>& ops,
+                        const KeyWrites& kw, std::vector<Violation>* out) {
+  std::vector<const HistoryOp*> determinate_writes;  // PUT and DEL
+  std::vector<const HistoryOp*> reads;               // determinate GET -> value
+  for (const HistoryOp* op : ops) {
+    if (op->kind == OpKind::kGet) {
+      if (op->outcome == Outcome::kOk) reads.push_back(op);
+    } else if (Determinate(*op)) {
+      determinate_writes.push_back(op);
+    }
+  }
+  auto writer_of = [&kw](uint64_t digest) -> const HistoryOp* {
+    auto it = kw.writer.find(digest);
+    return it == kw.writer.end() ? nullptr : it->second;
+  };
+
+  for (const HistoryOp* r : reads) {
+    const HistoryOp* w = writer_of(r->value_digest);
+    if (w == nullptr) {
+      Violation v;
+      v.key = key;
+      v.kind = "phantom-read";
+      v.detail = "op " + std::to_string(r->id) +
+                 " observed a value no PUT in the history ever wrote";
+      v.sub_history = CollectOps({r});
+      out->push_back(std::move(v));
+      continue;
+    }
+    if (!Determinate(*w)) continue;  // indeterminate writer: no bound
+    for (const HistoryOp* w2 : determinate_writes) {
+      if (w2 == w) continue;
+      // w completed before w2 began, and w2 completed before the read
+      // began: the read observed a value that was definitely overwritten.
+      if (w->response < w2->invoke && w2->response < r->invoke) {
+        Violation v;
+        v.key = key;
+        v.kind = "stale-read";
+        v.detail = "op " + std::to_string(r->id) + " read the value of op " +
+                   std::to_string(w->id) + " although op " +
+                   std::to_string(w2->id) + " overwrote it strictly earlier";
+        v.sub_history = CollectOps({w, w2, r});
+        out->push_back(std::move(v));
+        break;  // one witness per read is enough
+      }
+    }
+  }
+
+  // Monotonic reads per client: a later read (same client, real-time
+  // ordered) must not observe a strictly older write.
+  std::map<uint32_t, std::vector<const HistoryOp*>> by_client;
+  for (const HistoryOp* r : reads) by_client[r->client].push_back(r);
+  for (auto& [client, rs] : by_client) {
+    (void)client;
+    std::sort(rs.begin(), rs.end(),
+              [](const HistoryOp* a, const HistoryOp* b) {
+                if (a->invoke != b->invoke) return a->invoke < b->invoke;
+                return a->id < b->id;
+              });
+    for (size_t i = 0; i + 1 < rs.size(); ++i) {
+      const HistoryOp* r1 = rs[i];
+      const HistoryOp* r2 = rs[i + 1];
+      if (r1->response == kInfTime || r1->response >= r2->invoke) continue;
+      const HistoryOp* w1 = writer_of(r1->value_digest);
+      const HistoryOp* w2 = writer_of(r2->value_digest);
+      if (!w1 || !w2 || !Determinate(*w2)) continue;
+      if (w2->response < w1->invoke) {
+        Violation v;
+        v.key = key;
+        v.kind = "non-monotonic-read";
+        v.detail = "client " + std::to_string(r1->client) + " read op " +
+                   std::to_string(w1->id) + "'s value (op " +
+                   std::to_string(r1->id) + ") then went back to op " +
+                   std::to_string(w2->id) + "'s strictly older value (op " +
+                   std::to_string(r2->id) + ")";
+        v.sub_history = CollectOps({w1, w2, r1, r2});
+        out->push_back(std::move(v));
+      }
+    }
+  }
 }
 
 // The cheap scan pass. Sound under the same precondition as the per-key
@@ -424,10 +446,9 @@ std::vector<HistoryOp> CollectOpsVec(std::vector<const HistoryOp*> calls) {
 // key here). Records keys it convicts into `convicted` so the exact
 // cluster search skips re-deriving them.
 void ScanSemanticsCheck(const std::vector<HistoryOp>& history,
+                        const std::map<std::string, KeyWrites>& writes,
                         std::vector<Violation>* out,
                         std::set<std::string>* convicted) {
-  const std::map<std::string, KeyWrites> writes = SummarizeWrites(history);
-
   std::map<uint32_t, std::vector<const HistoryOp*>> scans_by_client;
   for (const HistoryOp& op : history) {
     if (op.kind != OpKind::kScan || op.outcome != Outcome::kOk) continue;
@@ -444,7 +465,7 @@ void ScanSemanticsCheck(const std::vector<HistoryOp>& history,
         v.kind = "phantom-scan";
         v.detail = "scan op " + std::to_string(op.id) + " observed key '" +
                    obs.key + "' with a value no PUT in the history ever wrote";
-        v.sub_history = CollectOpsVec({&op});
+        v.sub_history = CollectOps({&op});
         out->push_back(std::move(v));
         convicted->insert(obs.key);
         phantom = true;
@@ -501,7 +522,7 @@ void ScanSemanticsCheck(const std::vector<HistoryOp>& history,
                  " straddled a commit: every observation is individually "
                  "feasible but no single instant satisfies all " +
                  std::to_string(op.scan_obs.size()) + " of them";
-      v.sub_history = CollectOpsVec(std::move(witnesses));
+      v.sub_history = CollectOps(witnesses);
       out->push_back(std::move(v));
       for (const ScanObservation& obs : op.scan_obs) convicted->insert(obs.key);
     }
@@ -547,7 +568,7 @@ void ScanSemanticsCheck(const std::vector<HistoryOp>& history,
                        std::to_string(s2->id) +
                        " went back to op " + std::to_string(w2->id) +
                        "'s strictly older value";
-            v.sub_history = CollectOpsVec({w1, w2, s1, s2});
+            v.sub_history = CollectOps({w1, w2, s1, s2});
             out->push_back(std::move(v));
             convicted->insert(o1.key);
             found = true;
@@ -560,203 +581,14 @@ void ScanSemanticsCheck(const std::vector<HistoryOp>& history,
 }
 
 // ---------------------------------------------------------------------------
-// Multi-key Wing–Gong over scan clusters (exact atomic-scan semantics).
+// Exact atomic-scan semantics over scan-connected key clusters.
 // ---------------------------------------------------------------------------
 
-struct MultiCall {
-  const HistoryOp* src = nullptr;
-  bool is_scan = false;
-  // Point ops:
-  int key = -1;
-  bool is_write = false;
-  bool is_del = false;
-  bool reads_absent = false;
-  uint64_t digest = 0;
-  // Scans: observed (key index, digest) pairs that must hold jointly.
-  std::vector<std::pair<int, uint64_t>> obs;
-  SimTime invoke = 0;
-  SimTime response = kInfTime;
-};
-
-using MultiState = std::vector<RegState>;
-
-bool StepModelMulti(const MultiState& s, const MultiCall& c, MultiState* out) {
-  if (c.is_scan) {
-    for (const auto& [k, d] : c.obs) {
-      if (!s[k].present || s[k].value != d) return false;
-    }
-    *out = s;
-    return true;
-  }
-  if (c.is_write) {
-    *out = s;
-    (*out)[c.key].present = !c.is_del;
-    (*out)[c.key].value = c.is_del ? 0 : c.digest;
-    return true;
-  }
-  if (c.reads_absent) {
-    if (s[c.key].present) return false;
-  } else {
-    if (!s[c.key].present || s[c.key].value != c.digest) return false;
-  }
-  *out = s;
-  return true;
-}
-
-struct MultiCacheKey {
-  std::vector<uint64_t> bits;
-  MultiState state;
-
-  bool operator==(const MultiCacheKey&) const = default;
-};
-
-struct MultiCacheKeyHash {
-  size_t operator()(const MultiCacheKey& k) const {
-    uint64_t h = 0x5ca9;
-    for (const RegState& r : k.state) {
-      h = Mix64(h ^ r.value ^ (r.present ? 0x9e37u : 0));
-    }
-    for (uint64_t w : k.bits) h = Mix64(h ^ w);
-    return static_cast<size_t>(h);
-  }
-};
-
-// Same search as WingGongCheck, over a vector of registers with scans as
-// atomic multi-key reads.
-WgResult WingGongCheckMulti(const std::vector<MultiCall>& calls,
-                            size_t num_keys, uint64_t budget) {
-  WgResult result;
-  const size_t n = calls.size();
-  if (n == 0) return result;
-
-  struct Ev {
-    SimTime time;
-    int type;
-    int call;
-  };
-  std::vector<Ev> evs;
-  evs.reserve(2 * n);
-  for (size_t i = 0; i < n; ++i) {
-    evs.push_back({calls[i].invoke, 0, static_cast<int>(i)});
-    evs.push_back({calls[i].response, 1, static_cast<int>(i)});
-  }
-  std::sort(evs.begin(), evs.end(), [](const Ev& a, const Ev& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.type != b.type) return a.type < b.type;
-    return a.call < b.call;
-  });
-
-  std::vector<std::unique_ptr<EventNode>> storage;
-  storage.reserve(2 * n + 1);
-  auto make = [&storage]() {
-    storage.push_back(std::make_unique<EventNode>());
-    return storage.back().get();
-  };
-  EventNode* root = make();
-  EventNode* tail = root;
-  std::vector<EventNode*> call_node(n), return_node(n);
-  for (const Ev& e : evs) {
-    EventNode* node = make();
-    node->call = e.call;
-    node->prev = tail;
-    tail->next = node;
-    tail = node;
-    if (e.type == 0) {
-      call_node[e.call] = node;
-    } else {
-      return_node[e.call] = node;
-    }
-  }
-  for (size_t i = 0; i < n; ++i) call_node[i]->match = return_node[i];
-
-  auto lift = [](EventNode* call) {
-    call->prev->next = call->next;
-    if (call->next) call->next->prev = call->prev;
-    EventNode* ret = call->match;
-    ret->prev->next = ret->next;
-    if (ret->next) ret->next->prev = ret->prev;
-  };
-  auto unlift = [](EventNode* call) {
-    EventNode* ret = call->match;
-    ret->prev->next = ret;
-    if (ret->next) ret->next->prev = ret;
-    call->prev->next = call;
-    if (call->next) call->next->prev = call;
-  };
-
-  const size_t words = (n + 63) / 64;
-  std::vector<uint64_t> linearized(words, 0);
-  MultiState state(num_keys);
-  // leed-lint: allow(unordered-iter): membership probes only
-  std::unordered_set<MultiCacheKey, MultiCacheKeyHash> cache;
-  struct Frame {
-    EventNode* call;
-    MultiState prev_state;
-  };
-  std::vector<Frame> stack;
-
-  EventNode* entry = root->next;
-  while (root->next != nullptr) {
-    if (result.steps >= budget) {
-      result.verdict = Verdict::kInconclusive;
-      return result;
-    }
-    if (entry == nullptr) {
-      if (stack.empty()) {
-        result.verdict = Verdict::kViolation;
-        result.blocked_call = root->next->call;
-        return result;
-      }
-      Frame f = std::move(stack.back());
-      stack.pop_back();
-      state = std::move(f.prev_state);
-      const int c = f.call->call;
-      linearized[c / 64] &= ~(1ull << (c % 64));
-      unlift(f.call);
-      entry = f.call->next;
-      continue;
-    }
-    if (entry->match != nullptr) {
-      ++result.steps;
-      MultiState next_state;
-      bool ok = StepModelMulti(state, calls[entry->call], &next_state);
-      if (ok) {
-        MultiCacheKey key{linearized, next_state};
-        key.bits[entry->call / 64] |= 1ull << (entry->call % 64);
-        if (!cache.insert(std::move(key)).second) ok = false;
-      }
-      if (ok) {
-        stack.push_back({entry, state});
-        state = std::move(next_state);
-        linearized[entry->call / 64] |= 1ull << (entry->call % 64);
-        lift(entry);
-        entry = root->next;
-      } else {
-        entry = entry->next;
-      }
-    } else {
-      if (stack.empty()) {
-        result.verdict = Verdict::kViolation;
-        result.blocked_call = entry->call;
-        return result;
-      }
-      Frame f = std::move(stack.back());
-      stack.pop_back();
-      state = std::move(f.prev_state);
-      const int c = f.call->call;
-      linearized[c / 64] &= ~(1ull << (c % 64));
-      unlift(f.call);
-      entry = f.call->next;
-    }
-  }
-  return result;
-}
-
-// Finds scan-connected key clusters and runs the exact multi-key search on
-// each small one. Keys already convicted by the cheap scan pass are
-// skipped (their cluster's violation is recorded already).
+// Finds scan-connected key clusters and runs the search on each small one,
+// with every scan as one atomic multi-key read. Keys already convicted by
+// the cheap scan pass are skipped (their cluster's violation is recorded
+// already).
 void ScanClusterCheck(const std::vector<HistoryOp>& history,
-                      const CheckOptions& options,
                       const std::set<std::string>& convicted,
                       uint64_t* budget_left, CheckReport* report) {
   // Union-find over the keys each kOk scan observed.
@@ -794,6 +626,10 @@ void ScanClusterCheck(const std::vector<HistoryOp>& history,
     clusters[find(k)].push_back(k);
   }
 
+  std::vector<const HistoryOp*> all_ops;
+  all_ops.reserve(history.size());
+  for (const HistoryOp& op : history) all_ops.push_back(&op);
+
   for (auto& [root, keys] : clusters) {
     (void)root;
     // Single-key clusters are exactly covered by the per-key search over
@@ -804,7 +640,7 @@ void ScanClusterCheck(const std::vector<HistoryOp>& history,
       if (convicted.contains(k)) skip = true;
     }
     if (skip) continue;
-    if (keys.size() > options.scan_cluster_max_keys) {
+    if (keys.size() > kScanClusterMaxKeys) {
       ++report->scan_clusters_capped;
       continue;
     }
@@ -812,82 +648,28 @@ void ScanClusterCheck(const std::vector<HistoryOp>& history,
     for (const std::string& k : keys) {
       key_idx.emplace(k, static_cast<int>(key_idx.size()));
     }
-
-    // Lower every op touching the cluster. Scans observing any cluster key
-    // observe only cluster keys (by union-find construction).
-    std::vector<MultiCall> calls;
-    for (const HistoryOp& op : history) {
-      const bool determinate =
-          op.outcome == Outcome::kOk || op.outcome == Outcome::kNotFound;
-      MultiCall c;
-      c.src = &op;
-      c.invoke = op.invoke;
-      c.response = determinate ? op.response : kInfTime;
-      if (op.kind == OpKind::kScan) {
-        if (op.outcome != Outcome::kOk || op.scan_obs.empty()) continue;
-        if (!key_idx.contains(op.scan_obs.front().key)) continue;
-        c.is_scan = true;
-        for (const ScanObservation& obs : op.scan_obs) {
-          c.obs.emplace_back(key_idx.at(obs.key), obs.digest);
-        }
-      } else {
-        if (!key_idx.contains(op.key)) continue;
-        c.key = key_idx.at(op.key);
-        switch (op.kind) {
-          case OpKind::kGet:
-            if (!determinate) continue;
-            c.reads_absent = (op.outcome == Outcome::kNotFound);
-            c.digest = op.value_digest;
-            break;
-          case OpKind::kPut:
-            c.is_write = true;
-            c.digest = op.value_digest;
-            break;
-          case OpKind::kDel:
-            c.is_write = true;
-            c.is_del = true;
-            break;
-          case OpKind::kScan:
-            continue;  // handled above
-        }
-      }
-      calls.push_back(std::move(c));
-    }
-    if (calls.size() > options.scan_cluster_max_ops) {
+    // Scans observing any cluster key observe only cluster keys (by
+    // union-find construction).
+    std::vector<Call> calls = LowerCalls(all_ops, key_idx);
+    if (calls.size() > kScanClusterMaxOps) {
       ++report->scan_clusters_capped;
       continue;
     }
-    if (*budget_left == 0) {
-      ++report->inconclusive_keys;
-      continue;
-    }
-    WgResult wg = WingGongCheckMulti(calls, key_idx.size(), *budget_left);
-    report->steps_used += wg.steps;
-    *budget_left -= std::min(*budget_left, wg.steps);
-    switch (wg.verdict) {
-      case Verdict::kLinearizable:
-        break;
-      case Verdict::kInconclusive:
-        ++report->inconclusive_keys;
-        break;
-      case Verdict::kViolation: {
-        Violation v;
-        v.key = keys.front();
-        v.kind = "scan-linearizability";
-        uint64_t blocked_id =
-            wg.blocked_call >= 0 ? calls[wg.blocked_call].src->id : 0;
-        v.detail = "no linearization order exists for the " +
-                   std::to_string(keys.size()) +
-                   "-key scan cluster (search blocked at op " +
-                   std::to_string(blocked_id) + ")";
-        std::vector<const HistoryOp*> ops;
-        ops.reserve(calls.size());
-        for (const MultiCall& c : calls) ops.push_back(c.src);
-        v.sub_history = CollectOpsVec(std::move(ops));
-        report->violations.push_back(std::move(v));
-        break;
-      }
-    }
+    std::optional<uint64_t> blocked =
+        SearchForViolation(calls, key_idx.size(), budget_left, report);
+    if (!blocked) continue;
+    Violation v;
+    v.key = keys.front();
+    v.kind = "scan-linearizability";
+    v.detail = "no linearization order exists for the " +
+               std::to_string(keys.size()) +
+               "-key scan cluster (search blocked at op " +
+               std::to_string(*blocked) + ")";
+    std::vector<const HistoryOp*> ops;
+    ops.reserve(calls.size());
+    for (const Call& c : calls) ops.push_back(c.src);
+    v.sub_history = CollectOps(ops);
+    report->violations.push_back(std::move(v));
   }
 }
 
@@ -895,21 +677,14 @@ void ScanClusterCheck(const std::vector<HistoryOp>& history,
 // Violation minimization
 // ---------------------------------------------------------------------------
 
-Verdict CheckOps(const std::vector<const HistoryOp*>& ops, uint64_t budget,
-                 uint64_t* steps_used) {
-  std::vector<Call> calls = LowerCalls(ops);
-  WgResult r = WingGongCheck(calls, budget);
-  if (steps_used) *steps_used += r.steps;
-  return r.verdict;
-}
-
-// Greedy delta-debugging: drop ops whose removal keeps the sub-history
-// failing. PUTs still observed by a retained read are pinned so the
-// minimized history never contains a read of a value nobody wrote.
-std::vector<HistoryOp> MinimizeViolation(std::vector<const HistoryOp*> ops,
-                                         const CheckOptions& options,
-                                         uint64_t* steps_used) {
-  if (options.minimize_budget > 0 && ops.size() <= options.minimize_max_ops) {
+// Greedy delta-debugging over one key's sub-history: drop ops whose removal
+// keeps it failing. PUTs still observed by a retained read are pinned so
+// the minimized history never contains a read of a value nobody wrote.
+std::vector<HistoryOp> MinimizeViolation(
+    std::vector<const HistoryOp*> ops,
+    const std::map<std::string, int>& key_index, uint64_t budget,
+    uint64_t* steps_used) {
+  if (budget > 0 && ops.size() <= kMinimizeMaxOps) {
     for (size_t i = ops.size(); i-- > 0;) {
       const HistoryOp* candidate = ops[i];
       if (candidate->kind == OpKind::kPut) {
@@ -926,10 +701,9 @@ std::vector<HistoryOp> MinimizeViolation(std::vector<const HistoryOp*> ops,
       }
       std::vector<const HistoryOp*> without = ops;
       without.erase(without.begin() + static_cast<ptrdiff_t>(i));
-      if (CheckOps(without, options.minimize_budget, steps_used) ==
-          Verdict::kViolation) {
-        ops = std::move(without);
-      }
+      WgResult r = WingGongCheck(LowerCalls(without, key_index), 1, budget);
+      *steps_used += r.steps;
+      if (r.verdict == Verdict::kViolation) ops = std::move(without);
     }
   }
   std::vector<HistoryOp> out;
@@ -1013,11 +787,14 @@ CheckReport CheckHistory(const std::vector<HistoryOp>& history,
     by_key[op.key].push_back(&op);
   }
 
+  std::map<std::string, KeyWrites> writes;
   std::set<std::string> scan_convicted;
   if (options.read_semantics) {
-    ScanSemanticsCheck(history, &report.violations, &scan_convicted);
+    writes = SummarizeWrites(history);
+    ScanSemanticsCheck(history, writes, &report.violations, &scan_convicted);
   }
 
+  const KeyWrites no_writes;
   uint64_t budget_left = options.step_budget;
   for (auto& [key, ops] : by_key) {
     ++report.keys_checked;
@@ -1026,52 +803,37 @@ CheckReport CheckHistory(const std::vector<HistoryOp>& history,
                 if (a->invoke != b->invoke) return a->invoke < b->invoke;
                 return a->id < b->id;
               });
-    std::vector<Call> calls = LowerCalls(ops);
 
-    size_t violations_before = report.violations.size();
-    if (options.read_semantics && DigestsUniquePerKey(calls)) {
-      ReadSemanticsCheck(key, calls, &report.violations);
-    }
-    if (report.violations.size() > violations_before) {
+    if (options.read_semantics) {
+      auto kw = writes.find(key);
+      const KeyWrites& key_writes = kw == writes.end() ? no_writes : kw->second;
+      const size_t violations_before = report.violations.size();
+      if (key_writes.digests_unique) {
+        ReadSemanticsCheck(key, ops, key_writes, &report.violations);
+      }
       // The cheap pass already convicted this key; skip the search and
       // spend the budget on the remaining keys.
-      continue;
+      if (report.violations.size() > violations_before) continue;
     }
 
     if (options.step_budget == 0) continue;
-    if (budget_left == 0) {
-      ++report.inconclusive_keys;
-      continue;
-    }
-    WgResult wg = WingGongCheck(calls, budget_left);
-    report.steps_used += wg.steps;
-    budget_left -= std::min(budget_left, wg.steps);
-    switch (wg.verdict) {
-      case Verdict::kLinearizable:
-        break;
-      case Verdict::kInconclusive:
-        ++report.inconclusive_keys;
-        break;
-      case Verdict::kViolation: {
-        Violation v;
-        v.key = key;
-        v.kind = "linearizability";
-        uint64_t blocked_id =
-            wg.blocked_call >= 0 ? calls[wg.blocked_call].src->id : 0;
-        v.detail = "no linearization order exists (search blocked at op " +
-                   std::to_string(blocked_id) + ")";
-        uint64_t min_steps = 0;
-        v.sub_history = MinimizeViolation(ops, options, &min_steps);
-        report.steps_used += min_steps;
-        report.violations.push_back(std::move(v));
-        break;
-      }
-    }
+    const std::map<std::string, int> key_index{{key, 0}};
+    std::optional<uint64_t> blocked = SearchForViolation(
+        LowerCalls(ops, key_index), 1, &budget_left, &report);
+    if (!blocked) continue;
+    Violation v;
+    v.key = key;
+    v.kind = "linearizability";
+    v.detail = "no linearization order exists (search blocked at op " +
+               std::to_string(*blocked) + ")";
+    v.sub_history = MinimizeViolation(ops, key_index, options.minimize_budget,
+                                      &report.steps_used);
+    report.violations.push_back(std::move(v));
   }
 
   // Exact atomic-scan semantics on small scan-connected key clusters.
   if (options.step_budget > 0) {
-    ScanClusterCheck(history, options, scan_convicted, &budget_left, &report);
+    ScanClusterCheck(history, scan_convicted, &budget_left, &report);
   }
 
   if (!report.violations.empty()) {

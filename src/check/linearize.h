@@ -15,8 +15,12 @@
 //     the pass aimed squarely at CRRS shipped reads (§3.7): a dirty-read
 //     bug shows up as a stale read long before full search is needed.
 //  2. A Wing–Gong / Knossos-style search with memoized state sets and a
-//     configurable step budget. Budget exhaustion reports kInconclusive
-//     for that key instead of hanging.
+//     configurable step budget (CheckOptions::step_budget). Budget
+//     exhaustion reports kInconclusive for that key instead of hanging.
+//
+// There is one search: it checks calls against a vector of registers. A
+// per-key sub-history is a one-register instance of it; a scan cluster
+// (below) is a multi-register one.
 //
 // Indeterminate operations (client saw an error or no response): writes
 // may still have taken effect, so they enter the search with an unbounded
@@ -37,11 +41,12 @@
 //     scan window but their feasible instants have empty intersection —
 //     the scan straddled a commit), and non-monotonic-scan (a client's
 //     later scan observed a strictly older value than its earlier scan).
-//  3. Exact search: keys connected by scans form clusters; small clusters
-//     (scan_cluster_max_keys / scan_cluster_max_ops) get a multi-register
-//     Wing–Gong search treating each scan as one atomic multi-key read.
-//     Oversized clusters fall back to projection only (still sound for
-//     conviction; counted in scan_clusters_capped).
+//  3. Exact search: keys connected by scans form clusters; clusters of at
+//     most 6 keys and 48 ops (kScanClusterMaxKeys / kScanClusterMaxOps)
+//     run the search with one register per cluster key, treating each
+//     scan as one atomic multi-key read. Oversized clusters fall back to
+//     projection only (still sound for conviction; counted in
+//     scan_clusters_capped).
 
 #pragma once
 
@@ -68,13 +73,6 @@ struct CheckOptions {
   // Budget for each checker call made while auto-minimizing a violating
   // sub-history (greedy op removal); 0 skips minimization.
   uint64_t minimize_budget = 100'000;
-  // Per-key op-count ceiling for greedy minimization (quadratic).
-  size_t minimize_max_ops = 400;
-  // Ceilings for the exact multi-key scan-cluster search (state space is
-  // exponential in ops and keys). Clusters over either limit fall back to
-  // per-key projection and count into scan_clusters_capped.
-  size_t scan_cluster_max_keys = 6;
-  size_t scan_cluster_max_ops = 48;
 };
 
 struct Violation {

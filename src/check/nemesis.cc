@@ -230,7 +230,7 @@ SeedResult RunNemesisSeed(const NemesisOptions& opt, const NemesisPlan& plan,
     return result;
   }
 
-  CheckReport report = CheckHistory(log->ops(), opt.check);
+  CheckReport report = CheckHistory(log->ops());
   result.verdict = report.verdict;
   result.steps = report.steps_used;
   result.violations = std::move(report.violations);

@@ -70,8 +70,6 @@ struct NemesisOptions {
   uint32_t scan_limit = 4;
   SimTime run_for = 200 * kMillisecond;  // hard deadline for the drive phase
 
-  CheckOptions check;
-
   // Run every seed with host-bypass GET offload enabled
   // (EngineConfig::offload_enabled): index-hit reads skip the DPU CPU
   // path. The sweeps must stay linearizable — dirty/filling/shipped reads
