@@ -6,10 +6,11 @@
 #                                          PARENT_BIN (the refactoring oracle)
 #
 # Each case's metrics, trace or history files from the two runs must be
-# byte-identical. Independent of the mode, BIN must also be jobs-independent
-# (--jobs 1 vs 4), react to its seed, and actually fire the fault plan,
-# offload fast path, device death and scans the cases rely on, so no case
-# passes vacuously. Outputs are kept under ./replay-gate/.
+# byte-identical, and so must the checked sweeps' --verbose reports.
+# Independent of the mode, BIN must also be jobs-independent (--jobs 1 vs
+# 4), react to its seed, and actually fire the fault plan, offload fast
+# path, device death and scans the cases rely on, so no case passes
+# vacuously. Outputs are kept under ./replay-gate/.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
@@ -36,14 +37,18 @@ snap() {
   echo "ok: $name metrics and trace byte-identical"
 }
 
-# hist NAME ARGS...: the client history dump of a checked sweep.
+# hist NAME ARGS...: the client history dump of a checked sweep, and its
+# --verbose report: each seed's verdict, step count and violation lines.
 hist() {
   local name=$1
   shift
-  "$BIN" "$@" --history-out="$OUT/$name.a.history" >"$OUT/$name.a.log"
-  "$OTHER" "$@" --history-out="$OUT/$name.b.history" >"$OUT/$name.b.log"
+  "$BIN" "$@" --verbose --history-out="$OUT/$name.a.history" \
+    >"$OUT/$name.a.log"
+  "$OTHER" "$@" --verbose --history-out="$OUT/$name.b.history" \
+    >"$OUT/$name.b.log"
   cmp "$OUT/$name.a.history" "$OUT/$name.b.history"
-  echo "ok: $name history byte-identical"
+  cmp "$OUT/$name.a.log" "$OUT/$name.b.log"
+  echo "ok: $name history and checker report byte-identical"
 }
 
 # counter_at_least FILE PATTERN MIN: the summed counters whose names end in
@@ -92,10 +97,11 @@ counter_at_least "$OUT/device-death.a.metrics.json" faults.dev.dead 1
 # the seed-parallel sweep driver.
 SWEEP=(--check=linearizability --seeds=4 --seed=12345 --check-plan=crash)
 hist sweep "${SWEEP[@]}" --jobs=1
-"$BIN" "${SWEEP[@]}" --jobs=4 --history-out="$OUT/sweep.jobs4.history" \
-  >"$OUT/sweep.jobs4.log"
+"$BIN" "${SWEEP[@]}" --jobs=4 --verbose \
+  --history-out="$OUT/sweep.jobs4.history" >"$OUT/sweep.jobs4.log"
 cmp "$OUT/sweep.a.history" "$OUT/sweep.jobs4.history"
-echo "ok: sweep history independent of --jobs"
+cmp "$OUT/sweep.a.log" "$OUT/sweep.jobs4.log"
+echo "ok: sweep history and checker report independent of --jobs"
 
 # SCANs add multi-item observations, budgeted fetch steps and dirty-window
 # parking to the history.
