@@ -3,9 +3,10 @@
 // A replicated PUT's value is written once, by the client, and from then on
 // only read: by the chain message that carries it from replica to replica,
 // by each replica's pending buffer (kept for re-forwarding after a view
-// change), by the engine request and by the store's log encode. Sharing one
-// buffer between all of them turns each hand-off into a reference-count
-// bump; the log encode is the only copy the value needs.
+// change), by the engine request, by the store's value-log append and by
+// the simulated device that persists it (sim::PageStore keeps the bytes as
+// an extent). Sharing one buffer between all of them turns each hand-off
+// into a reference-count bump: no replica copies the value.
 
 #pragma once
 

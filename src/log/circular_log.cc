@@ -11,8 +11,9 @@ CircularLog::CircularLog(BlockDevice& device, uint64_t base_offset, uint64_t siz
   assert(base_ + size_ <= device_.capacity_bytes());
 }
 
-void CircularLog::Append(std::vector<uint8_t> data, AppendCallback callback) {
-  const uint64_t len = data.size();
+void CircularLog::Append(std::vector<uint8_t> head, SharedBytes tail,
+                         AppendCallback callback) {
+  const uint64_t len = head.size() + tail.size();
   if (len == 0 || len > size_) {
     callback(AppendResult{Status::InvalidArgument("bad append size"), 0, 0});
     return;
@@ -33,7 +34,8 @@ void CircularLog::Append(std::vector<uint8_t> data, AppendCallback callback) {
     req.type = IoType::kWrite;
     req.pattern = IoPattern::kSequential;
     req.offset = phys;
-    req.data = std::move(data);
+    req.data = std::move(head);
+    req.tail = std::move(tail);
     Status st = device_.Submit(std::move(req), [entry_offset, cb = std::move(callback)](
                                                    sim::IoResult r) {
       cb(AppendResult{std::move(r.status), entry_offset, r.Latency()});
@@ -43,6 +45,8 @@ void CircularLog::Append(std::vector<uint8_t> data, AppendCallback callback) {
   }
 
   // Wrapping entry: two sequential writes (end of region, then start).
+  std::vector<uint8_t> data = std::move(head);
+  data.insert(data.end(), tail.bytes().begin(), tail.bytes().end());
   auto state = std::make_shared<std::pair<int, AppendResult>>();
   state->first = 2;
   state->second.offset = entry_offset;

@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "common/status.h"
 #include "sim/block_device.h"
 
@@ -54,7 +55,13 @@ class CircularLog {
   // would exceed capacity; the caller is expected to compact first (the
   // store triggers compaction when the free fraction drops below a
   // threshold, well before this fires).
-  void Append(std::vector<uint8_t> data, AppendCallback callback);
+  void Append(std::vector<uint8_t> data, AppendCallback callback) {
+    Append(std::move(data), SharedBytes(), std::move(callback));
+  }
+  // Append the entry head ++ tail. The device keeps the tail by reference
+  // (IoRequest::tail); an entry that wraps the region end is written as
+  // two copied halves instead.
+  void Append(std::vector<uint8_t> head, SharedBytes tail, AppendCallback callback);
 
   // Read `length` bytes at logical `offset`. The range must be inside
   // [head, tail).

@@ -9,16 +9,22 @@
 //
 // The byte store is sparse (chunked, with a written-page bitmap per chunk):
 // simulating a 960 GB SSD does not allocate 960 GB; only chunks holding a
-// written page exist.
+// written page exist. A write may also carry a shared tail (a replicated
+// PUT's value, one buffer for every replica); the store keeps such a write
+// by reference, as an extent, instead of copying its bytes into pages.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "sim/simulator.h"
@@ -37,10 +43,14 @@ struct IoRequest {
   IoType type = IoType::kRead;
   IoPattern pattern = IoPattern::kRandom;
   uint64_t offset = 0;  // bytes
-  uint64_t length = 0;  // bytes; for writes, data.size() if data present
+  uint64_t length = 0;  // bytes; for writes, data.size() + tail.size() if 0
   // For writes: bytes to persist. May be empty for timing-only traffic
   // (e.g. device-level microbenchmarks), in which case zeros are stored.
   std::vector<uint8_t> data;
+  // For writes: bytes persisted right after `data`, kept by reference
+  // (PageStore::WriteShared). A write with a tail carries no zero padding:
+  // its length is at most data.size() + tail.size().
+  SharedBytes tail;
 };
 
 struct IoResult {
@@ -101,45 +111,121 @@ class BlockDevice {
 };
 
 // Sparse in-memory byte store shared by device implementations. Bytes live
-// in fixed-size chunks (16 KiB, at most 64 pages), one heap allocation
-// each, found through a flat open-addressing table (linear probing,
-// power-of-two size, multiplicative hash, at most half full; chunks are
-// never freed, so no tombstones). Each chunk keeps a bitmap of its written
-// pages: a never-written page reads as zero without being stored or
-// zeroed, a first write zero-fills only the bytes of its pages it does not
-// cover, and a read copies each run of written pages once. A chunk is
-// small enough that the unwritten tail of a partly written chunk (one at
-// each log's write frontier) costs little memory, and large enough that
-// a sequential log append touches one table slot per 4 pages.
+// in fixed-size chunks (16 KiB, at most 64 pages), found through a flat
+// open-addressing table (linear probing, power-of-two size, multiplicative
+// hash, at most half full; chunks are never freed, so no tombstones).
+//
+// A chunk holds two kinds of bytes:
+//   * Pages: one heap allocation per chunk, made by the first plain Write
+//     into it, with a bitmap of the pages whose bytes it stores. A page
+//     without bytes reads as zero, a page's first write zero-fills only
+//     the bytes of the page it does not cover, and a read copies each run
+//     of stored pages once.
+//   * Extents: writes kept by reference (WriteShared). Each extent is a
+//     byte range of the chunk whose contents are a head, held inline in
+//     the extent, followed by a slice of a shared tail buffer. A write is
+//     split at chunk boundaries, one extent per chunk it touches. A
+//     chunk's extents are sorted and disjoint, and always newer than the
+//     page bytes under them: a later write trims (or splits) every extent
+//     it overlaps, in place, and a read takes the extents' bytes over the
+//     pages'. A page whose bytes extents shadow whole drops them, and a
+//     chunk whose pages all did frees its allocation. The extents are a
+//     short sorted vector per chunk, not one ordered map per device: a
+//     map node per write cost a prototype 28% more host CPU per op on a
+//     write-heavy run.
+// A chunk is small enough that the unwritten tail of a partly written
+// chunk (one at each log's write frontier) costs little memory, and large
+// enough that a sequential log append touches one table slot per 4 pages.
 class PageStore {
  public:
   PageStore(uint64_t capacity_bytes, uint32_t page_size = 4096);
 
   Status CheckRange(uint64_t offset, uint64_t length) const;
+  // CheckRange for a request covering `length` bytes, which a write with
+  // a shared tail must also hold in data ++ tail.
+  Status CheckRequest(const IoRequest& request, uint64_t length) const;
   // Stores data[0, length); bytes past data.size() are written as zeros.
   void Write(uint64_t offset, const std::vector<uint8_t>& data, uint64_t length);
+  // Stores the first `length` bytes of head ++ tail, which must have that
+  // many: the head goes into the extents, the tail is referenced.
+  void WriteShared(uint64_t offset, std::vector<uint8_t> head,
+                   const SharedBytes& tail, uint64_t length);
+  // Stores the first `length` bytes of a write request (data ++ tail):
+  // WriteShared, which takes the request's data, when it carries a tail;
+  // Write otherwise.
+  void Persist(IoRequest& request, uint64_t length);
   std::vector<uint8_t> Read(uint64_t offset, uint64_t length) const;
 
   uint64_t capacity() const { return capacity_; }
-  // Pages written at least once (never-written pages read as zero).
+  // Pages whose bytes are stored (never-written pages, and pages extents
+  // shadow whole, are not).
   uint64_t resident_pages() const { return resident_; }
   uint64_t resident_bytes() const { return resident_ * page_size_; }
+  // Extents currently kept, over all chunks.
+  uint64_t extents() const { return extents_; }
 
  private:
   static constexpr uint64_t kChunkBytes = 16 * 1024;
+  static constexpr uint64_t kNoChunk = ~uint64_t{0};
+
+  struct Extent {
+    // A head this long or shorter (a value entry's header and a key of up
+    // to 22 bytes) is kept in the extent itself.
+    static constexpr uint32_t kInlineHead = 32;
+
+    using InlineHead = std::array<uint8_t, kInlineHead>;
+
+    uint32_t begin = 0;  // chunk-relative byte range [begin, end)
+    uint32_t end = 0;
+    uint32_t pos = 0;    // where `begin` lies in head ++ tail
+    uint32_t head_len = 0;
+    // A longer head keeps a buffer of its own: the write request's, moved
+    // in, so keeping a long key's entry allocates nothing either.
+    std::variant<InlineHead, std::vector<uint8_t>> head_bytes;
+    SharedBytes tail;
+    // tail.bytes().data(), cached: a read need not touch the tail's
+    // control block, a cache miss of its own.
+    const uint8_t* tail_data = nullptr;
+
+    const uint8_t* head() const {
+      return std::visit([](const auto& h) { return h.data(); }, head_bytes);
+    }
+    void SetHead(std::span<const uint8_t> bytes);
+    void SetHead(std::vector<uint8_t>&& bytes);
+    // Appends the extent's bytes [from, to) (chunk-relative) to `out`.
+    void AppendTo(uint32_t from, uint32_t to, std::vector<uint8_t>& out) const;
+    // Moves the start to `at`, releasing the head once it is passed.
+    void DropFront(uint32_t at);
+    // The part of this extent from `at` on, as an extent of its own.
+    Extent Suffix(uint32_t at) const;
+  };
+  // One extent per replica of every value a log holds: keep it small.
+  static_assert(sizeof(Extent) <= 80);
 
   struct Slot {
-    uint64_t chunk_no = 0;
-    uint64_t written = 0;              // bit p: page p of the chunk written
-    std::unique_ptr<uint8_t[]> bytes;  // null: empty slot
+    uint64_t chunk_no = kNoChunk;      // kNoChunk: empty slot
+    uint64_t written = 0;              // bit p: page p's bytes are stored
+    std::unique_ptr<uint8_t[]> bytes;  // null while no page stores bytes
+    std::vector<Extent> extents;       // sorted by begin, disjoint
   };
 
   size_t Home(uint64_t chunk_no) const {
     return static_cast<size_t>((chunk_no * 0x9e3779b97f4a7c15ull) >> shift_);
   }
   const Slot* Find(uint64_t chunk_no) const;
-  Slot& FindOrInsert(uint64_t chunk_no);  // a new chunk is uninitialized
+  Slot& FindOrInsert(uint64_t chunk_no);
   void Grow();
+  // Removes [begin, end) from the chunk's extents (trimming or splitting
+  // the ones it cuts), then puts `fill`, if any, in its place: into the
+  // entry of an extent the range covered whole when there is one, so a log
+  // overwriting its previous lap moves no other extent.
+  void CutExtents(Slot& slot, uint32_t begin, uint32_t end, Extent* fill);
+  // Appends the page bytes (zeros where none are stored) of the chunk's
+  // range [begin, end) to `out`; `slot` may be null.
+  void AppendPages(const Slot* slot, uint64_t begin, uint64_t end,
+                   std::vector<uint8_t>& out) const;
+  // Drops the bytes of pages [first, last] that extents shadow whole.
+  void DropShadowedPages(Slot& slot, uint64_t first, uint64_t last);
 
   uint64_t capacity_;
   uint32_t page_size_;
@@ -149,6 +235,7 @@ class PageStore {
   uint32_t shift_ = 64;      // 64 - log2(slots_.size())
   uint64_t chunks_ = 0;
   uint64_t resident_ = 0;
+  uint64_t extents_ = 0;
 };
 
 // Zero-latency synchronous-completion device for unit tests of the log and

@@ -79,8 +79,9 @@ SimTime SimSsd::write_pipe_backlog() const {
 }
 
 Status SimSsd::Submit(IoRequest request, IoCallback callback) {
-  uint64_t length = request.length ? request.length : request.data.size();
-  LEED_RETURN_IF_ERROR(store_.CheckRange(request.offset, length));
+  uint64_t length =
+      request.length ? request.length : request.data.size() + request.tail.size();
+  LEED_RETURN_IF_ERROR(store_.CheckRequest(request, length));
   request.length = length;
 
   // The fault layer decides this IO's fate before any state changes, so a
@@ -95,12 +96,12 @@ Status SimSsd::Submit(IoRequest request, IoCallback callback) {
   }
   if (fate == IoFault::kCrash) {
     if (request.type == IoType::kWrite && keep > 0) {
-      store_.Write(request.offset, request.data, keep);
+      store_.Persist(request, keep);
     }
     return Status::Ok();  // the callback never fires
   }
   if (fate == IoFault::kError || fate == IoFault::kTorn) {
-    if (fate == IoFault::kTorn) store_.Write(request.offset, request.data, keep);
+    if (fate == IoFault::kTorn) store_.Persist(request, keep);
     const SimTime base = request.type == IoType::kWrite ? spec_.write_base_ns
                                                         : spec_.read_base_ns;
     ++inflight_;
@@ -127,7 +128,7 @@ Status SimSsd::Submit(IoRequest request, IoCallback callback) {
   if (request.type == IoType::kWrite) {
     // Persist immediately in the functional store (the device has the data
     // from submission time; readers that observe the completion see it).
-    store_.Write(request.offset, request.data, length);
+    store_.Persist(request, length);
     stats_.writes++;
     stats_.write_bytes += length;
     if (metrics_.write_ops) {

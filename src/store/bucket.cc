@@ -396,18 +396,37 @@ Result<Bucket> DecodeBucket(std::span<const uint8_t> data, size_t at,
   return view.value().ToBucket();
 }
 
-std::vector<uint8_t> EncodeValueEntry(uint32_t segment_id, std::string_view key,
-                                      std::span<const uint8_t> value) {
-  std::vector<uint8_t> out(ValueEntry::kHeaderBytes + key.size() + value.size());
+namespace {
+
+// Writes the entry head (header and key) at the start of `out`; returns
+// its length.
+size_t PutValueEntryHead(std::vector<uint8_t>& out, uint32_t segment_id,
+                         std::string_view key, uint32_t value_len) {
   size_t pos = 0;
   PutScalar(out, pos, segment_id);
   PutScalar(out, pos, static_cast<uint16_t>(key.size()));
-  PutScalar(out, pos, static_cast<uint32_t>(value.size()));
+  PutScalar(out, pos, value_len);
   leed::CopyBytes(out.data() + pos, key.data(), key.size());
-  pos += key.size();
+  return pos + key.size();
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeValueEntry(uint32_t segment_id, std::string_view key,
+                                      std::span<const uint8_t> value) {
+  std::vector<uint8_t> out(ValueEntry::kHeaderBytes + key.size() + value.size());
+  const size_t pos =
+      PutValueEntryHead(out, segment_id, key, static_cast<uint32_t>(value.size()));
   // Empty values (DEL tombstones) have a null data(); CopyBytes guards
   // the n == 0 case that raw memcpy declares nonnull.
   leed::CopyBytes(out.data() + pos, value.data(), value.size());
+  return out;
+}
+
+std::vector<uint8_t> EncodeValueEntryHead(uint32_t segment_id, std::string_view key,
+                                          uint32_t value_len) {
+  std::vector<uint8_t> out(ValueEntry::kHeaderBytes + key.size());
+  PutValueEntryHead(out, segment_id, key, value_len);
   return out;
 }
 

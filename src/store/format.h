@@ -267,6 +267,11 @@ struct ValueEntryView {
 
 std::vector<uint8_t> EncodeValueEntry(uint32_t segment_id, std::string_view key,
                                       std::span<const uint8_t> value);
+// The entry's header and key: every byte before a `value_len`-byte value.
+// A PUT appends this head followed by its shared value buffer, so the value
+// itself is never copied into the log.
+std::vector<uint8_t> EncodeValueEntryHead(uint32_t segment_id, std::string_view key,
+                                          uint32_t value_len);
 Result<ValueEntryView> ParseValueEntry(std::span<const uint8_t> data, size_t at);
 
 // Size of the value-log entry for a key/value pair — what a GET must read.

@@ -273,22 +273,22 @@ class ChainPutAllocs {
 
 // A 2000-byte value: larger than every IO header and message, smaller than
 // a 4 KB key-log bucket or a device chunk, so [2000, 4000)-byte
-// allocations are the value's copies and its log encodes. Every replica
-// keeps its value for re-forwarding and encodes it once into its value
-// log; sharing the bytes between chain message, pending buffer and engine
-// request leaves at most two value-sized allocations per replica; today
-// the three log encodes are the only ones. When each hand-off copied the
-// value, this PUT made 20 (17 copies and the 3 encodes).
+// allocations are copies of the value. The client's buffer is shared by
+// the chain message, every replica's pending buffer and engine request,
+// and the value-log append: each replica appends only the entry head and
+// hands the device the same buffer, which the device keeps by reference
+// (sim::PageStore extents). So a PUT copies its value nowhere. When each
+// hand-off copied the value, this PUT made 20 (17 copies and 3 log
+// encodes); with the log encode as the one copy, 3.
 constexpr size_t kValueLen = 2000;
-constexpr uint64_t kReplicas = 3;
 
 TEST(ChainPutAllocTest, ValueIsSharedNotCopiedAlongTheChain) {
   ChainPutAllocs cluster;
   cluster.PutValueAllocs("warm-up-key", kValueLen);
   const uint64_t fresh = cluster.PutValueAllocs("measured-key", kValueLen);
   const uint64_t overwrite = cluster.PutValueAllocs("measured-key", kValueLen);
-  EXPECT_LE(fresh, 2 * kReplicas) << fresh;
-  EXPECT_LE(overwrite, 2 * kReplicas) << overwrite;
+  EXPECT_EQ(fresh, 0u);
+  EXPECT_EQ(overwrite, 0u);
 }
 
 }  // namespace

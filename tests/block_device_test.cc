@@ -1,17 +1,25 @@
 // Edge-case tests for the functional block-device substrate: sparse page
-// store semantics, zero-fill of never-written ranges, cross-page IOs, and
-// the MemBlockDevice's async completion ordering.
+// store semantics, zero-fill of never-written ranges, cross-page IOs,
+// shared-tail writes kept as extents (against a byte-level oracle, and
+// under torn and crashed writes on both devices), and the MemBlockDevice's
+// async completion ordering.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rand.h"
+#include "common/shared_bytes.h"
 
 #include "sim/block_device.h"
+#include "sim/fault.h"
+#include "sim/ssd_model.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
@@ -109,64 +117,218 @@ TEST(PageStoreTest, RandomizedAgainstMapOracle) {
   for (uint64_t offset = 0; offset < kCapacity; offset += 64 * 1024) check(offset, 64 * 1024);
 }
 
+// A byte-level model of a PageStore window, for the oracle tests that mix
+// plain and shared writes. Besides each byte's value it tracks which write
+// last set the byte (0: a plain write, or never written) and which pages
+// store bytes, so it predicts resident_pages() and extents() exactly:
+//   * a plain write makes every page it touches store bytes;
+//   * a shared write drops the bytes of each page it touches once shared
+//     writes own the whole page;
+//   * the extents are the maximal runs, within one chunk, of bytes last
+//     set by one shared write (a write split at chunk boundaries, trimmed
+//     by later writes, or split in two by a write inside it).
+class WindowOracle {
+ public:
+  WindowOracle(uint64_t origin, uint64_t size, uint32_t page, uint64_t chunk)
+      : origin_(origin), page_(page), chunk_(chunk), bytes_(size, 0), owner_(size, 0) {}
+
+  void Write(uint64_t offset, const std::vector<uint8_t>& data, uint64_t keep) {
+    for (uint64_t i = 0; i < keep; ++i) {
+      bytes_[offset - origin_ + i] = data[i];
+      owner_[offset - origin_ + i] = 0;
+    }
+    for (uint64_t p = offset / page_; p <= (offset + keep - 1) / page_; ++p) {
+      stored_.insert(p);
+    }
+  }
+
+  // `whole` is head ++ tail; `keep` of its bytes land.
+  void WriteShared(uint64_t offset, const std::vector<uint8_t>& whole, uint64_t keep) {
+    const uint32_t id = ++writes_;
+    for (uint64_t i = 0; i < keep; ++i) {
+      bytes_[offset - origin_ + i] = whole[i];
+      owner_[offset - origin_ + i] = id;
+    }
+    for (uint64_t p = offset / page_; p <= (offset + keep - 1) / page_; ++p) {
+      bool shadowed = true;
+      // Bytes outside the window are never written, so never shadowed.
+      for (uint64_t b = p * page_; b < (p + 1) * page_ && shadowed; ++b) {
+        shadowed = b >= origin_ && b < end() && owner_[b - origin_] != 0;
+      }
+      if (shadowed) stored_.erase(p);
+    }
+  }
+
+  uint8_t At(uint64_t offset) const { return bytes_[offset - origin_]; }
+  uint64_t end() const { return origin_ + bytes_.size(); }
+  uint64_t stored_pages() const { return stored_.size(); }
+  bool stores(uint64_t page) const { return stored_.contains(page); }
+
+  uint64_t extents() const {
+    uint64_t n = 0;
+    for (uint64_t i = 0; i < owner_.size(); ++i) {
+      const bool chunk_start = (origin_ + i) % chunk_ == 0;
+      if (owner_[i] != 0 && (i == 0 || chunk_start || owner_[i - 1] != owner_[i])) ++n;
+    }
+    return n;
+  }
+
+ private:
+  uint64_t origin_;
+  uint32_t page_;
+  uint64_t chunk_;
+  std::vector<uint8_t> bytes_;
+  std::vector<uint32_t> owner_;
+  std::set<uint64_t> stored_;
+  uint32_t writes_ = 0;
+};
+
+void CheckAgainst(const PageStore& store, const WindowOracle& oracle,
+                  uint64_t offset, uint64_t length) {
+  const auto got = store.Read(offset, length);
+  ASSERT_EQ(got.size(), length);
+  for (uint64_t i = 0; i < length; ++i) {
+    ASSERT_EQ(got[i], oracle.At(offset + i)) << "byte " << offset + i;
+  }
+}
+
+// `data` as a shared write carries it: its first `head_len` bytes, and
+// the rest as a shared tail.
+std::pair<std::vector<uint8_t>, SharedBytes> SplitHead(const std::vector<uint8_t>& data,
+                                                       uint64_t head_len) {
+  const auto cut = data.begin() + static_cast<long>(head_len);
+  return {std::vector<uint8_t>(data.begin(), cut),
+          SharedBytes(std::vector<uint8_t>(cut, data.end()))};
+}
+
+std::vector<uint8_t> RandomBytes(Rng& rng, uint64_t n) {
+  std::vector<uint8_t> data(n);
+  for (auto& b : data) b = static_cast<uint8_t>(1 + rng.NextBounded(255));
+  return data;
+}
+
 // The same oracle, aimed at the chunk layout: a small window spanning a few
 // chunks, so reads and writes straddle chunk boundaries and land on
 // never-written pages inside written chunks (one page in the middle of the
 // window is never written); first writes that cover only part of a page;
 // and crash/torn writes that persist only a `keep` prefix of the data they
-// carry. Page sizes give 4, 16 and (capped by the 64-bit bitmap) 64 pages
-// per chunk.
+// carry. Half the writes are shared (WriteShared: a head moved in, a tail
+// kept by reference), so extents cross chunks, overwrite page bytes and
+// are overwritten by plain writes and by each other, and torn prefixes end
+// inside the head or past it. Page sizes give 4, 16 and (capped by the
+// 64-bit bitmap) 64 pages per chunk.
 TEST(PageStoreTest, ChunkBoundaryOracle) {
   for (const uint32_t page : {4096u, 1024u, 128u}) {
     SCOPED_TRACE(page);
     constexpr uint64_t kCapacity = 1ull << 30;
+    constexpr uint64_t kChunk = 16 * 1024;
     constexpr uint64_t kWindow = 5 * 64 * 1024;  // many chunks, any page size
     // Away from zero, so the chunk table hashes non-trivial chunk numbers.
     const uint64_t base = kCapacity / 2 - 7 * 64 * 1024;
     const uint64_t hole = base + kWindow / 2 / page * page;  // never written
     PageStore store(kCapacity, page);
     // Bytes [base - 64 KiB, base + kWindow + 64 KiB); unwritten read as 0.
-    std::vector<uint8_t> oracle(kWindow + 2 * 64 * 1024, 0);
     const uint64_t origin = base - 64 * 1024;
-    std::set<uint64_t> pages;
+    // PageStore's chunk: 16 KiB, but at most 64 pages.
+    const uint64_t chunk = std::min<uint64_t>(kChunk / page, 64) * page;
+    WindowOracle oracle(origin, kWindow + 2 * 64 * 1024, page, chunk);
     Rng rng(testutil::TestSeed(0xc4a7));
-    auto check = [&](uint64_t offset, uint64_t length) {
-      const auto got = store.Read(offset, length);
-      ASSERT_EQ(got.size(), length);
-      for (uint64_t i = 0; i < length; ++i) {
-        ASSERT_EQ(got[i], oracle[offset - origin + i]) << "byte " << offset + i;
-      }
-    };
     // The hole's neighbors hold one byte each: the hole's chunk is resident.
     for (const uint64_t at : {hole - 1, hole + page}) {
       store.Write(at, {0x5a}, 1);
-      oracle[at - origin] = 0x5a;
-      pages.insert(at / page);
+      oracle.Write(at, {0x5a}, 1);
     }
-    for (int op = 0; op < 300; ++op) {
+    uint64_t torn_in_head = 0, torn_in_tail = 0;
+    for (int op = 0; op < 600; ++op) {
       // Mostly partial-page writes, some spanning more than a chunk.
       const uint64_t length = 1 + rng.NextBounded(op % 8 == 0 ? 96 * 1024 : page);
       const uint64_t offset = base + rng.NextBounded(kWindow - length);
-      std::vector<uint8_t> data(length);
-      for (auto& b : data) b = static_cast<uint8_t>(1 + rng.NextBounded(255));
+      std::vector<uint8_t> data = RandomBytes(rng, length);
       // Every fifth write is torn: only a prefix of what it carries lands
       // (the crash model's `keep`), and nothing past the prefix is touched.
       const uint64_t keep = op % 5 == 0 ? 1 + rng.NextBounded(length) : length;
       if (offset < hole + page && hole < offset + keep) continue;
-      store.Write(offset, data, keep);
-      std::copy(data.begin(), data.begin() + static_cast<long>(keep),
-                oracle.begin() + static_cast<long>(offset - origin));
-      for (uint64_t p = offset / page; p <= (offset + keep - 1) / page; ++p) {
-        pages.insert(p);
+      if (op % 2 == 0) {
+        store.Write(offset, data, keep);
+        oracle.Write(offset, data, keep);
+      } else {
+        // A head of up to 64 bytes (a value entry's header and key), or
+        // none at all; the rest is the shared tail.
+        const uint64_t head_len = rng.NextBounded(std::min<uint64_t>(length, 64) + 1);
+        auto [head, tail] = SplitHead(data, head_len);
+        if (keep < length) ++(keep <= head_len ? torn_in_head : torn_in_tail);
+        store.WriteShared(offset, head, tail, keep);
+        oracle.WriteShared(offset, data, keep);
       }
-      ASSERT_EQ(store.resident_pages(), pages.size());
+      ASSERT_EQ(store.resident_pages(), oracle.stored_pages());
+      if (op % 20 == 0) {
+        ASSERT_EQ(store.extents(), oracle.extents());
+      }
       const uint64_t rlen = 1 + rng.NextBounded(2 * 64 * 1024);
-      check(origin + rng.NextBounded(oracle.size() - rlen), rlen);
+      CheckAgainst(store, oracle, origin + rng.NextBounded(oracle.end() - origin - rlen), rlen);
     }
-    EXPECT_EQ(store.resident_bytes(), pages.size() * page);
-    EXPECT_FALSE(pages.contains(hole / page));
-    check(origin, oracle.size());
+    EXPECT_GT(torn_in_head, 0u);
+    EXPECT_GT(torn_in_tail, 0u);
+    EXPECT_EQ(store.resident_bytes(), oracle.stored_pages() * page);
+    EXPECT_EQ(store.extents(), oracle.extents());
+    EXPECT_FALSE(oracle.stores(hole / page));
+    CheckAgainst(store, oracle, origin, oracle.end() - origin);
   }
+}
+
+// A value log's life on the store: entries appended back to back around a
+// ring that is not chunk-aligned, wrapping several times, so every entry
+// after the first lap overwrites older extents and page bytes. Most
+// entries are shared (a PUT: head, then the client's value); one in eight
+// is plain (a compaction re-append), and an entry that would cross the
+// ring's end is written as two plain halves, as CircularLog does. Once a
+// lap of shared entries has passed, the pages they cover store no bytes.
+TEST(PageStoreTest, LogWrapOracle) {
+  constexpr uint32_t kPage = 4096;
+  constexpr uint64_t kChunk = 16 * 1024;
+  constexpr uint64_t kRing = 3 * kChunk + 1000;
+  const uint64_t base = 5 * kChunk + 300;
+  PageStore store(1 << 24, kPage);
+  WindowOracle oracle(base, kRing, kPage, kChunk);
+  Rng rng(testutil::TestSeed(0x10a7));
+  uint64_t tail = 0;  // logical log offset
+  auto append = [&](bool shared) {
+    const uint64_t length = 40 + rng.NextBounded(3000);
+    const uint64_t head_len = 10 + rng.NextBounded(30);
+    std::vector<uint8_t> data = RandomBytes(rng, length);
+    const uint64_t phys = base + tail % kRing;
+    const uint64_t to_end = base + kRing - phys;
+    tail += length;
+    if (length > to_end) {
+      const std::vector<uint8_t> first(data.begin(), data.begin() + static_cast<long>(to_end));
+      const std::vector<uint8_t> second(data.begin() + static_cast<long>(to_end), data.end());
+      store.Write(phys, first, first.size());
+      oracle.Write(phys, first, first.size());
+      store.Write(base, second, second.size());
+      oracle.Write(base, second, second.size());
+    } else if (shared) {
+      auto [head, value] = SplitHead(data, head_len);
+      store.WriteShared(phys, head, value, length);
+      oracle.WriteShared(phys, data, length);
+    } else {
+      store.Write(phys, data, length);
+      oracle.Write(phys, data, length);
+    }
+  };
+  for (int op = 0; tail < 6 * kRing; ++op) {
+    append(op % 8 != 7);
+    ASSERT_EQ(store.resident_pages(), oracle.stored_pages());
+    ASSERT_EQ(store.extents(), oracle.extents());
+    const uint64_t rlen = 1 + rng.NextBounded(kRing);
+    CheckAgainst(store, oracle, base + rng.NextBounded(kRing - rlen + 1), rlen);
+  }
+  // A lap of shared entries only: the pages they cover whole drop their
+  // bytes; at most the pages holding the ring's wrap point keep theirs.
+  const uint64_t lap_end = tail + kRing;
+  while (tail < lap_end) append(true);
+  EXPECT_EQ(store.resident_pages(), oracle.stored_pages());
+  EXPECT_LE(store.resident_pages(), 2u);
+  CheckAgainst(store, oracle, base, kRing);
 }
 
 TEST(MemBlockDeviceTest, CompletionIsAsynchronousButImmediate) {
@@ -203,6 +365,26 @@ TEST(MemBlockDeviceTest, RejectsOutOfRange) {
   EXPECT_EQ(dev.inflight(), 0u);
 }
 
+// A shared-tail write has no zero padding to fall back on: a length past
+// data ++ tail is rejected up front on both devices, never read past the
+// tail buffer.
+TEST(SharedTailFaultTest, WriteLongerThanDataAndTailIsRejected) {
+  Simulator sim;
+  MemBlockDevice mem(sim, 1 << 20);
+  SimSsd ssd(sim, Dct983Spec(), 1);
+  for (BlockDevice* dev : {static_cast<BlockDevice*>(&mem), static_cast<BlockDevice*>(&ssd)}) {
+    IoRequest w;
+    w.type = IoType::kWrite;
+    w.offset = 0;
+    w.data = {1, 2};
+    w.tail = SharedBytes(std::vector<uint8_t>{3, 4, 5});
+    w.length = 6;
+    EXPECT_EQ(dev->Submit(std::move(w), [](IoResult) { FAIL(); }).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(dev->inflight(), 0u);
+  }
+}
+
 TEST(MemBlockDeviceTest, WriteThenReadSameEventLoopPass) {
   Simulator sim;
   MemBlockDevice dev(sim, 1 << 20);
@@ -220,6 +402,86 @@ TEST(MemBlockDeviceTest, WriteThenReadSameEventLoopPass) {
   });
   sim.Run();
   EXPECT_EQ(got, testutil::TestValue(9, 64));
+}
+
+// A write with a shared tail that is torn, or cut short by a crash,
+// persists exactly the prefix of head ++ tail the fault layer chose, and
+// leaves every byte past it as it was, on both devices. The write crosses
+// a chunk boundary; over the seeds the prefix ends inside the head and
+// past it.
+TEST(SharedTailFaultTest, TornOrCrashedWritePersistsExactlyItsPrefix) {
+  constexpr uint64_t kOffset = 16 * 1024 - 100;
+  constexpr uint64_t kHead = 200;
+  constexpr uint64_t kLength = 500;
+  for (const bool crash : {false, true}) {
+    for (const bool ssd : {false, true}) {
+      SCOPED_TRACE(std::string(crash ? "crash" : "torn") + (ssd ? " SimSsd" : " Mem"));
+      uint64_t in_head = 0, past_head = 0;
+      for (uint64_t seed = 1; seed <= 24; ++seed) {
+        Simulator sim;
+        std::unique_ptr<BlockDevice> dev;
+        if (ssd) {
+          dev = std::make_unique<SimSsd>(sim, Dct983Spec(), seed);
+        } else {
+          dev = std::make_unique<MemBlockDevice>(sim, 1 << 20);
+        }
+        FaultInjector injector(sim, seed);
+        DeviceFaultSpec spec;
+        if (crash) {
+          spec.crash_at_io = 2;
+        } else {
+          spec.fail_write_at = 2;
+          spec.torn_writes = true;
+        }
+        dev->set_faults(injector.AddDevice(spec, seed, 0, 0));
+        // IO 1 lays down the old bytes, each unlike the new one there.
+        const std::vector<uint8_t> fresh = testutil::TestValue(seed, kLength);
+        std::vector<uint8_t> old = fresh;
+        for (auto& b : old) b ^= 0xff;
+        IoRequest fill;
+        fill.type = IoType::kWrite;
+        fill.offset = kOffset;
+        fill.data = old;
+        ASSERT_TRUE(dev->Submit(std::move(fill), [](IoResult r) {
+                         ASSERT_TRUE(r.status.ok());
+                       }).ok());
+        sim.Run();
+        // IO 2: the shared write the fault hits.
+        IoRequest w;
+        w.type = IoType::kWrite;
+        w.offset = kOffset;
+        w.data.assign(fresh.begin(), fresh.begin() + kHead);
+        w.tail = SharedBytes(std::vector<uint8_t>(fresh.begin() + kHead, fresh.end()));
+        bool completed = false;
+        ASSERT_TRUE(dev->Submit(std::move(w), [&](IoResult r) {
+                         completed = true;
+                         EXPECT_FALSE(r.status.ok());
+                       }).ok());
+        sim.Run();
+        EXPECT_EQ(completed, !crash);  // a crashed device never answers
+        dev->set_faults(nullptr);
+        std::vector<uint8_t> got;
+        IoRequest r;
+        r.type = IoType::kRead;
+        r.offset = kOffset;
+        r.length = kLength;
+        ASSERT_TRUE(dev->Submit(std::move(r), [&](IoResult res) {
+                         got = std::move(res.data);
+                       }).ok());
+        sim.Run();
+        ASSERT_EQ(got.size(), kLength);
+        uint64_t keep = 0;
+        while (keep < kLength && got[keep] == fresh[keep]) ++keep;
+        ASSERT_LT(keep, kLength) << "a torn write must not land whole";
+        for (uint64_t i = keep; i < kLength; ++i) {
+          ASSERT_EQ(got[i], old[i]) << "seed " << seed << " byte " << i;
+        }
+        ++(keep <= kHead ? in_head : past_head);
+      }
+      EXPECT_GT(in_head, 0u);
+      EXPECT_GT(past_head, 0u);
+    }
+  }
 }
 
 }  // namespace
