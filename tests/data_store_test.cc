@@ -1,6 +1,6 @@
 // Functional tests of the LEED data store: command correctness, chain
 // growth, NVMe access counts (the paper's 2/3/2), compaction (key log and
-// value log), data swapping, and the COPY primitive.
+// value log), data swapping, the COPY primitive, and SCAN's fetch runs.
 
 #include <gtest/gtest.h>
 
@@ -54,7 +54,8 @@ class DataStoreTest : public ::testing::Test {
   // Build a store over device_ with generous log sizes.
   std::unique_ptr<DataStore> MakeStore(StoreConfig cfg) {
     key_log_ = std::make_unique<log::CircularLog>(device_, 0, 8 << 20);
-    value_log_ = std::make_unique<log::CircularLog>(device_, 8 << 20, 8 << 20);
+    value_log_ =
+        std::make_unique<log::CircularLog>(device_, value_log_base_, 8 << 20);
     LogSet home{0, key_log_.get(), value_log_.get()};
     return std::make_unique<DataStore>(sim_, core_, home, cfg);
   }
@@ -95,6 +96,7 @@ class DataStoreTest : public ::testing::Test {
     return loop;
   }
 
+  static constexpr uint64_t value_log_base_ = 8 << 20;  // on device_
   sim::Simulator sim_;
   sim::MemBlockDevice device_;
   sim::MemBlockDevice donor_device_;
@@ -542,6 +544,136 @@ TEST_F(SwapTest, SwapToUnknownDonorIsIgnored) {
 // ---------------------------------------------------------------------------
 // COPY (§3.8)
 // ---------------------------------------------------------------------------
+
+// Scan fetch runs. The store's PUTs append value entries back to back, so
+// keys PUT in key order lie back to back in the value log.
+class ScanFetchTest : public DataStoreTest {
+ protected:
+  static std::string Key(int i) {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "k%02d", i);
+    return buf;
+  }
+
+  void PutKeys(DataStore& ds, const std::vector<int>& order) {
+    for (int i : order) ASSERT_TRUE(SyncPut(sim_, ds, Key(i), TestValue(i, 100)).ok());
+  }
+
+  // Fetches `snapshot`; returns the status, the items and the device
+  // reads the fetch made.
+  struct Fetched {
+    Status status;
+    std::vector<ScanItem> items;
+    uint64_t reads = 0;
+  };
+  Fetched Fetch(DataStore& ds, std::vector<ScanLoc> snapshot) {
+    Fetched out;
+    const uint64_t reads0 = ds.stats().ssd_reads;
+    bool done = false;
+    ds.ScanFetch(std::move(snapshot), [&](Status st, std::vector<ScanItem> items) {
+      out.status = std::move(st);
+      out.items = std::move(items);
+      done = true;
+    });
+    testutil::RunUntilFlag(sim_, done);
+    EXPECT_TRUE(done);
+    out.reads = ds.stats().ssd_reads - reads0;
+    return out;
+  }
+
+  void ExpectItems(const std::vector<ScanItem>& items, int first, int count) {
+    ASSERT_EQ(items.size(), static_cast<size_t>(count));
+    for (int i = 0; i < count; ++i) {
+      EXPECT_EQ(items[i].key, Key(first + i));
+      EXPECT_EQ(items[i].value, TestValue(first + i, 100));
+    }
+  }
+};
+
+TEST_F(ScanFetchTest, BackToBackEntriesAreOneRead) {
+  auto ds = MakeStore(SmallConfig());
+  PutKeys(*ds, {0, 1, 2, 3, 4, 5});
+  const auto snapshot = ds->ScanKeys(Key(0), 6);
+  for (size_t i = 1; i < snapshot.size(); ++i) {
+    ASSERT_EQ(snapshot[i].value_offset,
+              snapshot[i - 1].value_offset +
+                  ValueEntryBytes(static_cast<uint32_t>(snapshot[i - 1].key.size()),
+                                  snapshot[i - 1].value_len));
+  }
+  Fetched f = Fetch(*ds, snapshot);
+  ASSERT_TRUE(f.status.ok()) << f.status.ToString();
+  EXPECT_EQ(f.reads, 1u);
+  ExpectItems(f.items, 0, 6);
+  EXPECT_EQ(ds->stats().scan_items, 6u);
+}
+
+TEST_F(ScanFetchTest, RunNeverExceedsTheStepBudget) {
+  auto ds = MakeStore(SmallConfig());
+  // k00 is PUT last: it leads the scan but lies after k20, so it is read
+  // alone. k01..k20 are back to back: the first run takes what is left of
+  // the step (7), the next steps 8 and 5.
+  std::vector<int> order;
+  for (int i = 1; i <= 20; ++i) order.push_back(i);
+  order.push_back(0);
+  PutKeys(*ds, order);
+  static_assert(DataStore::kScanStepItems == 8);
+  Fetched f = Fetch(*ds, ds->ScanKeys(Key(0), 21));
+  ASSERT_TRUE(f.status.ok()) << f.status.ToString();
+  EXPECT_EQ(f.reads, 4u);
+  ExpectItems(f.items, 0, 21);
+}
+
+TEST_F(ScanFetchTest, NonAdjacentEntriesAreReadSeparately) {
+  auto ds = MakeStore(SmallConfig());
+  // PUT in reverse key order: each entry lies before the previous key's.
+  PutKeys(*ds, {5, 4, 3, 2, 1, 0});
+  Fetched f = Fetch(*ds, ds->ScanKeys(Key(0), 6));
+  ASSERT_TRUE(f.status.ok()) << f.status.ToString();
+  EXPECT_EQ(f.reads, 6u);
+  ExpectItems(f.items, 0, 6);
+}
+
+TEST_F(ScanFetchTest, LocationRecycledInsideARunIsBusyAndRescans) {
+  auto ds = MakeStore(SmallConfig());
+  PutKeys(*ds, {0, 1, 2, 3, 4, 5});
+  const auto snapshot = ds->ScanKeys(Key(0), 6);
+  // Recycle k03's location, as a wrapped log would: another key's entry of
+  // the same size now lies there.
+  const ScanLoc& victim = snapshot[3];
+  sim::IoRequest w;
+  w.type = sim::IoType::kWrite;
+  w.offset = value_log_base_ + victim.value_offset;
+  w.data = EncodeValueEntry(0, "zzz", TestValue(99, victim.value_len));
+  ASSERT_TRUE(device_.Submit(std::move(w), [](sim::IoResult r) {
+                       ASSERT_TRUE(r.status.ok());
+                     }).ok());
+  sim_.Run();
+
+  Fetched f = Fetch(*ds, snapshot);
+  EXPECT_TRUE(f.status.IsBusy()) << f.status.ToString();
+  EXPECT_EQ(f.reads, 1u);  // the run was one read; its fourth entry failed
+  EXPECT_EQ(ds->stats().scan_stale_locs, 1u);
+
+  // Scan re-snapshots on Busy; the index still names the recycled location,
+  // so every attempt fails the same way until the retries run out.
+  const uint64_t scans0 = ds->stats().scans;
+  Status st;
+  bool done = false;
+  ds->Scan(Key(0), 6, [&](Status s, std::vector<ScanItem>) {
+    st = std::move(s);
+    done = true;
+  });
+  testutil::RunUntilFlag(sim_, done);
+  EXPECT_TRUE(st.IsBusy()) << st.ToString();
+  EXPECT_EQ(ds->stats().scans - scans0, DataStore::kMaxGetRetries + 1);
+
+  // Once the key is rewritten the index names a live location again.
+  ASSERT_TRUE(SyncPut(sim_, *ds, Key(3), TestValue(3, 100)).ok());
+  Fetched again = Fetch(*ds, ds->ScanKeys(Key(0), 6));
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  EXPECT_EQ(again.reads, 3u);  // k00..k02, k03 (moved), k04..k05
+  ExpectItems(again.items, 0, 6);
+}
 
 TEST_F(DataStoreTest, CopyOutStreamsLiveFilteredItems) {
   StoreConfig cfg = SmallConfig();
