@@ -4,6 +4,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "leed/cluster_sim.h"
 #include "obs/metrics.h"
@@ -87,6 +90,27 @@ bool WriteTextFile(const std::string& path, const std::string& text) {
   f << text;
   return static_cast<bool>(f);
 }
+
+}  // namespace
+
+std::vector<std::string> WriteViolationDumps(const std::string& stem,
+                                             const std::vector<Violation>& violations) {
+  std::vector<std::string> paths;
+  std::map<std::string, uint32_t> seen;  // name without suffix -> count
+  for (const Violation& v : violations) {
+    std::string name =
+        stem + "-" + SanitizeForFilename(v.key) + "-" + SanitizeForFilename(v.kind);
+    if (const uint32_t n = ++seen[name]; n > 1) {
+      name += '-';
+      name += std::to_string(n);
+    }
+    const std::string path = name + ".history";
+    if (WriteTextFile(path, FormatDump(v.sub_history, 0))) paths.push_back(path);
+  }
+  return paths;
+}
+
+namespace {
 
 SeedResult RunNemesisSeed(const NemesisOptions& opt, const NemesisPlan& plan,
                           uint64_t seed, bool first_seed) {
@@ -242,12 +266,8 @@ SeedResult RunNemesisSeed(const NemesisOptions& opt, const NemesisPlan& plan,
         opt.dump_dir + "/seed" + std::to_string(seed) + "-" + plan.name;
     const std::string full = stem + "-full.history";
     if (WriteTextFile(full, log->Dump())) result.dump_paths.push_back(full);
-    for (const Violation& v : result.violations) {
-      const std::string path = stem + "-" + SanitizeForFilename(v.key) + "-" +
-                               SanitizeForFilename(v.kind) + ".history";
-      if (WriteTextFile(path, FormatDump(v.sub_history, 0))) {
-        result.dump_paths.push_back(path);
-      }
+    for (std::string& path : WriteViolationDumps(stem, result.violations)) {
+      result.dump_paths.push_back(std::move(path));
     }
   }
   return result;

@@ -42,6 +42,13 @@ struct NemesisPlan {
   uint32_t kill_ssd = 0;
 };
 
+// Writes each violation's minimized sub-history to
+// "<stem>-<key>-<kind>.history". A later violation of the same kind on the
+// same key is written to "...-<kind>-2.history", "-3", and so on, so no
+// dump overwrites another. Returns the paths written, in violation order.
+std::vector<std::string> WriteViolationDumps(const std::string& stem,
+                                             const std::vector<Violation>& violations);
+
 // Resolves a plan spec: one of the named plans ("crash", "partition",
 // "churn", "none") or a raw fault-plan grammar string (docs/FAULTS.md).
 Result<NemesisPlan> ResolveNemesisPlan(const std::string& spec);

@@ -569,6 +569,45 @@ TEST(NemesisSweep, HistoryDumpIsDeterministic) {
   EXPECT_EQ(d1, d2) << "same (seed, plan) must produce a byte-identical dump";
 }
 
+TEST(NemesisSweep, SameKindViolationsOnOneKeyDumpToDistinctFiles) {
+  auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  auto put = [](uint64_t id, uint64_t digest) {
+    HistoryOp op;
+    op.id = id;
+    op.kind = OpKind::kPut;
+    op.key = "nk5";
+    op.value_digest = digest;
+    op.value_size = 8;
+    op.invoke = 10;
+    op.response = 20;
+    op.outcome = Outcome::kOk;
+    return op;
+  };
+  Violation first;
+  first.key = "nk5";
+  first.kind = "stale-read";
+  first.sub_history = {put(1, 0xa)};
+  Violation second = first;
+  second.sub_history = {put(2, 0xb)};
+  Violation other = first;
+  other.kind = "linearizability";
+  const std::string stem = ::testing::TempDir() + "/dumps-seed1-partition";
+  const std::vector<std::string> paths =
+      WriteViolationDumps(stem, {first, second, other, second});
+  ASSERT_EQ(paths.size(), 4u);
+  EXPECT_EQ(paths[0], stem + "-nk5-stale_read.history");
+  EXPECT_EQ(paths[1], stem + "-nk5-stale_read-2.history");
+  EXPECT_EQ(paths[2], stem + "-nk5-linearizability.history");
+  EXPECT_EQ(paths[3], stem + "-nk5-stale_read-3.history");
+  EXPECT_EQ(read_file(paths[0]), FormatDump(first.sub_history, 0));
+  EXPECT_EQ(read_file(paths[1]), FormatDump(second.sub_history, 0));
+}
+
 TEST(NemesisSweep, PlanSpecsResolve) {
   for (const auto& name : NamedNemesisPlans()) {
     auto plan = ResolveNemesisPlan(name);
