@@ -21,32 +21,16 @@ std::vector<std::vector<T>> Partition(const std::vector<T>& ids, uint32_t groups
 // Triggers
 // ---------------------------------------------------------------------------
 
-bool Compactor::MaybeStart() {
-  bool started = false;
+void Compactor::MaybeStart() {
   const auto& home = s_.home();
   const double th = s_.config().compaction_threshold;
   bool swap_pressure = s_.swapped_segments() > 64;
-  if (!key_running_ && (home.key_log->CompactionNeeded(th) || swap_pressure)) {
-    StartKey([](Status) {});
-    started = true;
+  if (!key_.running && (home.key_log->CompactionNeeded(th) || swap_pressure)) {
+    Start(Log::kKey, [](Status) {});
   }
-  if (!value_running_ && home.value_log->CompactionNeeded(th)) {
-    StartValue([](Status) {});
-    started = true;
+  if (!value_.running && home.value_log->CompactionNeeded(th)) {
+    Start(Log::kValue, [](Status) {});
   }
-  return started;
-}
-
-void Compactor::EndRun(bool& running_flag, DataStore::OpCallback& done,
-                       Status status, RunEnd end) {
-  running_flag = false;
-  if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
-  done(std::move(status));
-  // A joined run keeps draining while a log is above threshold. An aborted
-  // one does not, so a failing device or a torn head entry cannot spin.
-  if (end != RunEnd::kAborted) MaybeStart();
-  const bool advanced = end == RunEnd::kAdvanced;
-  if (advanced || !running()) s_.ResumeParkedPuts(advanced);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,33 +213,75 @@ void Compactor::WriteMergedSegment(uint32_t segment_id, std::shared_ptr<Merged> 
 }
 
 // ---------------------------------------------------------------------------
-// Key-log run
+// The run, one skeleton over both logs
 // ---------------------------------------------------------------------------
 
-struct Compactor::KeyRun {
+struct Compactor::Run {
+  Run(Log l, DataStore::OpCallback d) : log(l), done(std::move(d)) {}
+
+  Log log;
   DataStore::OpCallback done;
   uint64_t region_start = 0;
-  uint64_t region_len = 0;
-  std::vector<std::vector<uint32_t>> groups;
+  // Where the head moves once every unit relocated: the chunk's end for a
+  // key run, the end of the last whole entry for a value run.
+  uint64_t region_end = 0;
+  // A value run's chunk as read from the log; its entries are views into
+  // it, and live entries are copied out of it verbatim.
+  std::vector<uint8_t> region;
+  struct RegionEntry {
+    uint64_t offset;  // logical value-log offset
+    ValueEntryView entry;
+  };
+  // A value run's entries grouped by owning segment (ascending ids), in log
+  // order within a segment; each value unit names one segment's range.
+  std::vector<RegionEntry> entries;
+  std::vector<std::vector<Unit>> groups;
   size_t groups_pending = 0;
   bool all_relocated = true;
 };
 
-void Compactor::StartKey(DataStore::OpCallback done) {
-  if (key_running_) {
-    done(Status::Busy("key compaction already running"));
+void Compactor::EndRun(Run& run, Status status, RunEnd end) {
+  state(run.log).running = false;
+  if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
+  run.done(std::move(status));
+  // A joined run keeps draining while a log is above threshold. An aborted
+  // one does not, so a failing device or a torn head entry cannot spin.
+  if (end != RunEnd::kAborted) MaybeStart();
+  const bool advanced = end == RunEnd::kAdvanced;
+  if (advanced || !running()) s_.ResumeParkedPuts(advanced);
+}
+
+log::CircularLog& Compactor::log_of(Log log) const {
+  return log == Log::kKey ? *s_.home().key_log : *s_.home().value_log;
+}
+
+uint64_t Compactor::ReadLength(Log log) const {
+  const auto& cfg = s_.config();
+  const uint64_t used = log_of(log).used();
+  if (log == Log::kKey) {
+    // Whole buckets only.
+    const uint64_t chunk = std::min<uint64_t>(cfg.compaction_chunk, used);
+    return chunk - chunk % cfg.bucket_size;
+  }
+  // The chunk plus slack, so the entry straddling the chunk boundary parses
+  // completely.
+  return std::min<uint64_t>(cfg.compaction_chunk + kValueReadSlack, used);
+}
+
+void Compactor::Start(Log log, DataStore::OpCallback done) {
+  LogState& st = state(log);
+  if (st.running) {
+    done(Status::Busy(log == Log::kKey ? "key compaction already running"
+                                       : "value compaction already running"));
     return;
   }
-  const LogSet& home = s_.home();
-  const auto& cfg = s_.config();
-  auto run = std::make_shared<KeyRun>();
-  run->done = std::move(done);
-  run->region_start = home.key_log->head();
-  uint64_t used = home.key_log->used();
-  uint64_t chunk = std::min<uint64_t>(cfg.compaction_chunk, used);
-  chunk -= chunk % cfg.bucket_size;
-  run->region_len = chunk;
-  if (chunk == 0 && s_.swapped_segments() == 0) {
+  log::CircularLog& clog = log_of(log);
+  auto run = std::make_shared<Run>(log, std::move(done));
+  run->region_start = clog.head();
+  const uint64_t len = ReadLength(log);
+  run->region_end = run->region_start + len;
+  // An empty key region still merges swapped segments back.
+  if (len == 0 && (log == Log::kValue || s_.swapped_segments() == 0)) {
     run->done(Status::Ok());
     return;
   }
@@ -265,42 +291,64 @@ void Compactor::StartKey(DataStore::OpCallback done) {
     run->done(Status::Busy("compaction gate full"));
     return;
   }
-  key_running_ = true;
-  s_.m_.key_compactions->Inc();
+  st.running = true;
+  (log == Log::kKey ? s_.m_.key_compactions : s_.m_.value_compactions)->Inc();
 
-  if (chunk == 0) {
-    KeyRunWithRegion(run, {});
+  if (len == 0) {
+    WithRegion(run, {});
     return;
   }
-  if (key_prefetch_.valid && key_prefetch_.offset == run->region_start &&
-      key_prefetch_.data.size() >= chunk) {
+  if (st.prefetch.valid && st.prefetch.offset == run->region_start &&
+      st.prefetch.data.size() >= len) {
     s_.m_.prefetch_hits->Inc();
-    auto data = std::move(key_prefetch_.data);
-    data.resize(chunk);
-    key_prefetch_ = Prefetch{};
+    auto data = std::move(st.prefetch.data);
+    data.resize(len);
+    st.prefetch = Prefetch{};
     // Verification pass over prefetched segments still costs cycles.
-    s_.core().Run(s_.Cycles(cfg.costs.compaction_setup),
+    s_.core().Run(s_.Cycles(s_.config().costs.compaction_setup),
                   [this, run, d = std::move(data)]() mutable {
-                    KeyRunWithRegion(run, std::move(d));
+                    WithRegion(run, std::move(d));
                   });
     return;
   }
   s_.m_.prefetch_misses->Inc();
   s_.m_.ssd_reads->Inc();
-  home.key_log->Read(run->region_start, chunk, [this, run](log::ReadResult r) {
+  clog.Read(run->region_start, len, [this, run](log::ReadResult r) {
     if (!r.status.ok()) {
-      EndRun(key_running_, run->done, r.status, RunEnd::kAborted);
+      EndRun(*run, r.status, RunEnd::kAborted);
       return;
     }
-    KeyRunWithRegion(run, std::move(r.data));
+    WithRegion(run, std::move(r.data));
   });
 }
 
-void Compactor::KeyRunWithRegion(std::shared_ptr<KeyRun> run,
-                                 std::vector<uint8_t> region) {
+void Compactor::WithRegion(std::shared_ptr<Run> run, std::vector<uint8_t> region) {
+  std::vector<Unit> units = run->log == Log::kKey
+                                ? KeyUnits(region)
+                                : ValueUnits(*run, std::move(region));
+  if (units.empty()) {
+    // A value chunk without one whole entry has nothing to advance over; a
+    // key chunk without a readable bucket is skipped.
+    if (run->log == Log::kValue) {
+      EndRun(*run, Status::Ok(), RunEnd::kAborted);
+      return;
+    }
+    run->groups_pending = 1;
+    Join(run);
+    return;
+  }
+  run->groups = Partition(units, s_.config().subcompactions);
+  run->groups_pending = run->groups.size();
+  for (size_t g = 0; g < run->groups.size(); ++g) {
+    s_.core().Run(s_.Cycles(s_.config().costs.compaction_setup),
+                  [this, run, g] { Group(run, g); });
+  }
+}
+
+std::vector<Compactor::Unit> Compactor::KeyUnits(const std::vector<uint8_t>& region) {
   const uint32_t bucket_size = s_.config().bucket_size;
   // Segments in order of first appearance; `seen` dedupes them.
-  std::vector<uint32_t> segs;
+  std::vector<Unit> units;
   std::vector<bool> seen(s_.config().num_segments, false);
   auto first_sight = [&seen](uint32_t seg) {
     if (seg >= seen.size()) seen.resize(seg + 1, false);
@@ -312,334 +360,202 @@ void Compactor::KeyRunWithRegion(std::shared_ptr<KeyRun> run,
     auto b = BucketView::Parse(region, at, bucket_size);
     if (!b.ok()) continue;
     uint32_t seg = b.value().header().segment_id;
-    if (first_sight(seg)) segs.push_back(seg);
+    if (first_sight(seg)) units.push_back({seg});
   }
   // Swap merge-back: pull up to kSwapMergePerRun parked segments home too.
   size_t merged_in = 0;
   for (uint32_t seg : s_.swapped_segments_) {
     if (merged_in >= kSwapMergePerRun) break;
     if (first_sight(seg)) {
-      segs.push_back(seg);
+      units.push_back({seg});
       ++merged_in;
     }
   }
-
-  if (segs.empty()) {
-    run->groups_pending = 1;
-    KeyRunJoin(run);
-    return;
-  }
-  run->groups = Partition(segs, s_.config().subcompactions);
-  run->groups_pending = run->groups.size();
-  for (size_t g = 0; g < run->groups.size(); ++g) {
-    s_.core().Run(s_.Cycles(s_.config().costs.compaction_setup),
-                  [this, run, g] { KeyRunGroup(run, g); });
-  }
+  return units;
 }
 
-void Compactor::KeyRunGroup(std::shared_ptr<KeyRun> run, size_t group) {
-  auto& ids = run->groups[group];
-  if (ids.empty()) {
-    KeyRunJoin(run);
-    return;
-  }
-  uint32_t seg = ids.back();
-  ids.pop_back();
-  bool relocate = s_.swapped_segments_.contains(seg);
-  CollapseSegment(seg, relocate, [this, run, group](bool ok) {
-    if (!ok) run->all_relocated = false;
-    KeyRunGroup(run, group);
-  });
-}
-
-void Compactor::KeyRunJoin(std::shared_ptr<KeyRun> run) {
-  if (--run->groups_pending > 0) return;
-  const LogSet& home = s_.home();
-  const bool advanced = run->region_len > 0 && run->all_relocated;
-  if (advanced) {
-    Status st = home.key_log->AdvanceHead(run->region_start + run->region_len);
-    (void)st;
-  }
-  if (s_.config().prefetch) IssueKeyPrefetch();
-  EndRun(key_running_, run->done, Status::Ok(),
-         advanced ? RunEnd::kAdvanced : RunEnd::kJoined);
-}
-
-void Compactor::IssueKeyPrefetch() {
-  const LogSet& home = s_.home();
-  const auto& cfg = s_.config();
-  uint64_t used = home.key_log->used();
-  uint64_t chunk = std::min<uint64_t>(cfg.compaction_chunk, used);
-  chunk -= chunk % cfg.bucket_size;
-  if (chunk == 0) return;
-  uint64_t start = home.key_log->head();
-  s_.m_.ssd_reads->Inc();
-  home.key_log->Read(start, chunk, [this, start](log::ReadResult r) {
-    if (!r.status.ok()) return;
-    key_prefetch_.valid = true;
-    key_prefetch_.offset = start;
-    key_prefetch_.data = std::move(r.data);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Value-log run
-// ---------------------------------------------------------------------------
-
-struct Compactor::ValueRun {
-  DataStore::OpCallback done;
-  uint64_t region_start = 0;
-  uint64_t region_end = 0;
-  // The chunk as read from the log; region entries are views into it, and
-  // live entries are copied out of it verbatim.
-  std::vector<uint8_t> region;
-  struct RegionEntry {
-    uint64_t offset;  // logical value-log offset
-    ValueEntryView entry;
-  };
-  // Region entries grouped by owning segment (ascending ids), in log order
-  // within a segment; each SegmentRange names one segment's run.
-  std::vector<RegionEntry> entries;
-  struct SegmentRange {
-    uint32_t segment;
-    size_t begin, end;
-  };
-  std::vector<std::vector<SegmentRange>> groups;
-  size_t groups_pending = 0;
-  bool all_relocated = true;
-};
-
-void Compactor::StartValue(DataStore::OpCallback done) {
-  if (value_running_) {
-    done(Status::Busy("value compaction already running"));
-    return;
-  }
-  const LogSet& home = s_.home();
-  const auto& cfg = s_.config();
-  auto run = std::make_shared<ValueRun>();
-  run->done = std::move(done);
-  run->region_start = home.value_log->head();
-  uint64_t used = home.value_log->used();
-  if (used == 0) {
-    run->done(Status::Ok());
-    return;
-  }
-  auto& gate = s_.config().compaction_gate;
-  if (gate && !gate->TryAcquire()) {
-    run->done(Status::Busy("compaction gate full"));
-    return;
-  }
-  value_running_ = true;
-  s_.m_.value_compactions->Inc();
-
-  // Read the chunk plus slack so the last entry straddling the chunk
-  // boundary parses completely.
-  uint64_t want = std::min<uint64_t>(cfg.compaction_chunk + kValueReadSlack, used);
-  if (value_prefetch_.valid && value_prefetch_.offset == run->region_start &&
-      value_prefetch_.data.size() >= want) {
-    s_.m_.prefetch_hits->Inc();
-    auto data = std::move(value_prefetch_.data);
-    value_prefetch_ = Prefetch{};
-    s_.core().Run(s_.Cycles(cfg.costs.compaction_setup),
-                  [this, run, d = std::move(data)]() mutable {
-                    ValueRunWithRegion(run, std::move(d));
-                  });
-    return;
-  }
-  s_.m_.prefetch_misses->Inc();
-  s_.m_.ssd_reads->Inc();
-  home.value_log->Read(run->region_start, want, [this, run](log::ReadResult r) {
-    if (!r.status.ok()) {
-      EndRun(value_running_, run->done, r.status, RunEnd::kAborted);
-      return;
-    }
-    ValueRunWithRegion(run, std::move(r.data));
-  });
-}
-
-void Compactor::ValueRunWithRegion(std::shared_ptr<ValueRun> run,
-                                   std::vector<uint8_t> region) {
-  const auto& cfg = s_.config();
-  const uint64_t chunk_end_target = run->region_start + cfg.compaction_chunk;
-  run->region = std::move(region);
+std::vector<Compactor::Unit> Compactor::ValueUnits(Run& run,
+                                                   std::vector<uint8_t> region) {
+  const uint64_t chunk_end_target = run.region_start + s_.config().compaction_chunk;
+  run.region = std::move(region);
   uint64_t pos = 0;
-  uint64_t logical = run->region_start;
-  while (pos + ValueEntry::kHeaderBytes <= run->region.size() &&
+  uint64_t logical = run.region_start;
+  while (pos + ValueEntry::kHeaderBytes <= run.region.size() &&
          logical < chunk_end_target) {
-    auto entry = ParseValueEntry(run->region, pos);
+    auto entry = ParseValueEntry(run.region, pos);
     if (!entry.ok()) break;  // truncated tail entry: stop before it
     uint64_t sz = entry.value().bytes.size();
-    run->entries.push_back(ValueRun::RegionEntry{logical, entry.value()});
+    run.entries.push_back(Run::RegionEntry{logical, entry.value()});
     pos += sz;
     logical += sz;
   }
-  run->region_end = logical;
-  if (run->entries.empty()) {
-    EndRun(value_running_, run->done, Status::Ok(), RunEnd::kAborted);
-    return;
-  }
-  std::stable_sort(run->entries.begin(), run->entries.end(),
-                   [](const ValueRun::RegionEntry& a, const ValueRun::RegionEntry& b) {
+  run.region_end = logical;
+  std::stable_sort(run.entries.begin(), run.entries.end(),
+                   [](const Run::RegionEntry& a, const Run::RegionEntry& b) {
                      return a.entry.segment_id < b.entry.segment_id;
                    });
-  std::vector<ValueRun::SegmentRange> segs;
-  for (size_t i = 0; i < run->entries.size();) {
-    const uint32_t seg = run->entries[i].entry.segment_id;
+  std::vector<Unit> units;
+  for (size_t i = 0; i < run.entries.size();) {
+    const uint32_t seg = run.entries[i].entry.segment_id;
     size_t j = i + 1;
-    while (j < run->entries.size() && run->entries[j].entry.segment_id == seg) ++j;
-    segs.push_back({seg, i, j});
+    while (j < run.entries.size() && run.entries[j].entry.segment_id == seg) ++j;
+    units.push_back({seg, i, j});
     i = j;
   }
-  run->groups = Partition(segs, cfg.subcompactions);
-  run->groups_pending = run->groups.size();
-  for (size_t g = 0; g < run->groups.size(); ++g) {
-    s_.core().Run(s_.Cycles(cfg.costs.compaction_setup),
-                  [this, run, g] { ValueRunGroup(run, g); });
-  }
+  return units;
 }
 
-void Compactor::ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group) {
-  auto& ranges = run->groups[group];
-  if (ranges.empty()) {
-    ValueRunJoin(run);
+void Compactor::Group(std::shared_ptr<Run> run, size_t group) {
+  auto& units = run->groups[group];
+  if (units.empty()) {
+    Join(run);
     return;
   }
-  const ValueRun::SegmentRange range = ranges.back();
-  const uint32_t seg = range.segment;
-  ranges.pop_back();
+  const Unit unit = units.back();
+  units.pop_back();
+  if (run->log == Log::kKey) {
+    const bool relocate = s_.swapped_segments_.contains(unit.segment);
+    CollapseSegment(unit.segment, relocate, [this, run, group](bool ok) {
+      UnitEnd(run, group, ok);
+    });
+    return;
+  }
+  SegmentTable& tbl = s_.segments();
+  if (tbl.TryLock(unit.segment)) {
+    RelocateLiveValues(run, group, unit);
+    return;
+  }
+  tbl.WaitOnLock(unit.segment, [this, run, group, unit] {
+    if (s_.segments().TryLock(unit.segment)) {
+      RelocateLiveValues(run, group, unit);
+    } else {
+      // Lost the wakeup race to another waiter; requeue this segment.
+      run->groups[group].push_back(unit);
+      Group(run, group);
+    }
+  });
+}
 
-  auto locked = [this, run, group, range, seg]() {
-    const SegmentEntry& e = s_.segments().At(seg);
-    if (e.Empty()) {
-      // All this segment's region values are dead (segment was emptied).
+void Compactor::UnitEnd(const std::shared_ptr<Run>& run, size_t group,
+                        bool relocated) {
+  if (!relocated) run->all_relocated = false;
+  Group(run, group);
+}
+
+void Compactor::Join(std::shared_ptr<Run> run) {
+  if (--run->groups_pending > 0) return;
+  const bool advanced = run->region_end > run->region_start && run->all_relocated;
+  if (advanced) {
+    Status st = log_of(run->log).AdvanceHead(run->region_end);
+    (void)st;
+  }
+  if (s_.config().prefetch) IssuePrefetch(run->log);
+  EndRun(*run, Status::Ok(), advanced ? RunEnd::kAdvanced : RunEnd::kJoined);
+}
+
+void Compactor::IssuePrefetch(Log log) {
+  const uint64_t len = ReadLength(log);
+  if (len == 0) return;
+  log::CircularLog& clog = log_of(log);
+  const uint64_t start = clog.head();
+  s_.m_.ssd_reads->Inc();
+  clog.Read(start, len, [this, log, start](log::ReadResult r) {
+    if (!r.status.ok()) return;
+    Prefetch& p = state(log).prefetch;
+    p.valid = true;
+    p.offset = start;
+    p.data = std::move(r.data);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Value unit
+// ---------------------------------------------------------------------------
+
+void Compactor::RelocateLiveValues(std::shared_ptr<Run> run, size_t group, Unit unit) {
+  const uint32_t seg = unit.segment;
+  const SegmentEntry& e = s_.segments().At(seg);
+  if (e.Empty()) {
+    // All this segment's region values are dead (segment was emptied).
+    s_.UnlockAndPump(seg);
+    Group(run, group);
+    return;
+  }
+  s_.ReadChain(seg, e.ssd, e.offset, e.chain_len,
+               [this, run, group, unit, seg](Status st, DataStore::Chain chain) {
+    if (!st.ok()) {
       s_.UnlockAndPump(seg);
-      ValueRunGroup(run, group);
+      UnitEnd(run, group, false);
       return;
     }
-    s_.ReadChain(seg, e.ssd, e.offset, e.chain_len,
-                 [this, run, group, range, seg](Status st, DataStore::Chain chain) {
-      if (!st.ok()) {
-        run->all_relocated = false;
+    auto merged = std::make_shared<Merged>(std::move(chain));
+    std::vector<KeyItemView>& items = merged->items;
+    const auto region_entries =
+        std::span(run->entries).subspan(unit.begin, unit.end - unit.begin);
+    const uint8_t home_ssd = s_.home().ssd_id;
+
+    // Liveness: a region value survives iff a merged item still points at
+    // it (same key, same offset, on the home SSD). Collect (item index,
+    // encoded bytes, relative offset in the batch).
+    struct Rewrite {
+      size_t item_index;
+      uint64_t relative;
+    };
+    auto batch = std::make_shared<std::vector<uint8_t>>();
+    auto rewrites = std::make_shared<std::vector<Rewrite>>();
+    for (const auto& re : region_entries) {
+      for (size_t i = 0; i < items.size(); ++i) {
+        const KeyItemView& item = items[i];
+        if (item.key == re.entry.key && item.value_ssd == home_ssd &&
+            item.value_offset == re.offset) {
+          rewrites->push_back(Rewrite{i, batch->size()});
+          batch->insert(batch->end(), re.entry.bytes.begin(), re.entry.bytes.end());
+          break;
+        }
+      }
+    }
+    uint64_t cycles = s_.config().costs.compaction_per_item *
+                      std::max<uint64_t>(1, region_entries.size() + items.size());
+    s_.core().Run(s_.Cycles(cycles), [this, run, group, seg, merged, batch,
+                                      rewrites]() mutable {
+      const LogSet& home = s_.home();
+      if (batch->empty()) {
+        // Every region value of this segment is dead: nothing to move and
+        // no need to touch the segment.
         s_.UnlockAndPump(seg);
-        ValueRunGroup(run, group);
+        Group(run, group);
         return;
       }
-      auto merged = std::make_shared<Merged>(std::move(chain));
-      std::vector<KeyItemView>& items = merged->items;
-      const auto region_entries = std::span(run->entries).subspan(
-          range.begin, range.end - range.begin);
-      const uint8_t home_ssd = s_.home().ssd_id;
-
-      // Liveness: a region value survives iff a merged item still points at
-      // it (same key, same offset, on the home SSD). Collect (item index,
-      // encoded bytes, relative offset in the batch).
-      struct Rewrite {
-        size_t item_index;
-        uint64_t relative;
-      };
-      auto batch = std::make_shared<std::vector<uint8_t>>();
-      auto rewrites = std::make_shared<std::vector<Rewrite>>();
-      for (const auto& re : region_entries) {
-        for (size_t i = 0; i < items.size(); ++i) {
-          const KeyItemView& item = items[i];
-          if (item.key == re.entry.key && item.value_ssd == home_ssd &&
-              item.value_offset == re.offset) {
-            rewrites->push_back(Rewrite{i, batch->size()});
-            batch->insert(batch->end(), re.entry.bytes.begin(), re.entry.bytes.end());
-            break;
-          }
-        }
+      if (batch->size() > home.value_log->free_space()) {
+        s_.UnlockAndPump(seg);
+        UnitEnd(run, group, false);
+        return;
       }
-      uint64_t cycles = s_.config().costs.compaction_per_item *
-                        std::max<uint64_t>(1, region_entries.size() + items.size());
-      s_.core().Run(s_.Cycles(cycles), [this, run, group, seg, merged, batch,
-                                        rewrites]() mutable {
-        const LogSet& home = s_.home();
-        if (batch->empty()) {
-          // Every region value of this segment is dead: nothing to move and
-          // no need to touch the segment.
+      // Reserve offsets and append in the same event (no interleaving).
+      const uint64_t base = home.value_log->tail();
+      for (const auto& rw : *rewrites) {
+        KeyItemView& item = merged->items[rw.item_index];
+        const RangeIndex::ValueLoc old_loc{item.value_ssd, item.value_offset,
+                                           item.value_len};
+        item.value_offset = base + rw.relative;
+        // Keep the ordered view pointing at live bytes across the rewrite
+        // (no-op if a newer PUT already owns the index entry).
+        s_.RepairIndexLocation(item.key, old_loc,
+                               {item.value_ssd, item.value_offset, item.value_len});
+      }
+      s_.m_.ssd_writes->Inc();
+      home.value_log->Append(std::move(*batch),
+                             [this, run, group, seg, merged](log::AppendResult r) {
+        if (!r.status.ok()) {
           s_.UnlockAndPump(seg);
-          ValueRunGroup(run, group);
+          UnitEnd(run, group, false);
           return;
         }
-        if (batch->size() > home.value_log->free_space()) {
-          run->all_relocated = false;
-          s_.UnlockAndPump(seg);
-          ValueRunGroup(run, group);
-          return;
-        }
-        // Reserve offsets and append in the same event (no interleaving).
-        const uint64_t base = home.value_log->tail();
-        for (const auto& rw : *rewrites) {
-          KeyItemView& item = merged->items[rw.item_index];
-          const RangeIndex::ValueLoc old_loc{item.value_ssd, item.value_offset,
-                                             item.value_len};
-          item.value_offset = base + rw.relative;
-          // Keep the ordered view pointing at live bytes across the rewrite
-          // (no-op if a newer PUT already owns the index entry).
-          s_.RepairIndexLocation(item.key, old_loc,
-                                 {item.value_ssd, item.value_offset,
-                                  item.value_len});
-        }
-        s_.m_.ssd_writes->Inc();
-        home.value_log->Append(std::move(*batch),
-                               [this, run, group, seg, merged](log::AppendResult r) {
-          if (!r.status.ok()) {
-            run->all_relocated = false;
-            s_.UnlockAndPump(seg);
-            ValueRunGroup(run, group);
-            return;
-          }
-          WriteMergedSegment(seg, merged, [this, run, group](bool ok) {
-            if (!ok) run->all_relocated = false;
-            ValueRunGroup(run, group);
-          });
+        WriteMergedSegment(seg, merged, [this, run, group](bool ok) {
+          UnitEnd(run, group, ok);
         });
       });
     });
-  };
-
-  if (s_.segments().TryLock(seg)) {
-    locked();
-  } else {
-    s_.segments().WaitOnLock(seg, [this, run, group, range, seg, locked] {
-      if (s_.segments().TryLock(seg)) {
-        locked();
-      } else {
-        // Lost the wakeup race to another waiter; requeue this segment.
-        run->groups[group].push_back(range);
-        ValueRunGroup(run, group);
-      }
-    });
-  }
-}
-
-void Compactor::ValueRunJoin(std::shared_ptr<ValueRun> run) {
-  if (--run->groups_pending > 0) return;
-  const LogSet& home = s_.home();
-  const bool advanced = run->region_end > run->region_start && run->all_relocated;
-  if (advanced) {
-    Status st = home.value_log->AdvanceHead(run->region_end);
-    (void)st;
-  }
-  if (s_.config().prefetch) IssueValuePrefetch();
-  EndRun(value_running_, run->done, Status::Ok(),
-         advanced ? RunEnd::kAdvanced : RunEnd::kJoined);
-}
-
-void Compactor::IssueValuePrefetch() {
-  const LogSet& home = s_.home();
-  const auto& cfg = s_.config();
-  uint64_t used = home.value_log->used();
-  if (used == 0) return;
-  uint64_t want = std::min<uint64_t>(cfg.compaction_chunk + kValueReadSlack, used);
-  uint64_t start = home.value_log->head();
-  s_.m_.ssd_reads->Inc();
-  home.value_log->Read(start, want, [this, start](log::ReadResult r) {
-    if (!r.status.ok()) return;
-    value_prefetch_.valid = true;
-    value_prefetch_.offset = start;
-    value_prefetch_.data = std::move(r.data);
   });
 }
 
