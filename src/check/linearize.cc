@@ -16,11 +16,6 @@ constexpr SimTime kInfTime = INT64_MAX;
 // Greedy minimization re-checks the sub-history once per op (quadratic);
 // longer violating sub-histories are reported unminimized.
 constexpr size_t kMinimizeMaxOps = 400;
-// Ceilings for the exact scan-cluster search (its state space is
-// exponential in ops and keys). Clusters over either limit fall back to
-// per-key projection and count into scan_clusters_capped.
-constexpr size_t kScanClusterMaxKeys = 6;
-constexpr size_t kScanClusterMaxOps = 48;
 
 // The client saw the op's outcome (not_found included); error and open ops
 // are indeterminate.
@@ -584,7 +579,7 @@ void ScanSemanticsCheck(const std::vector<HistoryOp>& history,
 // Exact atomic-scan semantics over scan-connected key clusters.
 // ---------------------------------------------------------------------------
 
-// Finds scan-connected key clusters and runs the search on each small one,
+// Finds scan-connected key clusters and runs the search on each one,
 // with every scan as one atomic multi-key read. Keys already convicted by
 // the cheap scan pass are skipped (their cluster's violation is recorded
 // already).
@@ -640,10 +635,6 @@ void ScanClusterCheck(const std::vector<HistoryOp>& history,
       if (convicted.contains(k)) skip = true;
     }
     if (skip) continue;
-    if (keys.size() > kScanClusterMaxKeys) {
-      ++report->scan_clusters_capped;
-      continue;
-    }
     std::map<std::string, int> key_idx;
     for (const std::string& k : keys) {
       key_idx.emplace(k, static_cast<int>(key_idx.size()));
@@ -651,10 +642,6 @@ void ScanClusterCheck(const std::vector<HistoryOp>& history,
     // Scans observing any cluster key observe only cluster keys (by
     // union-find construction).
     std::vector<Call> calls = LowerCalls(all_ops, key_idx);
-    if (calls.size() > kScanClusterMaxOps) {
-      ++report->scan_clusters_capped;
-      continue;
-    }
     std::optional<uint64_t> blocked =
         SearchForViolation(calls, key_idx.size(), budget_left, report);
     if (!blocked) continue;
@@ -734,10 +721,6 @@ std::string CheckReport::Summary() const {
                   std::to_string(steps_used) + " steps";
   if (inconclusive_keys > 0) {
     s += ", " + std::to_string(inconclusive_keys) + " inconclusive";
-  }
-  if (scan_clusters_capped > 0) {
-    s += ", " + std::to_string(scan_clusters_capped) +
-         " scan clusters over the exact-search cap";
   }
   if (!violations.empty()) {
     s += ", " + std::to_string(violations.size()) + " violations (first: " +
@@ -831,7 +814,7 @@ CheckReport CheckHistory(const std::vector<HistoryOp>& history,
     report.violations.push_back(std::move(v));
   }
 
-  // Exact atomic-scan semantics on small scan-connected key clusters.
+  // Exact atomic-scan semantics on scan-connected key clusters.
   if (options.step_budget > 0) {
     ScanClusterCheck(history, scan_convicted, &budget_left, &report);
   }

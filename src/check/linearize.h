@@ -41,12 +41,10 @@
 //     scan window but their feasible instants have empty intersection —
 //     the scan straddled a commit), and non-monotonic-scan (a client's
 //     later scan observed a strictly older value than its earlier scan).
-//  3. Exact search: keys connected by scans form clusters; clusters of at
-//     most 6 keys and 48 ops (kScanClusterMaxKeys / kScanClusterMaxOps)
-//     run the search with one register per cluster key, treating each
-//     scan as one atomic multi-key read. Oversized clusters fall back to
-//     projection only (still sound for conviction; counted in
-//     scan_clusters_capped).
+//  3. Exact search: keys connected by scans form clusters; each cluster
+//     runs the search with one register per cluster key, treating each
+//     scan as one atomic multi-key read. The shared step budget is the only
+//     bound: a cluster search that exhausts it is inconclusive.
 
 #pragma once
 
@@ -92,9 +90,6 @@ struct CheckReport {
   uint64_t keys_checked = 0;
   uint64_t steps_used = 0;
   uint32_t inconclusive_keys = 0;
-  // Scan clusters too large for the exact multi-key search (checked by
-  // projection only — a documented completeness gap, not a violation).
-  uint32_t scan_clusters_capped = 0;
   std::vector<Violation> violations;
 
   std::string Summary() const;

@@ -76,7 +76,9 @@ TEST(CheckCorpus, ViolatingHistoriesAreConvicted) {
 TEST(CheckCorpus, ScanViolationsAreConvicted) {
   // Golden scan histories, one per cheap-pass conviction kind. The scan
   // passes run before the per-key projection, so the first violation
-  // carries the scan-specific kind.
+  // carries the scan-specific kind. The torn scan over keys whose values
+  // repeat escapes the cheap passes (they need unique digests) and the
+  // per-key projection; only the exact cluster search convicts it.
   struct Case {
     const char* file;
     const char* kind;
@@ -85,7 +87,8 @@ TEST(CheckCorpus, ScanViolationsAreConvicted) {
   for (const auto& c :
        {Case{"phantom_scan.history", "phantom-scan", "k1"},
         Case{"torn_scan.history", "torn-scan", "ka"},
-        Case{"nonmonotonic_scan.history", "non-monotonic-scan", "k0"}}) {
+        Case{"nonmonotonic_scan.history", "non-monotonic-scan", "k0"},
+        Case{"repeated_digest_torn_scan.history", "scan-linearizability", "ka"}}) {
     auto ops = LoadCorpus(c.file);
     ASSERT_FALSE(ops.empty()) << c.file;
     CheckReport report = CheckHistory(ops);
@@ -166,6 +169,13 @@ TEST(CheckCorpus, ReportSummariesArePinned) {
        "history ever wrote)",
        "violation: 2 keys, 5 steps, 2 violations (first: linearizability on "
        "key 'k1' — no linearization order exists (search blocked at op 2))"},
+      {"repeated_digest_torn_scan.history",
+       "violation: 2 keys, 20 steps, 1 violations (first: "
+       "scan-linearizability on key 'ka' — no linearization order exists "
+       "for the 2-key scan cluster (search blocked at op 1))",
+       "violation: 2 keys, 20 steps, 1 violations (first: "
+       "scan-linearizability on key 'ka' — no linearization order exists "
+       "for the 2-key scan cluster (search blocked at op 1))"},
       {"stale_read.history",
        "violation: 1 keys, 0 steps, 1 violations (first: stale-read on key "
        "'k0' — op 3 read the value of op 1 although op 2 overwrote it "
@@ -392,7 +402,7 @@ TEST(Checker, StepBudgetReportsInconclusive) {
 }
 
 // Seven PUTs on distinct keys, then one OK scan observing all of them:
-// a 7-key scan cluster, one key over the exact-search cap.
+// a 7-key scan cluster.
 std::vector<HistoryOp> WideScanHistory() {
   std::vector<HistoryOp> ops;
   HistoryOp scan;
@@ -422,22 +432,20 @@ std::vector<HistoryOp> WideScanHistory() {
   return ops;
 }
 
-TEST(Checker, WideScanClusterIsCappedAndCheckedByProjection) {
-  const char* kCapped = "1 scan clusters over the exact-search cap";
+TEST(Checker, WideScanClusterIsSearchedExactly) {
   CheckOptions search_only;
   search_only.read_semantics = false;
 
+  // 7 per-key searches plus one over the whole cluster.
   auto ops = WideScanHistory();
   for (const CheckOptions& opt : {CheckOptions{}, search_only}) {
     CheckReport report = CheckHistory(ops, opt);
-    EXPECT_EQ(report.verdict, Verdict::kLinearizable) << report.Summary();
-    EXPECT_EQ(report.scan_clusters_capped, 1u);
-    EXPECT_NE(report.Summary().find(kCapped), std::string::npos)
-        << report.Summary();
+    EXPECT_EQ(report.Summary(), "linearizable: 7 keys, 22 steps");
   }
 
-  // Overwrite c3 before the scan: its observation is stale, and the
-  // per-key projection alone convicts it (the cluster is never searched).
+  // Overwrite c3 before the scan: its observation is stale. The cheap
+  // passes convict it at once; with them off, the per-key search and the
+  // 7-key cluster search each convict it.
   HistoryOp put;
   put.id = ops.size() + 1;
   put.client = 3;
@@ -449,15 +457,20 @@ TEST(Checker, WideScanClusterIsCappedAndCheckedByProjection) {
   put.response = 60;
   put.outcome = Outcome::kOk;
   ops.push_back(put);
-  for (const CheckOptions& opt : {CheckOptions{}, search_only}) {
-    CheckReport report = CheckHistory(ops, opt);
-    EXPECT_EQ(report.verdict, Verdict::kViolation) << report.Summary();
-    EXPECT_EQ(report.scan_clusters_capped, 1u);
-    EXPECT_NE(report.Summary().find(kCapped), std::string::npos)
-        << report.Summary();
-    ASSERT_FALSE(report.violations.empty());
-    EXPECT_EQ(report.violations[0].key, "c3");
-  }
+  CheckReport report = CheckHistory(ops);
+  EXPECT_EQ(report.verdict, Verdict::kViolation) << report.Summary();
+  ASSERT_FALSE(report.violations.empty());
+  EXPECT_EQ(report.violations[0].key, "c3");
+
+  report = CheckHistory(ops, search_only);
+  EXPECT_EQ(report.verdict, Verdict::kViolation) << report.Summary();
+  ASSERT_EQ(report.violations.size(), 2u) << report.Summary();
+  EXPECT_EQ(report.violations[0].kind, "linearizability");
+  EXPECT_EQ(report.violations[0].key, "c3");
+  EXPECT_EQ(report.violations[1].kind, "scan-linearizability");
+  EXPECT_NE(report.violations[1].detail.find("7-key scan cluster"),
+            std::string::npos)
+      << report.violations[1].detail;
 }
 
 TEST(Checker, PerKeyCompositionality) {
