@@ -11,9 +11,9 @@ CircularLog::CircularLog(BlockDevice& device, uint64_t base_offset, uint64_t siz
   assert(base_ + size_ <= device_.capacity_bytes());
 }
 
-void CircularLog::Append(std::vector<uint8_t> head, SharedBytes tail,
-                         AppendCallback callback) {
-  const uint64_t len = head.size() + tail.size();
+void CircularLog::AppendEntry(std::vector<uint8_t> head, SharedBytes tail,
+                              uint64_t len, AppendCallback callback) {
+  assert(tail.size() == 0 ? head.size() <= len : head.size() + tail.size() == len);
   if (len == 0 || len > size_) {
     callback(AppendResult{Status::InvalidArgument("bad append size"), 0, 0});
     return;
@@ -34,6 +34,7 @@ void CircularLog::Append(std::vector<uint8_t> head, SharedBytes tail,
     req.type = IoType::kWrite;
     req.pattern = IoPattern::kSequential;
     req.offset = phys;
+    req.length = len;
     req.data = std::move(head);
     req.tail = std::move(tail);
     Status st = device_.Submit(std::move(req), [entry_offset, cb = std::move(callback)](
@@ -44,9 +45,11 @@ void CircularLog::Append(std::vector<uint8_t> head, SharedBytes tail,
     return;
   }
 
-  // Wrapping entry: two sequential writes (end of region, then start).
+  // Wrapping entry: two sequential writes (end of region, then start),
+  // each carrying its part of the data and padded to its part of `len`.
   std::vector<uint8_t> data = std::move(head);
   data.insert(data.end(), tail.bytes().begin(), tail.bytes().end());
+  const auto cut = data.begin() + static_cast<long>(std::min<uint64_t>(to_end, data.size()));
   auto state = std::make_shared<std::pair<int, AppendResult>>();
   state->first = 2;
   state->second.offset = entry_offset;
@@ -60,12 +63,14 @@ void CircularLog::Append(std::vector<uint8_t> head, SharedBytes tail,
   first.type = IoType::kWrite;
   first.pattern = IoPattern::kSequential;
   first.offset = phys;
-  first.data.assign(data.begin(), data.begin() + static_cast<long>(to_end));
+  first.length = to_end;
+  first.data.assign(data.begin(), cut);
   IoRequest second;
   second.type = IoType::kWrite;
   second.pattern = IoPattern::kSequential;
   second.offset = base_;
-  second.data.assign(data.begin() + static_cast<long>(to_end), data.end());
+  second.length = len - to_end;
+  second.data.assign(cut, data.end());
 
   Status st1 = device_.Submit(std::move(first), on_done);
   Status st2 = device_.Submit(std::move(second), on_done);
@@ -165,6 +170,15 @@ void CircularLog::DoRead(uint64_t offset, uint64_t length, ReadCallback callback
 Status CircularLog::AdvanceHead(uint64_t new_head) {
   if (new_head < head_ || new_head > tail_) {
     return Status::InvalidArgument("head must advance within [head, tail]");
+  }
+  const uint64_t phys = Physical(head_);
+  const uint64_t length = new_head - head_;
+  const uint64_t to_end = base_ + size_ - phys;
+  if (length > to_end) {
+    device_.Discard(phys, to_end);
+    device_.Discard(base_, length - to_end);
+  } else if (length > 0) {
+    device_.Discard(phys, length);
   }
   head_ = new_head;
   return Status::Ok();

@@ -4,7 +4,8 @@
 // used range. Three operations: read from an offset inside the valid
 // range; append at the tail (sequential write — the pattern NVMe loves);
 // and compaction support (the *store* decides which entries are live and
-// re-appends them; the log just exposes AdvanceHead to reclaim the prefix).
+// re-appends them; the log just exposes AdvanceHead to reclaim the prefix,
+// and tells the device that the reclaimed range is free).
 //
 // Offsets handed out are *logical* and monotonically increasing; physical
 // position is logical % region size. An entry may physically wrap across
@@ -56,12 +57,22 @@ class CircularLog {
   // store triggers compaction when the free fraction drops below a
   // threshold, well before this fires).
   void Append(std::vector<uint8_t> data, AppendCallback callback) {
-    Append(std::move(data), SharedBytes(), std::move(callback));
+    const uint64_t length = data.size();
+    AppendEntry(std::move(data), SharedBytes(), length, std::move(callback));
+  }
+  // Append a `length`-byte entry that holds `data` followed by zeros (a
+  // key-log bucket: its used prefix, zero padded). The zeros are not sent:
+  // the device keeps them implicitly (IoRequest::data).
+  void Append(std::vector<uint8_t> data, uint64_t length, AppendCallback callback) {
+    AppendEntry(std::move(data), SharedBytes(), length, std::move(callback));
   }
   // Append the entry head ++ tail. The device keeps the tail by reference
   // (IoRequest::tail); an entry that wraps the region end is written as
   // two copied halves instead.
-  void Append(std::vector<uint8_t> head, SharedBytes tail, AppendCallback callback);
+  void Append(std::vector<uint8_t> head, SharedBytes tail, AppendCallback callback) {
+    const uint64_t length = head.size() + tail.size();
+    AppendEntry(std::move(head), std::move(tail), length, std::move(callback));
+  }
 
   // Read `length` bytes at logical `offset`. The range must be inside
   // [head, tail).
@@ -86,13 +97,15 @@ class CircularLog {
 
   // Reclaim everything before new_head (exclusive). new_head must lie in
   // [head, tail]. Compactions re-append live data first, then advance.
+  // The device discards the reclaimed range (BlockDevice::Discard, split
+  // in two where it wraps the region end): it reads back as zeros.
   Status AdvanceHead(uint64_t new_head);
 
-  // Discard the entire contents (head := tail). Used to reclaim a swap
-  // region wholesale once nothing references it; logical offsets stay
-  // monotonic so stale readers fail loudly instead of reading recycled
-  // bytes.
-  void Reset() { head_ = tail_; }
+  // Discard the entire contents (head := tail), on the device too, as
+  // AdvanceHead(tail) does. Used to reclaim a swap region wholesale once
+  // nothing references it; logical offsets stay monotonic so stale readers
+  // fail loudly instead of reading recycled bytes.
+  void Reset() { (void)AdvanceHead(tail_); }
 
   // Reattach to existing on-device contents after a crash: restore the
   // checkpointed pointers. Only valid on a virgin log object.
@@ -129,6 +142,11 @@ class CircularLog {
 
  private:
   uint64_t Physical(uint64_t logical) const { return base_ + logical % size_; }
+
+  // Append the `length`-byte entry head ++ tail ++ zeros (a tail carries
+  // no zeros: length is then head.size() + tail.size()).
+  void AppendEntry(std::vector<uint8_t> head, SharedBytes tail, uint64_t length,
+                   AppendCallback callback);
 
   // Issue the device IO(s) for a validated logical range (shared by Read
   // and ReadRaw).

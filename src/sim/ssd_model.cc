@@ -174,6 +174,24 @@ Status SimSsd::Submit(IoRequest request, IoCallback callback) {
   return Status::Ok();
 }
 
+void SimSsd::Discard(uint64_t offset, uint64_t length) {
+  if (faults_ != nullptr && faults_->crashed()) return;
+  const uint64_t end = offset + length;
+  std::vector<std::pair<uint64_t, uint64_t>> kept;
+  const auto keep = [&](uint64_t b, uint64_t e) {
+    if (b < end && e > offset) kept.emplace_back(std::max(b, offset), std::min(e, end));
+  };
+  for (const auto& [b, e] : serving_) keep(b, e);
+  for (const Pending& p : read_queue_) keep(p.request.offset, p.request.offset + p.request.length);
+  std::sort(kept.begin(), kept.end());
+  uint64_t at = offset;
+  for (const auto& [b, e] : kept) {
+    if (b > at) store_.Discard(at, b - at);
+    at = std::max(at, e);
+  }
+  if (at < end) store_.Discard(at, end - at);
+}
+
 void SimSsd::TryStartReads() {
   while (reads_in_service_ < spec_.read_channels && !read_queue_.empty()) {
     Pending p = std::move(read_queue_.front());
@@ -204,6 +222,7 @@ void SimSsd::StartRead(Pending p) {
 
   SimTime submitted = p.submitted_at;
   uint64_t offset = p.request.offset;
+  serving_.emplace_back(offset, offset + length);
   auto read_done = [this, submitted, offset, length,
                     cb = std::move(p.callback)]() mutable {
     --reads_in_service_;
@@ -212,6 +231,10 @@ void SimSsd::StartRead(Pending p) {
     if (metrics_.read_us) metrics_.read_us->Record(ToMicros(sim_.Now() - submitted));
     IoResult r;
     r.data = store_.Read(offset, length);
+    const auto served = std::find(serving_.begin(), serving_.end(),
+                                  std::pair(offset, offset + length));
+    *served = serving_.back();
+    serving_.pop_back();
     r.submitted_at = submitted;
     r.completed_at = sim_.Now();
     cb(std::move(r));

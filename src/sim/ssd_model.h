@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rand.h"
 #include "obs/metrics.h"
@@ -93,6 +95,10 @@ class SimSsd : public BlockDevice {
   uint64_t capacity_bytes() const override { return spec_.capacity_bytes; }
   uint32_t block_size() const override { return spec_.block_size; }
   uint32_t inflight() const override { return inflight_; }
+  // A read takes its bytes when it completes, so the bytes a queued or
+  // in-service read covers are kept until the next write replaces them:
+  // it returns what it would have without the discard.
+  void Discard(uint64_t offset, uint64_t length) override;
 
   const SsdSpec& spec() const { return spec_; }
   const SsdStats& stats() const { return stats_; }
@@ -139,6 +145,8 @@ class SimSsd : public BlockDevice {
 
   std::deque<Pending> read_queue_;
   uint32_t reads_in_service_ = 0;
+  // Device ranges [begin, end) of the reads in service, in no order.
+  std::vector<std::pair<uint64_t, uint64_t>> serving_;
   SimTime write_pipe_free_at_ = 0;
   uint32_t inflight_ = 0;
 };

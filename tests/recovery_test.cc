@@ -208,6 +208,79 @@ TEST_F(RecoveryTest, RecoversDurableWritesPastCheckpoint) {
   EXPECT_TRUE(testutil::SyncGet(sim_, *recovered, "stable").IsNotFound());
 }
 
+// Compaction wraps a small key log several times and discards what each
+// head advance reclaims, so past the checkpointed tail the extended scan
+// finds discarded zeros (not the previous lap's buckets) once it passes
+// the acked appends. A checkpoint, more acked PUTs and compaction runs
+// (whose discards reach into the checkpointed range), then a crash:
+// recovery still adopts every acked append.
+TEST_F(RecoveryTest, ExtendedScanAfterWrapAndDiscardAdoptsEveryAckedAppend) {
+  StoreConfig cfg = Config();
+  cfg.num_segments = 16;
+  cfg.compaction_threshold = 0.5;
+  cfg.compaction_chunk = 16 * 1024;
+  constexpr uint64_t kKeyLog = 256 << 10;
+  constexpr uint64_t kValueBase = 8 << 20;
+  constexpr uint64_t kValueLog = 1 << 20;
+  auto open = [&](const RecoveryCheckpoint* cp) {
+    key_log_ = std::make_unique<log::CircularLog>(device_, 0, kKeyLog);
+    value_log_ = std::make_unique<log::CircularLog>(device_, kValueBase, kValueLog);
+    if (cp != nullptr) {
+      EXPECT_TRUE(key_log_->Restore(cp->logs[0].key_head, cp->logs[0].key_tail).ok());
+      EXPECT_TRUE(
+          value_log_->Restore(cp->logs[0].value_head, cp->logs[0].value_tail).ok());
+    }
+    return std::make_unique<DataStore>(sim_, core_,
+                                       LogSet{0, key_log_.get(), value_log_.get()}, cfg);
+  };
+  auto ds = open(nullptr);
+  std::map<std::string, std::vector<uint8_t>> truth;
+  int round = 0;
+  auto put_round = [&] {
+    for (int i = 0; i < 32; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      auto value = testutil::TestValue(static_cast<uint32_t>(round * 100 + i), 128);
+      ASSERT_TRUE(testutil::SyncPut(sim_, *ds, key, value).ok()) << key;
+      truth[key] = value;
+    }
+    ++round;
+  };
+  while (ds->home().key_log->tail() < 3 * kKeyLog) put_round();
+  sim_.Run();  // trailing compactions
+  const RecoveryCheckpoint cp = Checkpoint(*ds);
+  // Past the tail lies the previous lap, discarded when the head passed it.
+  const uint64_t beyond = cp.logs[0].key_head + kKeyLog - cp.logs[0].key_tail;
+  ASSERT_GE(beyond, 4u * 512);
+  std::vector<uint8_t> stale;
+  bool read = false;
+  ds->home().key_log->ReadRaw(cp.logs[0].key_tail, 4 * 512, [&](log::ReadResult r) {
+    ASSERT_TRUE(r.status.ok());
+    stale = std::move(r.data);
+    read = true;
+  });
+  ASSERT_TRUE(testutil::RunUntilFlag(sim_, read));
+  EXPECT_EQ(stale, std::vector<uint8_t>(4 * 512, 0));
+
+  const uint64_t compactions = ds->stats().key_compactions;
+  while (ds->home().key_log->head() <= cp.logs[0].key_head ||
+         ds->stats().key_compactions == compactions) {
+    put_round();
+  }
+  sim_.Run();
+  ASSERT_LT(ds->home().key_log->tail(), cp.logs[0].key_head + kKeyLog);
+
+  ds.reset();  // crash
+  auto recovered = open(&cp);
+  RecoveryStats stats = RecoverBeyondTail(*recovered, cp);
+  EXPECT_GT(stats.extended_buckets, 0u);
+  EXPECT_GT(stats.crc_rejected, 0u);  // the discarded head range, then past the tail
+  for (const auto& [key, value] : truth) {
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(testutil::SyncGet(sim_, *recovered, key, &out).ok()) << key;
+    EXPECT_EQ(out, value) << key;
+  }
+}
+
 TEST_F(RecoveryTest, TornTailAppendIsRejectedCleanly) {
   auto ds = FreshStore();
   ASSERT_TRUE(testutil::SyncPut(sim_, *ds, "stable", testutil::TestValue(1, 64)).ok());
