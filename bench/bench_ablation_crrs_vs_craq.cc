@@ -23,7 +23,7 @@ struct Point {
 };
 
 Point RunOne(bool crrs, bool craq, double skew) {
-  ClusterConfig cfg = bench::LeedCluster(3, 1024);
+  ClusterConfig cfg = bench::LeedCluster(3);
   cfg.node.crrs = crrs;
   cfg.node.craq_version_query = craq;
   cfg.client.crrs_reads = crrs;

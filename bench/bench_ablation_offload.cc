@@ -44,7 +44,7 @@ constexpr uint32_t kConcurrency = 128;
 // draw. Both knobs apply to BOTH variants; the ablation isolates where the
 // DPU cycles go, not the platform.
 ClusterConfig NextGenLeed(bool offload) {
-  ClusterConfig cfg = bench::LeedCluster(3, kValueSize);
+  ClusterConfig cfg = bench::LeedCluster(3);
   cfg.num_clients = 4;
   cfg.node.engine.ssd.read_base_ns = 4 * kMicrosecond;
   cfg.node.engine.ssd.write_base_ns = 12 * kMicrosecond;

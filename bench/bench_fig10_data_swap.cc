@@ -34,7 +34,7 @@ struct Point {
 };
 
 Point RunOne(uint32_t value_size, double skew, bool swap_enabled) {
-  ClusterConfig cfg = bench::LeedCluster(3, value_size);
+  ClusterConfig cfg = bench::LeedCluster(3);
   cfg.node.engine.swap_gap_threshold = 16;
   cfg.node.engine.swap_check_period = 200 * kMicrosecond;
   cfg.node.engine.enable_data_swap = swap_enabled;

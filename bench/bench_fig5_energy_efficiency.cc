@@ -50,11 +50,11 @@ int main() {
     double sum_ratio_kvell = 0, sum_ratio_fawn = 0;
     for (auto mix : mixes) {
       const uint64_t keys = 12'000;
-      double fawn = RunSystem("fawn", bench::FawnCluster(10, value_size), mix,
+      double fawn = RunSystem("fawn", bench::FawnCluster(10), mix,
                               value_size, keys, 8);
-      double kvell = RunSystem("kvell", bench::KvellCluster(3, value_size), mix,
+      double kvell = RunSystem("kvell", bench::KvellCluster(3), mix,
                                value_size, keys, 96);
-      double leed_eff = RunSystem("leed", bench::LeedCluster(3, value_size),
+      double leed_eff = RunSystem("leed", bench::LeedCluster(3),
                                   mix, value_size, keys, 96);
       sum_ratio_kvell += kvell > 0 ? leed_eff / kvell : 0;
       sum_ratio_fawn += fawn > 0 ? leed_eff / fawn : 0;

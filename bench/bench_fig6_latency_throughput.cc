@@ -79,11 +79,11 @@ int main(int argc, char** argv) {
                                  workload::Mix::kF, workload::Mix::kWriteOnly};
   for (auto mix : mixes) {
     std::printf("\n=== %s (%uB) ===\n", workload::MixName(mix), value_size);
-    Sweep("Embedded-FAWN(10)", bench::FawnCluster(10, value_size), mix,
+    Sweep("Embedded-FAWN(10)", bench::FawnCluster(10), mix,
           value_size, {2, 12, 30});
-    Sweep("Server-KVell(3)", bench::KvellCluster(3, value_size), mix,
+    Sweep("Server-KVell(3)", bench::KvellCluster(3), mix,
           value_size, {300, 1500, 3500});
-    Sweep("SmartNIC-LEED(3)", bench::LeedCluster(3, value_size), mix,
+    Sweep("SmartNIC-LEED(3)", bench::LeedCluster(3), mix,
           value_size, {300, 1000, 1700});
   }
   return 0;

@@ -31,7 +31,7 @@ struct Point {
 
 Point RunOne(workload::Mix mix, double skew, bool crrs,
              obs::Registry* registry) {
-  ClusterConfig cfg = bench::LeedCluster(3, 1024);
+  ClusterConfig cfg = bench::LeedCluster(3);
   cfg.node.metrics_registry = registry;
   cfg.node.crrs = crrs;
   cfg.client.crrs_reads = crrs;

@@ -25,7 +25,7 @@ struct Point {
 };
 
 Point RunOne(workload::Mix mix, double skew, bool ls) {
-  ClusterConfig cfg = bench::LeedCluster(3, 1024);
+  ClusterConfig cfg = bench::LeedCluster(3);
   cfg.client.flow_control = ls;
   ClusterSim cluster(std::move(cfg));
   cluster.Bootstrap();

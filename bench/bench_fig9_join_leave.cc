@@ -16,7 +16,7 @@ using namespace leed;
 int main() {
   bench::PrintHeader("Figure 9: throughput during node join/leave (1KB)");
   for (auto mix : {workload::Mix::kA, workload::Mix::kB}) {
-    ClusterConfig cfg = bench::LeedCluster(3, 1024);
+    ClusterConfig cfg = bench::LeedCluster(3);
     ClusterSim cluster(std::move(cfg));
     cluster.Bootstrap();
     const uint64_t keys = 20'000;

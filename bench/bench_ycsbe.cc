@@ -25,7 +25,7 @@ struct Point {
 };
 
 Point RunE(uint32_t max_scan_len, bool json) {
-  ClusterConfig cfg = bench::LeedCluster(3, 1024);
+  ClusterConfig cfg = bench::LeedCluster(3);
   ClusterSim cluster(std::move(cfg));
   cluster.Bootstrap();
   const uint64_t keys = 6000;

@@ -49,7 +49,7 @@ void FawnStore::Del(std::string key, OpCallback callback) {
 }
 
 void FawnStore::Enqueue(Pending p) {
-  if (queue_.size() >= config_.queue_capacity) {
+  if (queue_.size() >= kFawnQueueCapacity) {
     stats_.rejected_full++;
     Status st = Status::Overloaded("fawn store queue full");
     if (p.kind == Pending::Kind::kGet) {

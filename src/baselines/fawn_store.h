@@ -41,9 +41,12 @@ struct FawnCosts {
   uint64_t clean_per_entry = 50;
 };
 
+// Requests a store queues behind its in-flight ones; past this it rejects
+// with kOverloaded.
+inline constexpr size_t kFawnQueueCapacity = 4096;
+
 struct FawnConfig {
   uint32_t max_inflight = 1;           // FAWN's synchronous store path
-  size_t queue_capacity = 4096;
   double compaction_threshold = 0.80;
   uint64_t compaction_chunk = 256 * 1024;
   FawnCosts costs;

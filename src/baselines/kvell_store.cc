@@ -50,7 +50,7 @@ void KvellStore::Del(std::string key, OpCallback callback) {
 }
 
 void KvellStore::Enqueue(Pending p) {
-  if (queue_.size() >= config_.queue_capacity) {
+  if (queue_.size() >= kKvellQueueCapacity) {
     stats_.rejected_full++;
     Status st = Status::Overloaded("kvell partition queue full");
     if (p.kind == Pending::Kind::kGet) {
@@ -66,7 +66,7 @@ void KvellStore::Enqueue(Pending p) {
 }
 
 void KvellStore::Pump() {
-  while (inflight_ < config_.max_ioqd && !queue_.empty()) {
+  while (inflight_ < kKvellMaxIoqd && !queue_.empty()) {
     Pending p = std::move(queue_.front());
     queue_.pop_front();
     ++inflight_;
@@ -84,8 +84,8 @@ void KvellStore::Execute(Pending p) {
   // Batch-accumulation window: the op waits for its device-access batch to
   // fill/flush. Pipelined (no CPU held), so throughput is unaffected.
   const SimTime wait = shared->kind == Pending::Kind::kGet
-                           ? config_.read_batch_wait_ns
-                           : config_.write_batch_wait_ns;
+                           ? kKvellReadBatchWait
+                           : kKvellWriteBatchWait;
   sim_.Schedule(wait, [this, shared] { ExecuteNow(shared); });
 }
 

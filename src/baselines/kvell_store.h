@@ -12,8 +12,8 @@
 //     1 SSD access per op, but writes are *random* (the device model's
 //     page-program penalty is exactly why KVell-JBOF writes cap near the
 //     drive's random-write IOPS, Table 3's 156-160 KQPS);
-//   * batched asynchronous device access: up to `max_ioqd` outstanding IOs
-//     per partition, excess queued FIFO.
+//   * batched asynchronous device access: up to kKvellMaxIoqd outstanding
+//     IOs per partition, excess queued FIFO.
 
 #pragma once
 
@@ -38,17 +38,19 @@ struct KvellCosts {
   uint64_t enqueue = 800;
 };
 
+inline constexpr uint32_t kKvellMaxIoqd = 64;  // outstanding IOs per partition
+// Requests a partition queues; past this it rejects with kOverloaded.
+inline constexpr size_t kKvellQueueCapacity = 8192;
+// KVell trades latency for throughput by accumulating device-access
+// batches before submitting (its "efficient device access batching");
+// requests sit in the accumulation window even at low load — this is why
+// the paper's Table 3 shows 445us/810us read/write latency despite a
+// single SSD access. Writes wait longer (commit batch).
+inline constexpr SimTime kKvellReadBatchWait = 340 * kMicrosecond;
+inline constexpr SimTime kKvellWriteBatchWait = 700 * kMicrosecond;
+
 struct KvellConfig {
   uint32_t slot_bytes = 0;      // 0 => derived from value size at first PUT
-  uint32_t max_ioqd = 64;       // outstanding device IOs per partition
-  size_t queue_capacity = 8192;
-  // KVell trades latency for throughput by accumulating device-access
-  // batches before submitting (its "efficient device access batching");
-  // requests sit in the accumulation window even at low load — this is why
-  // the paper's Table 3 shows 445us/810us read/write latency despite a
-  // single SSD access. Writes wait longer (commit batch).
-  SimTime read_batch_wait_ns = 340 * kMicrosecond;
-  SimTime write_batch_wait_ns = 700 * kMicrosecond;
   KvellCosts costs;
   double ipc_factor = 1.0;
 };

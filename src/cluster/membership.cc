@@ -2,18 +2,6 @@
 
 namespace leed::cluster {
 
-std::string_view VNodeStateName(VNodeState s) {
-  switch (s) {
-    case VNodeState::kJoining:
-      return "JOINING";
-    case VNodeState::kRunning:
-      return "RUNNING";
-    case VNodeState::kLeaving:
-      return "LEAVING";
-  }
-  return "UNKNOWN";
-}
-
 HashRing ClusterView::RunningRing() const {
   HashRing ring;
   for (const auto& [id, info] : vnodes) {

@@ -19,8 +19,6 @@ namespace leed::cluster {
 
 enum class VNodeState : uint8_t { kJoining, kRunning, kLeaving };
 
-std::string_view VNodeStateName(VNodeState s);
-
 struct VNodeInfo {
   VNodeId id = kInvalidVNode;
   uint32_t owner_node = 0;   // which JBOF hosts it

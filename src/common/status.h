@@ -79,7 +79,6 @@ class Status {
   bool IsOverloaded() const { return code_ == StatusCode::kOverloaded; }
   bool IsBusy() const { return code_ == StatusCode::kBusy; }
   bool IsWrongView() const { return code_ == StatusCode::kWrongView; }
-  bool IsIoError() const { return code_ == StatusCode::kIoError; }
 
   // "ok" or "not_found: segment 12 missing".
   std::string ToString() const;

@@ -267,10 +267,8 @@ void IoEngine::RecoverNextStore(std::shared_ptr<RecoverRun> run) {
   // store's own superblock: shared swap logs may have been restored from a
   // newer sibling checkpoint, and earlier stores' extended scans may have
   // already pushed their tails further.
-  store::RecoverOptions opts;
-  opts.scan_beyond_tail = true;
   store::RecoverSegTbl(
-      *stores_[s], store::Checkpoint(*stores_[s]), opts,
+      *stores_[s], store::Checkpoint(*stores_[s]),
       [this, s, run](Status st, store::RecoveryStats stats) mutable {
         run->total.buckets_scanned += stats.buckets_scanned;
         run->total.segments_recovered += stats.segments_recovered;
@@ -379,7 +377,7 @@ bool IoEngine::TrySubmitOffload(Request& req) {
     // chain): the offload engine punts to the CPU path after burning the
     // consultation on the owning store core.
     m_.offload_slow_fallbacks->Inc();
-    cpu_.core(ssd).Charge(config_.offload_index_consult_cycles);
+    cpu_.core(ssd).Charge(kOffloadIndexConsultCycles);
     return false;
   }
   // Token admission still applies: the per-SSD token pool is a plain

@@ -38,6 +38,11 @@
 
 namespace leed::engine {
 
+// Store-core cycles an offloaded GET burns when the index needs a second
+// consultation and the offload engine punts to the CPU path: one
+// DRAM-resident SegTbl probe (DESIGN.md §10).
+inline constexpr uint64_t kOffloadIndexConsultCycles = 300;
+
 struct EngineConfig {
   uint32_t ssd_count = 4;
   uint32_t stores_per_ssd = 4;
@@ -64,7 +69,6 @@ struct EngineConfig {
   // DPU CPU cycles. Index misses fall back to the CPU path after a fixed
   // index-consultation charge on the owning store core.
   bool offload_enabled = false;
-  uint64_t offload_index_consult_cycles = 300;
 
   // Weighted token allocation across co-located tenants (§3.5). Empty =>
   // every tenant is advertised the full pool (single-tenant deployments).
@@ -137,7 +141,7 @@ class IoEngine : public StorageService {
   // bypassing tokens, queues and the store cores. Returns false — leaving
   // `req` intact for a regular Submit — when offload is disabled, the op is
   // not a GET, the SSD is dead, or the index needs a second consultation
-  // (that punt charges offload_index_consult_cycles on the store core).
+  // (that punt charges kOffloadIndexConsultCycles on the store core).
   bool TrySubmitOffload(Request& req);
 
   uint32_t num_stores() const override {

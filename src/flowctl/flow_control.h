@@ -54,23 +54,6 @@ class TokenView {
   // outstanding slot.
   void OnResponseNoTokens(SsdRef ref);
 
-  // CRRS replica choice: of the given candidates, the one advertising the
-  // most tokens (paper §3.7: "chooses the target data store with the
-  // maximum amount of available tokens").
-  template <typename It>
-  It RichestAccount(It begin, It end) {
-    It best = begin;
-    int64_t best_tokens = INT64_MIN;
-    for (It it = begin; it != end; ++it) {
-      int64_t t = Account(*it).tokens;
-      if (t > best_tokens) {
-        best_tokens = t;
-        best = it;
-      }
-    }
-    return best;
-  }
-
   size_t size() const { return accounts_.size(); }
 
  private:

@@ -9,6 +9,11 @@ namespace leed {
 
 using cluster::VNodeId;
 
+namespace {
+// Per-op token costs: the engine's defaults (GET 2 / PUT 3 / DEL 2).
+constexpr engine::TokenConfig kTokenCosts{};
+}  // namespace
+
 Client::Client(sim::Simulator& simulator, Network& network,
                sim::EndpointId control_plane,
                const std::map<uint32_t, sim::EndpointId>* node_endpoints,
@@ -21,11 +26,11 @@ Client::Client(sim::Simulator& simulator, Network& network,
       scope_(config_.metrics_registry, config_.metrics_prefix),
       token_view_(config_.initial_tokens),
       backoff_rng_(Mix64(config_.backoff_seed ^ 0xbac0ffULL)) {
-  endpoint_ = net_.AddEndpoint(config_.nic);
+  endpoint_ = net_.AddEndpoint(sim::NicSpec{});  // 100GbE x86 client
   net_.SetReceiver(endpoint_, [this](Message m) { OnMessage(std::move(m)); });
   scheduler_ = std::make_unique<flowctl::FlowScheduler>(token_view_,
                                                         config_.flow_control);
-  for (uint32_t i = 0; i < config_.num_tenants; ++i) scheduler_->AddTenant();
+  for (uint32_t i = 0; i < kClientTenants; ++i) scheduler_->AddTenant();
   if (!config_.metrics_prefix.empty()) {
     scheduler_->AttachMetrics(scope_.Sub("sched"));
     backoff_us_ = scope_.GetCounter("backoff_us");
@@ -77,7 +82,7 @@ void Client::Scan(std::string start_key, uint32_t limit, ScanCallback callback) 
 void Client::StartOp(std::shared_ptr<Inflight> op) {
   stats_.issued++;
   op->first_issued = sim_.Now();
-  op->tenant = tenant_rr_++ % std::max(1u, config_.num_tenants);
+  op->tenant = tenant_rr_++ % kClientTenants;
   if (config_.history) {
     check::OpKind kind = check::OpKind::kGet;
     uint64_t digest = 0;
@@ -192,9 +197,8 @@ void Client::Issue(std::shared_ptr<Inflight> op) {
   // return — with the same formula the engine settles on actual items, so
   // Algorithm-1's admission and the server-side charge agree.
   out.token_cost = op->op == engine::OpType::kScan
-                       ? engine::ScanTokenCost(config_.token_costs,
-                                               op->scan_limit)
-                       : engine::TokenCost(config_.token_costs, op->op);
+                       ? engine::ScanTokenCost(kTokenCosts, op->scan_limit)
+                       : engine::TokenCost(kTokenCosts, op->op);
   out.send = [this, req_id, m = std::move(msg), node_ep]() mutable {
     if (!inflight_.contains(req_id)) return;  // timed out while queued
     stats_.sends++;
@@ -285,12 +289,9 @@ SimTime Client::BackoffDelay(const Inflight& op) {
   // routing failed before the issue) waits one base delay.
   const uint32_t k = op.attempts > 1 ? op.attempts - 1 : 0;
   SimTime delay = config_.retry_delay << std::min(k, 20u);
-  delay = std::min(delay, config_.retry_delay_cap);
-  if (config_.retry_jitter > 0.0) {
-    const uint64_t span =
-        static_cast<uint64_t>(static_cast<double>(delay) * config_.retry_jitter);
-    if (span > 0) delay += backoff_rng_.NextBounded(span + 1);
-  }
+  delay = std::min(delay, kRetryDelayCap);
+  const uint64_t span = static_cast<uint64_t>(delay / 4);
+  if (span > 0) delay += backoff_rng_.NextBounded(span + 1);
   return delay;
 }
 

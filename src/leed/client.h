@@ -36,27 +36,28 @@
 
 namespace leed {
 
+// Flow-scheduler tenants per client; operations are dealt to them
+// round-robin.
+inline constexpr uint32_t kClientTenants = 4;
+// Ceiling of the retry backoff (see ClientConfig::retry_delay).
+inline constexpr SimTime kRetryDelayCap = 10 * kMillisecond;
+
 struct ClientConfig {
-  uint32_t num_tenants = 4;
   bool flow_control = true;   // Fig. 8 knob ("w/ LS" vs "w/o LS")
   bool crrs_reads = true;     // Fig. 7 knob (read shipping / replica choice)
   SimTime request_timeout = 20 * kMillisecond;
   uint32_t max_retries = 10;
   // Retry schedule: capped exponential backoff. Attempt k waits
-  // min(retry_delay * 2^(k-1), retry_delay_cap) plus a deterministic jitter
-  // drawn per retry from [0, retry_jitter * delay] — without the jitter,
-  // clients that fail together (a store NACKing kUnavailable, a dead node
-  // timing out) retry in lockstep and re-collide forever.
+  // d = min(retry_delay * 2^(k-1), kRetryDelayCap) plus a deterministic
+  // jitter drawn per retry from [0, d / 4] — without the jitter, clients
+  // that fail together (a store NACKing kUnavailable, a dead node timing
+  // out) retry in lockstep and re-collide forever.
   SimTime retry_delay = 300 * kMicrosecond;   // first-retry base
-  SimTime retry_delay_cap = 10 * kMillisecond;
-  double retry_jitter = 0.25;
   uint64_t backoff_seed = 0;  // per-client (ClusterSim: seed ^ client index)
-  sim::NicSpec nic;            // 100GbE x86 client by default
   uint32_t stores_per_ssd = 4; // vnode -> SSD mapping for token accounts
   int64_t initial_tokens = 16;
   // Weighted-allocation identity presented to back-end SSDs (§3.5).
   uint32_t tenant_id = 0;
-  engine::TokenConfig token_costs;  // per-op costs (GET 2 / PUT 3 / DEL 2)
   // Observability: when `metrics_prefix` is non-empty the embedded flow
   // scheduler registers "<metrics_prefix>.sched.*" (ClusterSim wires
   // "client<i>"); empty leaves standalone clients unregistered.

@@ -28,20 +28,9 @@ ClusterSim::ClusterSim(ClusterConfig config)
   cpc.trace = config_.node.trace;
   cp_ = std::make_unique<cluster::ControlPlane>(*sim_, *net_, cpc);
 
+  for (uint32_t i = 0; i < config_.num_nodes; ++i) nodes_.push_back(MakeNode(i));
+  if (config_.record_history) history_ = std::make_unique<check::HistoryLog>();
   const sim::EndpointId cp_ep = cp_->endpoint();
-  for (uint32_t i = 0; i < config_.num_nodes; ++i) {
-    NodeConfig nc = config_.node;
-    nc.engine.external_ssds = NodeDevices(i);
-    auto n = std::make_unique<Node>(*sim_, *net_, cp_ep, std::move(nc),
-                                    i, config_.seed + 1000 + i);
-    node_endpoints_[i] = n->endpoint();
-    cp_->RegisterNode(i, n->endpoint());
-    n->set_node_endpoints(&node_endpoints_);
-    nodes_.push_back(std::move(n));
-  }
-  if (config_.record_history) {
-    history_ = std::make_unique<check::HistoryLog>(config_.history_max_ops);
-  }
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
     ClientConfig cc = config_.client;
     cc.metrics_registry = config_.node.metrics_registry;
@@ -341,8 +330,7 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
   return result;
 }
 
-uint32_t ClusterSim::JoinNode() {
-  const uint32_t node_id = static_cast<uint32_t>(nodes_.size());
+std::unique_ptr<Node> ClusterSim::MakeNode(uint32_t node_id) {
   NodeConfig nc = config_.node;
   nc.engine.external_ssds = NodeDevices(node_id);
   auto n = std::make_unique<Node>(*sim_, *net_, cp_->endpoint(),
@@ -351,6 +339,12 @@ uint32_t ClusterSim::JoinNode() {
   node_endpoints_[node_id] = n->endpoint();
   cp_->RegisterNode(node_id, n->endpoint());
   n->set_node_endpoints(&node_endpoints_);
+  return n;
+}
+
+uint32_t ClusterSim::JoinNode() {
+  const uint32_t node_id = static_cast<uint32_t>(nodes_.size());
+  auto n = MakeNode(node_id);
   n->Start();
   const uint32_t stores = n->storage().num_stores();
   nodes_.push_back(std::move(n));
@@ -376,21 +370,26 @@ std::vector<sim::SimSsd*> ClusterSim::NodeDevices(uint32_t node_id) {
   if (node_ssds_.size() <= node_id) node_ssds_.resize(node_id + 1);
   auto& owned = node_ssds_[node_id];
   if (owned.empty()) {
-    // Seeds match what IoEngine used when it owned its devices, so
-    // fault-free runs replay identically across this refactor.
-    const uint64_t engine_seed = (config_.seed + 1000 + node_id) ^ 0xeed;
     for (uint32_t i = 0; i < config_.node.engine.ssd_count; ++i) {
-      auto ssd = std::make_unique<sim::SimSsd>(*sim_, config_.node.engine.ssd,
-                                               engine_seed + i * 7919);
-      ssd->set_faults(faults_->AddDevice(sim::DeviceFaultSpec{},
-                                         engine_seed ^ (0xd00d + i * 131),
-                                         node_id, i));
-      owned.push_back(std::move(ssd));
+      owned.push_back(MakeSsd(node_id, i, 0));
     }
   }
   out.reserve(owned.size());
   for (auto& s : owned) out.push_back(s.get());
   return out;
+}
+
+std::unique_ptr<sim::SimSsd> ClusterSim::MakeSsd(uint32_t node_id, uint32_t ssd,
+                                                 uint64_t salt) {
+  // Seeds match what IoEngine used when it owned its devices, so
+  // fault-free runs replay identically across that refactor.
+  const uint64_t engine_seed = (config_.seed + 1000 + node_id) ^ 0xeed;
+  auto dev = std::make_unique<sim::SimSsd>(*sim_, config_.node.engine.ssd,
+                                           (engine_seed + ssd * 7919) ^ salt);
+  dev->set_faults(faults_->AddDevice(sim::DeviceFaultSpec{},
+                                     (engine_seed ^ (0xd00d + ssd * 131)) + salt,
+                                     node_id, ssd));
+  return dev;
 }
 
 void ClusterSim::CrashNode(uint32_t node_id) {
@@ -403,14 +402,7 @@ void ClusterSim::RestartNode(uint32_t node_id) {
   if (!nodes_[node_id]->crashed()) return;
   faults_->ReviveNode(node_id);
 
-  NodeConfig nc = config_.node;
-  nc.engine.external_ssds = NodeDevices(node_id);
-  auto fresh = std::make_unique<Node>(*sim_, *net_, cp_->endpoint(),
-                                      std::move(nc), node_id,
-                                      config_.seed + 1000 + node_id);
-  node_endpoints_[node_id] = fresh->endpoint();
-  fresh->set_node_endpoints(&node_endpoints_);
-  cp_->RegisterNode(node_id, fresh->endpoint());
+  auto fresh = MakeNode(node_id);
   graveyard_.push_back(std::move(nodes_[node_id]));
   nodes_[node_id] = std::move(fresh);
 
@@ -444,13 +436,7 @@ void ClusterSim::ReplaceSsd(uint32_t node_id, uint32_t ssd) {
   // in-flight completion callbacks may still reference both.
   faults_->RetireDevice(node_id, ssd);
   ssd_graveyard_.push_back(std::move(owned[ssd]));
-  const uint64_t engine_seed = (config_.seed + 1000 + node_id) ^ 0xeed;
-  auto fresh = std::make_unique<sim::SimSsd>(
-      *sim_, config_.node.engine.ssd, (engine_seed + ssd * 7919) ^ 0x2e91aceULL);
-  fresh->set_faults(faults_->AddDevice(
-      sim::DeviceFaultSpec{}, (engine_seed ^ (0xd00d + ssd * 131)) + 0x2e91aceULL,
-      node_id, ssd));
-  owned[ssd] = std::move(fresh);
+  owned[ssd] = MakeSsd(node_id, ssd, 0x2e91aceULL);
 }
 
 void ClusterSim::ArmFaultPlan(const sim::FaultPlan& plan) {
@@ -483,7 +469,5 @@ void ClusterSim::ArmFaultPlan(const sim::FaultPlan& plan) {
     }
   }
 }
-
-void ClusterSim::PumpUntilIdleOr(SimTime deadline) { sim_->RunUntil(deadline); }
 
 }  // namespace leed

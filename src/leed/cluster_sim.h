@@ -33,7 +33,6 @@ struct ClusterConfig {
   // Consistency checking (src/check): record every client operation into a
   // shared HistoryLog (client i records as history client i).
   bool record_history = false;
-  size_t history_max_ops = 1u << 20;
 };
 
 struct RunResult {
@@ -133,10 +132,16 @@ class ClusterSim {
 
  private:
   std::vector<std::vector<SimTime>> SnapshotBusy() const;
-  void PumpUntilIdleOr(SimTime deadline);
+  // Build node `node_id` over its devices and register its endpoint with
+  // the peers and the control plane. The caller places and starts it.
+  std::unique_ptr<Node> MakeNode(uint32_t node_id);
   // Create (or return the surviving) devices for `node_id`'s LEED engine;
   // empty for baseline stacks. Owned here so they outlive node objects.
   std::vector<sim::SimSsd*> NodeDevices(uint32_t node_id);
+  // A fresh device for slot `ssd` of `node_id`, with its fault state;
+  // `salt` is 0 for the original device and distinct for a replacement.
+  std::unique_ptr<sim::SimSsd> MakeSsd(uint32_t node_id, uint32_t ssd,
+                                       uint64_t salt);
 
   std::unique_ptr<obs::Registry> owned_registry_;  // outlives every handle
   ClusterConfig config_;

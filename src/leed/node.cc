@@ -354,7 +354,7 @@ void Node::HandleGet(ClientRequestMsg req) {
       SendMsg(node_endpoints_->at(tinfo->owner_node), std::move(query));
       // Bound the park: if the query or its reply is dropped (or the tail
       // fails over), the entry would otherwise leak past the client timeout.
-      sim_.Schedule(config_.craq_query_timeout,
+      sim_.Schedule(kCraqQueryTimeout,
                     [this, qid] { ReapCraqQuery(qid); });
       return;
     }

@@ -41,6 +41,11 @@ namespace leed {
 
 enum class StackKind : uint8_t { kLeed, kFawn, kKvell };
 
+// Deadline after which a parked CRAQ version query is reaped with a NACK
+// (the query or its reply was dropped, or the tail failed over); keeps
+// craq_pending_ from leaking parked requests past the client timeout.
+inline constexpr SimTime kCraqQueryTimeout = 10 * kMillisecond;
+
 struct NodeConfig {
   sim::PlatformSpec platform;
   StackKind stack = StackKind::kLeed;
@@ -66,10 +71,6 @@ struct NodeConfig {
   uint64_t net_rx_cycles = 1200;
   uint64_t net_tx_cycles = 700;
   SimTime heartbeat_period = 20 * kMillisecond;
-  // Deadline after which a parked CRAQ version query is reaped with a NACK
-  // (the query or its reply was dropped, or the tail failed over); keeps
-  // craq_pending_ from leaking parked requests past the client timeout.
-  SimTime craq_query_timeout = 10 * kMillisecond;
 
   // Observability: the node registers its instruments as "node<id>.*" in
   // `metrics_registry` (null: a registry of the node's own) and rewrites
@@ -199,7 +200,7 @@ class Node {
   // from the NIC offload engine, charging no rx/tx or store-core cycles.
   // Returns false (req intact) when the op must take the CPU slow path.
   bool TryOffloadGet(ClientRequestMsg& req);
-  // Deadline sweep for a parked CRAQ version query (see craq_query_timeout).
+  // Deadline sweep for a parked CRAQ version query (see kCraqQueryTimeout).
   void ReapCraqQuery(uint64_t qid);
   void ServeGetLocally(ClientRequestMsg req, uint32_t local_store);
   void HandleChainWrite(ChainWriteMsg w);

@@ -36,7 +36,6 @@ class CpuCore {
 
   SimTime busy_until() const { return busy_until_; }
   SimTime total_busy_ns() const { return total_busy_ns_; }
-  bool IdleNow() const { return busy_until_ <= sim_.Now(); }
 
   // Fraction of [0, window] the core spent executing.
   double Utilization(SimTime window_ns) const;

@@ -94,12 +94,6 @@ class Network {
     metrics_.msgs_dropped = scope.GetCounter("msgs_dropped");
   }
 
-  // Instantaneous ingress backlog in ns — how far behind the receiver NIC
-  // is; visible to tests asserting incast behaviour.
-  SimTime IngressBacklog(EndpointId id) const {
-    return std::max<SimTime>(0, endpoints_.at(id).ingress_free_at - sim_.Now());
-  }
-
   // Attach (or detach) the injectable fault layer (drop/duplicate/delay/
   // partition rules; see sim/fault.h). Null = fault-free fabric.
   void set_faults(NetFaults* faults) { faults_ = faults; }

@@ -262,10 +262,7 @@ bool RangeIndex::Upsert(std::string_view key, ValueLoc loc) {
     root->child[1] = split.right;
     root_ = root;
   }
-  if (inserted) {
-    ++size_;
-    key_bytes_ += key.size();
-  }
+  if (inserted) ++size_;
   return inserted;
 }
 
@@ -303,7 +300,6 @@ bool RangeIndex::EraseRec(Node* node, const Key& key) {
     Leaf* leaf = static_cast<Leaf*>(node);
     const int i = leaf->LowerBound(key);
     if (i == leaf->count || leaf->Compare(key, i) != 0) return false;
-    key_bytes_ -= leaf->len[i];
     delete[] leaf->tail[i];
     leaf->CloseKey(i);
     std::copy(leaf->loc + i + 1, leaf->loc + leaf->count, leaf->loc + i);
@@ -343,7 +339,6 @@ void RangeIndex::Clear() {
   Free(root_);
   root_ = new Leaf;
   size_ = 0;
-  key_bytes_ = 0;
 }
 
 int RangeIndex::height() const {
@@ -455,12 +450,6 @@ std::string RangeIndex::DebugDump() const {
     out += buf;
   });
   return out;
-}
-
-size_t RangeIndex::ApproxDramBytes() const {
-  // Per-entry: key bytes + ValueLoc + a fixed per-slot constant; inner
-  // nodes add ~1/kFanout overhead, folded into the constant.
-  return key_bytes_ + size_ * (sizeof(ValueLoc) + sizeof(std::string) + 16);
 }
 
 }  // namespace leed::store

@@ -88,9 +88,6 @@ class RangeIndex {
   // harness uses against a fresh bucket scan.
   std::string DebugDump() const;
 
-  // Approximate DRAM footprint (index-memory accounting, analysis/).
-  size_t ApproxDramBytes() const;
-
   static constexpr int kFanout = 16;  // max children per inner node
 
  private:
@@ -110,7 +107,6 @@ class RangeIndex {
 
   Node* root_;
   size_t size_ = 0;
-  size_t key_bytes_ = 0;
 };
 
 }  // namespace leed::store

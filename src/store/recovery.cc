@@ -33,14 +33,12 @@ namespace {
 struct RecoveryRun {
   DataStore* store;
   RecoveryCheckpoint checkpoint;
-  RecoverOptions options;
   std::function<void(Status, RecoveryStats)> done;
   RecoveryStats stats;
   size_t log_index = 0;
   uint64_t cursor = 0;  // logical offset within the current key log
 
   // Extended-scan state (beyond the checkpointed tail of the current log).
-  bool extended = false;
   uint64_t committed_end = 0;  // adopt-up-to watermark for ExtendTail
   uint32_t consec_bad = 0;     // consecutive CRC failures (stop heuristic)
   // A compaction blob (contiguous array of chain_len buckets, written as
@@ -99,16 +97,13 @@ void TrackValueEnds(RecoveryRun& run, const BucketView& b) {
 
 void NextLog(std::shared_ptr<RecoveryRun> run) {
   // Adopt whatever the extended scan proved complete before moving on.
-  if (run->extended) {
-    const auto& lp = run->checkpoint.logs[run->log_index];
-    DataStore& ds = *run->store;
-    if (run->committed_end > lp.key_tail && ds.HasLogSet(lp.ssd)) {
-      // Shared swap logs are extended by several stores in turn; a shorter
-      // extension than a sibling already applied is a no-op, not an error.
-      (void)ds.log_set(lp.ssd).key_log->ExtendTail(run->committed_end);
-    }
+  const auto& lp = run->checkpoint.logs[run->log_index];
+  DataStore& ds = *run->store;
+  if (run->committed_end > lp.key_tail && ds.HasLogSet(lp.ssd)) {
+    // Shared swap logs are extended by several stores in turn; a shorter
+    // extension than a sibling already applied is a no-op, not an error.
+    (void)ds.log_set(lp.ssd).key_log->ExtendTail(run->committed_end);
   }
-  run->extended = false;
   run->in_blob = false;
   run->consec_bad = 0;
   run->log_index++;
@@ -148,18 +143,11 @@ void ScanNextRegion(std::shared_ptr<RecoveryRun> run) {
   }
   if (run->cursor + bucket_size > lp.key_tail) {
     // Checkpointed region done; anything between cursor and tail is a torn
-    // append. Optionally keep going past the tail.
+    // append. Keep going past the tail.
     if (run->cursor < lp.key_tail) run->stats.torn_buckets_ignored++;
-    if (run->options.scan_beyond_tail) {
-      run->extended = true;
-      run->committed_end = lp.key_tail;
-      run->cursor = lp.key_tail;
-      run->consec_bad = 0;
-      run->in_blob = false;
-      ScanExtended(run);
-    } else {
-      NextLog(run);
-    }
+    run->committed_end = lp.key_tail;
+    run->cursor = lp.key_tail;
+    ScanExtended(run);
     return;
   }
   const LogSet& logs = ds.log_set(lp.ssd);
@@ -346,16 +334,9 @@ void ScanExtended(std::shared_ptr<RecoveryRun> run) {
 
 void RecoverSegTbl(DataStore& store, const RecoveryCheckpoint& checkpoint,
                    std::function<void(Status, RecoveryStats)> done) {
-  RecoverSegTbl(store, checkpoint, RecoverOptions{}, std::move(done));
-}
-
-void RecoverSegTbl(DataStore& store, const RecoveryCheckpoint& checkpoint,
-                   const RecoverOptions& options,
-                   std::function<void(Status, RecoveryStats)> done) {
   auto run = std::make_shared<RecoveryRun>();
   run->store = &store;
   run->checkpoint = checkpoint;
-  run->options = options;
   run->done = std::move(done);
   ScanLog(run);
 }

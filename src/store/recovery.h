@@ -7,8 +7,9 @@
 // pointers, and a forward scan rebuilds the rest.
 //
 // Recovery procedure implemented here:
-//   1. scan the key-log region from its persisted head to its tail,
-//      decoding buckets in append order;
+//   1. scan the key-log region from its persisted head to its tail, and
+//      on past the tail (see the durability contract below), decoding
+//      buckets in append order;
 //   2. for every bucket, (re)point SegTbl[segment] at it — later copies
 //      overwrite earlier ones, so after the scan each segment's entry
 //      names its newest bucket, exactly as before the crash;
@@ -21,13 +22,13 @@
 // checkpointed by the caller (in a real deployment, a superblock; here the
 // engine writes one periodically — see RecoveryCheckpoint). A PUT is
 // durable once both its appends complete, which is when the client sees
-// OK. By default buckets after the checkpointed tail are ignored; with
-// RecoverOptions::scan_beyond_tail the scan continues past the tail and
-// adopts every append it can prove complete (per-bucket CRC + the
-// self-identity rule: a bucket's checkpointed log_tail plus its chain
-// position must equal the offset it was found at), so acked writes that
-// landed after the last checkpoint survive a crash. Torn appends fail the
-// CRC and are rolled back — which can only drop un-acked operations.
+// OK. The checkpoint may predate acked appends, so the scan continues past
+// the checkpointed tail and adopts every append it can prove complete
+// (per-bucket CRC + the self-identity rule: a bucket's checkpointed
+// log_tail plus its chain position must equal the offset it was found at),
+// so acked writes that landed after the last checkpoint survive a crash.
+// Torn appends fail the CRC and are rolled back — which can only drop
+// un-acked operations.
 //
 // Swapped segments: buckets parked on donor SSDs are rediscovered by
 // scanning each donor's swap log the same way; the scan order (home first,
@@ -68,20 +69,11 @@ struct RecoveryStats {
   uint64_t foreign_buckets_skipped = 0;  // other stores' buckets in swap logs
 };
 
-struct RecoverOptions {
-  // Scan past the checkpointed key-log tails and adopt complete appends
-  // found there (validated by CRC + self-identity). Off by default so a
-  // caller who wants strictly-checkpointed recovery keeps it.
-  bool scan_beyond_tail = false;
-};
-
-// Rebuild `store`'s SegTbl by scanning the key logs named in `checkpoint`.
+// Rebuild `store`'s SegTbl by scanning the key logs named in `checkpoint`,
+// each from its head to its checkpointed tail and then on past the tail.
 // The store must be freshly constructed (empty SegTbl) over the same log
 // regions/devices. Asynchronous: `done` fires with the stats.
 void RecoverSegTbl(DataStore& store, const RecoveryCheckpoint& checkpoint,
-                   std::function<void(Status, RecoveryStats)> done);
-void RecoverSegTbl(DataStore& store, const RecoveryCheckpoint& checkpoint,
-                   const RecoverOptions& options,
                    std::function<void(Status, RecoveryStats)> done);
 
 }  // namespace leed::store

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -283,6 +284,36 @@ TEST(ClientBackoffTest, BackoffIsSeededDeterministicJitter) {
   EXPECT_EQ(a, b) << "same seed must reproduce identical backoff";
   uint64_t c = RunBackoffScenario(0xd1ff);
   EXPECT_NE(a, c) << "different seeds must desynchronize the jitter";
+}
+
+// Pins the retry schedule's constants: the k-th retry waits
+// d_k = min(300 us * 2^(k-1), 10 ms) plus a jitter of at most d_k / 4, so
+// the 6th retry (9.6 ms) is the last below the cap and the 7th reaches it.
+TEST_F(ClientTest, BackoffDoublesToItsCapPlusAQuarterJitter) {
+  ClientConfig cfg;
+  cfg.request_timeout = 1 * kMillisecond;
+  cfg.max_retries = 10;
+  auto client = MakeClient(cfg);
+  for (auto& n : nodes_) n->respond = false;  // every attempt times out
+  bool done = false;
+  client->Get("bk", [&](Status, std::vector<uint8_t>, SimTime) { done = true; });
+  std::vector<uint64_t> waits_us;  // the backoff each retry scheduled
+  uint64_t retries = 0, backoff_us = 0;
+  while (!done && sim_.Step()) {
+    const ClientStats& s = client->stats();
+    if (s.retries == retries) continue;
+    ASSERT_EQ(s.retries, retries + 1);
+    waits_us.push_back(s.backoff_us - backoff_us);
+    retries = s.retries;
+    backoff_us = s.backoff_us;
+  }
+  ASSERT_TRUE(done);
+  ASSERT_EQ(waits_us.size(), 9u);  // one retry after each of attempts 1..9
+  for (uint64_t k = 1; k <= waits_us.size(); ++k) {
+    const uint64_t d = std::min<uint64_t>(300ull << (k - 1), 10'000);
+    EXPECT_GE(waits_us[k - 1], d) << "retry " << k;
+    EXPECT_LE(waits_us[k - 1], d + d / 4) << "retry " << k;
+  }
 }
 
 TEST_F(ClientTest, FillingReplicaAvoidedForReads) {

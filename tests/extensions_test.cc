@@ -163,10 +163,9 @@ TEST(CraqModeTest, DroppedQueryRepliesAreReapedNotLeaked) {
   // Regression: a craq_pending_ entry whose version query (or reply) is
   // lost on the wire used to park forever — past the client timeout, and
   // leaking map entries. The deadline sweep must NACK it within
-  // craq_query_timeout so the client retries promptly.
-  ClusterConfig cfg = CraqCluster();
-  cfg.node.craq_query_timeout = 5 * kMillisecond;
-  ClusterSim cluster(cfg);
+  // kCraqQueryTimeout (10 ms, below the 20 ms client timeout) so the
+  // client retries promptly.
+  ClusterSim cluster(CraqCluster());
   cluster.Bootstrap();
   cluster.Preload(50, 128);
   cluster.ArmFaultPlan(sim::ParseFaultPlan("net:drop=0.25").value());

@@ -36,16 +36,6 @@ TEST(TokenViewTest, TokensClampAtZero) {
   EXPECT_EQ(view.Account(ref).tokens, 0);
 }
 
-TEST(TokenViewTest, RichestAccountPicksMaxTokens) {
-  TokenView view(0);
-  std::vector<SsdRef> refs = {{0, 0}, {1, 0}, {2, 0}};
-  view.OnResponse(refs[0], 5, 0);
-  view.OnResponse(refs[1], 50, 0);
-  view.OnResponse(refs[2], 20, 0);
-  auto it = view.RichestAccount(refs.begin(), refs.end());
-  EXPECT_EQ(it->node, 1u);
-}
-
 class SchedulerTest : public ::testing::Test {
  protected:
   SchedulerTest() : view_(10), sched_(view_) { tenant_ = sched_.AddTenant(); }

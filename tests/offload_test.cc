@@ -109,9 +109,7 @@ TEST_F(OffloadEngineTest, FastPathServesIndexHitWithoutCpuCycles) {
 
 TEST_F(OffloadEngineTest, EmptyIndexPuntsAndChargesConsultation) {
   sim::CpuModel cpu(sim_, 8, 3.0);
-  EngineConfig cfg = OffloadEngine();
-  cfg.offload_index_consult_cycles = 300;
-  IoEngine engine(sim_, cpu, cfg, 1);
+  IoEngine engine(sim_, cpu, OffloadEngine(), 1);
 
   const SimTime busy_before = cpu.core(0).total_busy_ns();
   bool done = false;

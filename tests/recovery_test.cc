@@ -60,23 +60,6 @@ class RecoveryTest : public ::testing::Test {
     return stats;
   }
 
-  // Extended-scan recovery: adopt acked appends found beyond the
-  // checkpointed tail (CRC + self-identity validated).
-  RecoveryStats RecoverBeyondTail(DataStore& ds, const RecoveryCheckpoint& cp) {
-    RecoveryStats stats;
-    bool done = false;
-    RecoverOptions opts;
-    opts.scan_beyond_tail = true;
-    RecoverSegTbl(ds, cp, opts, [&](Status st, RecoveryStats s) {
-      EXPECT_TRUE(st.ok()) << st.ToString();
-      stats = s;
-      done = true;
-    });
-    testutil::RunUntilFlag(sim_, done);
-    EXPECT_TRUE(done);
-    return stats;
-  }
-
   sim::Simulator sim_;
   sim::MemBlockDevice device_;
   sim::MemBlockDevice donor_;
@@ -172,20 +155,6 @@ TEST_F(RecoveryTest, RecoversCollapsedArraysAndChains) {
   }
 }
 
-TEST_F(RecoveryTest, IgnoresWritesAfterCheckpoint) {
-  auto ds = FreshStore();
-  ASSERT_TRUE(testutil::SyncPut(sim_, *ds, "stable", testutil::TestValue(1, 64)).ok());
-  RecoveryCheckpoint cp = Checkpoint(*ds);
-  // These land after the checkpoint: "torn"/unacknowledged at crash time.
-  ASSERT_TRUE(testutil::SyncPut(sim_, *ds, "lost", testutil::TestValue(2, 64)).ok());
-
-  ds.reset();
-  auto recovered = FreshStore(true, &cp);
-  Recover(*recovered, cp);
-  EXPECT_TRUE(testutil::SyncGet(sim_, *recovered, "stable").ok());
-  EXPECT_TRUE(testutil::SyncGet(sim_, *recovered, "lost").IsNotFound());
-}
-
 TEST_F(RecoveryTest, RecoversDurableWritesPastCheckpoint) {
   auto ds = FreshStore();
   ASSERT_TRUE(testutil::SyncPut(sim_, *ds, "stable", testutil::TestValue(1, 64)).ok());
@@ -197,7 +166,7 @@ TEST_F(RecoveryTest, RecoversDurableWritesPastCheckpoint) {
 
   ds.reset();
   auto recovered = FreshStore(true, &cp);
-  RecoveryStats stats = RecoverBeyondTail(*recovered, cp);
+  RecoveryStats stats = Recover(*recovered, cp);
   EXPECT_GT(stats.extended_buckets, 0u);
   std::vector<uint8_t> out;
   ASSERT_TRUE(testutil::SyncGet(sim_, *recovered, "late-1", &out).ok());
@@ -271,7 +240,7 @@ TEST_F(RecoveryTest, ExtendedScanAfterWrapAndDiscardAdoptsEveryAckedAppend) {
 
   ds.reset();  // crash
   auto recovered = open(&cp);
-  RecoveryStats stats = RecoverBeyondTail(*recovered, cp);
+  RecoveryStats stats = Recover(*recovered, cp);
   EXPECT_GT(stats.extended_buckets, 0u);
   EXPECT_GT(stats.crc_rejected, 0u);  // the discarded head range, then past the tail
   for (const auto& [key, value] : truth) {
@@ -306,7 +275,7 @@ TEST_F(RecoveryTest, TornTailAppendIsRejectedCleanly) {
 
   ds.reset();
   auto recovered = FreshStore(true, &cp);
-  RecoveryStats stats = RecoverBeyondTail(*recovered, cp);
+  RecoveryStats stats = Recover(*recovered, cp);
   // The acked post-checkpoint PUT is adopted; the torn append fails the
   // per-bucket CRC and rolls back cleanly instead of resurrecting garbage.
   EXPECT_GT(stats.extended_buckets, 0u);
@@ -340,7 +309,7 @@ TEST_F(RecoveryTest, RecoversSwappedSegmentsWrittenAfterCheckpoint) {
   ASSERT_TRUE(
       donor_value2->Restore(cp.logs[1].value_head, cp.logs[1].value_tail).ok());
   recovered->AddLogSet(LogSet{1, donor_key2.get(), donor_value2.get()});
-  RecoveryStats stats = RecoverBeyondTail(*recovered, cp);
+  RecoveryStats stats = Recover(*recovered, cp);
   EXPECT_GT(stats.extended_buckets, 0u);
 
   std::vector<uint8_t> out;

@@ -98,6 +98,9 @@ def main():
     ap.add_argument("--trajectory", type=Path)
     ap.add_argument("--parent-commit")
     args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 to give quartiles; a host metric "
+                 "moves only over at least 10 pairs")
 
     trees = {"parent": args.parent_tree.resolve(), "change": args.change_tree.resolve()}
     targets = {side: (args.build_dir / side).resolve() for side in trees}

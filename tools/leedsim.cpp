@@ -360,15 +360,15 @@ int main(int argc, char** argv) {
 
   ClusterConfig cfg;
   if (opt.system == "leed") {
-    cfg = bench::LeedCluster(opt.nodes, opt.value_size, opt.seed);
+    cfg = bench::LeedCluster(opt.nodes, opt.seed);
     cfg.node.crrs = opt.crrs;
     cfg.client.crrs_reads = opt.crrs;
     cfg.node.engine.enable_data_swap = opt.data_swap;
     cfg.node.engine.offload_enabled = opt.offload;
   } else if (opt.system == "kvell") {
-    cfg = bench::KvellCluster(opt.nodes, opt.value_size, opt.seed);
+    cfg = bench::KvellCluster(opt.nodes, opt.seed);
   } else if (opt.system == "fawn") {
-    cfg = bench::FawnCluster(opt.nodes, opt.value_size, opt.seed);
+    cfg = bench::FawnCluster(opt.nodes, opt.seed);
   } else {
     std::fprintf(stderr, "unknown system '%s'\n", opt.system.c_str());
     return 2;
