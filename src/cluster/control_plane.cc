@@ -7,12 +7,22 @@
 
 namespace leed::cluster {
 
+namespace {
+// The rest of ControlPlaneStats is private to the control plane.
+constexpr obs::Field<ControlPlaneStats> kControlPlaneFields[] = {
+    {"copies_abandoned", &ControlPlaneStats::copies_abandoned},
+    {"store_failures", &ControlPlaneStats::store_failures},
+    {"vnodes_failed_over", &ControlPlaneStats::vnodes_failed_over},
+};
+}  // namespace
+
 ControlPlane::ControlPlane(sim::Simulator& simulator, Network& network,
                            ControlPlaneConfig config)
     : sim_(simulator),
       net_(network),
       config_(config),
       scope_(config.metrics_registry, "cluster"),
+      stats_(scope_.Resolve(kControlPlaneFields)),
       trace_(config.trace ? config.trace : &obs::TraceRing::Default()) {
   // Chains are inline arrays of at most Chain::kMaxLength vnodes; a larger
   // replication factor cannot be served, so refuse it in every build type.
@@ -24,9 +34,7 @@ ControlPlane::ControlPlane(sim::Simulator& simulator, Network& network,
     std::abort();
   }
   view_.replication_factor = config_.replication_factor;
-  m_.copies_abandoned = scope_.GetCounter("copies_abandoned");
-  m_.store_failures = scope_.GetCounter("store_failures");
-  m_.vnodes_failed_over = scope_.GetCounter("vnodes_failed_over");
+  *stats_ = ControlPlaneStats{};
   endpoint_ = net_.AddEndpoint(sim::NicSpec{});  // control traffic is tiny
   net_.SetReceiver(endpoint_, [this](Message m) { OnMessage(std::move(m)); });
 }
@@ -68,7 +76,7 @@ void ControlPlane::SendView(sim::EndpointId to) {
 }
 
 void ControlPlane::Broadcast() {
-  stats_.views_broadcast++;
+  stats_->views_broadcast++;
   for (const auto& [node, ep] : node_endpoints_) {
     if (dead_nodes_.contains(node)) continue;
     SendView(ep);
@@ -84,7 +92,7 @@ void ControlPlane::CheckHeartbeats() {
     if (now - last > config_.failure_timeout) newly_dead.push_back(node);
   }
   for (uint32_t node : newly_dead) {
-    stats_.failures_detected++;
+    stats_->failures_detected++;
     FailNode(node);
   }
 }
@@ -96,7 +104,7 @@ void ControlPlane::OnMessage(Message msg) {
     // clock and half-resurrect it (nor can the node be failed twice:
     // CheckHeartbeats and FailNode both skip dead nodes).
     if (dead_nodes_.contains(hb->node)) {
-      stats_.stale_heartbeats_ignored++;
+      stats_->stale_heartbeats_ignored++;
       return;
     }
     last_heartbeat_[hb->node] = sim_.Now();
@@ -111,7 +119,7 @@ void ControlPlane::OnMessage(Message msg) {
     // hold is out of the view. Its copies were already cancelled/reassigned
     // by ReassignOrphanedCopies; drop the stale ack on the floor.
     if (IsDeadNodeEndpoint(msg.src)) {
-      stats_.stale_copy_acks_rejected++;
+      stats_->stale_copy_acks_rejected++;
       return;
     }
     auto it = copy_to_transition_.find(done->copy_id);
@@ -119,7 +127,7 @@ void ControlPlane::OnMessage(Message msg) {
     uint64_t tid = it->second;
     copy_to_transition_.erase(it);
     open_copy_cmds_.erase(done->copy_id);
-    stats_.copies_completed++;
+    stats_->copies_completed++;
     auto pit = pending_.find(tid);
     if (pit == pending_.end()) return;
     pit->second.open_copies.erase(done->copy_id);
@@ -188,8 +196,7 @@ std::set<uint64_t> ControlPlane::CommissionCopies(
       // Nothing survives for this arc: unrecoverable data loss. Surface it —
       // nemesis gates fail a run on a nonzero abandoned count rather than
       // letting the transition pass silently.
-      stats_.copies_abandoned++;
-      m_.copies_abandoned->Inc();
+      stats_->copies_abandoned++;
       const uint32_t dst_unit =
           new_chain.empty() ? 0u : static_cast<uint32_t>(new_chain.front());
       const VNodeInfo* head =
@@ -213,7 +220,7 @@ std::set<uint64_t> ControlPlane::CommissionCopies(
 
       uint64_t copy_id = next_copy_id_++;
       copies.insert(copy_id);
-      stats_.copies_commissioned++;
+      stats_->copies_commissioned++;
       view_.filling.push_back(FillingRange{m, arc.first, arc.second,
                                            /*transition=*/next_transition_id_});
       CopyCommandMsg cmd;
@@ -233,7 +240,7 @@ std::set<uint64_t> ControlPlane::CommissionCopies(
 }
 
 VNodeId ControlPlane::StartJoin(uint32_t owner_node, uint32_t local_store) {
-  stats_.joins_started++;
+  stats_->joins_started++;
   HashRing old_ring = view_.ServingRing();
   uint64_t pos = old_ring.WidestArcMidpoint();
   // Nudge past (astronomically unlikely) position collisions.
@@ -255,7 +262,7 @@ VNodeId ControlPlane::StartJoin(uint32_t owner_node, uint32_t local_store) {
   if (copies.empty()) {
     // Empty cluster or no data to move: run immediately.
     view_.vnodes[v].state = VNodeState::kRunning;
-    stats_.joins_completed++;
+    stats_->joins_completed++;
     Broadcast();
     return v;
   }
@@ -269,7 +276,7 @@ VNodeId ControlPlane::StartJoin(uint32_t owner_node, uint32_t local_store) {
 void ControlPlane::StartLeave(VNodeId id) {
   auto it = view_.vnodes.find(id);
   if (it == view_.vnodes.end() || it->second.state != VNodeState::kRunning) return;
-  stats_.leaves_started++;
+  stats_->leaves_started++;
   HashRing old_ring = view_.ServingRing();
   it->second.state = VNodeState::kLeaving;
   HashRing new_ring = view_.ServingRing();
@@ -278,7 +285,7 @@ void ControlPlane::StartLeave(VNodeId id) {
   view_.epoch++;
   if (copies.empty()) {
     view_.vnodes.erase(id);
-    stats_.leaves_completed++;
+    stats_->leaves_completed++;
     Broadcast();
     return;
   }
@@ -310,7 +317,7 @@ void ControlPlane::ReassignOrphanedCopies() {
     // so the older transition can drain instead of wedging forever.
     const VNodeInfo* dst_info = view_.Find(cmd.dst);
     if (!dst_info || HostIsDead(*dst_info, dead_nodes_)) {
-      stats_.copies_cancelled++;
+      stats_->copies_cancelled++;
       drop_copy(copy_id);
       continue;
     }
@@ -335,8 +342,7 @@ void ControlPlane::ReassignOrphanedCopies() {
     if (replacement == kInvalidVNode) {
       // No surviving source: abandon the copy so the transition can finish
       // (the range is as recovered as it can be; count the loss).
-      stats_.copies_abandoned++;
-      m_.copies_abandoned->Inc();
+      stats_->copies_abandoned++;
       trace_->Record(sim_.Now(), obs::TraceKind::kCopyAbandoned,
                      dst_info->owner_node, static_cast<uint32_t>(cmd.dst),
                      copy_id);
@@ -346,7 +352,7 @@ void ControlPlane::ReassignOrphanedCopies() {
     const VNodeInfo* new_src = view_.Find(replacement);
     auto ep = node_endpoints_.find(new_src->owner_node);
     if (ep == node_endpoints_.end()) continue;
-    stats_.copies_reassigned++;
+    stats_->copies_reassigned++;
     cmd.src = replacement;
     // The destination tolerates duplicate items (chain-written keys are
     // skipped; re-applied snapshot items are idempotent overwrites).
@@ -395,8 +401,7 @@ void ControlPlane::FailNode(uint32_t node_id) {
 void ControlPlane::FailStore(uint32_t node_id, uint32_t local_store) {
   if (dead_nodes_.contains(node_id)) return;  // whole node already failed
   if (!dead_stores_.insert({node_id, local_store}).second) return;  // dup
-  stats_.store_failures++;
-  m_.store_failures->Inc();
+  stats_->store_failures++;
 
   HashRing old_ring = view_.ServingRing();
   std::vector<VNodeId> subjects;
@@ -408,8 +413,7 @@ void ControlPlane::FailStore(uint32_t node_id, uint32_t local_store) {
     }
   }
   if (subjects.empty()) return;
-  stats_.vnodes_failed_over += subjects.size();
-  m_.vnodes_failed_over->Add(subjects.size());
+  stats_->vnodes_failed_over += subjects.size();
   trace_->Record(sim_.Now(), obs::TraceKind::kStoreFailover, node_id,
                  local_store, node_id,
                  static_cast<int64_t>(subjects.size()));
@@ -470,10 +474,10 @@ void ControlPlane::FinishTransition(uint64_t transition_id) {
     if (vit == view_.vnodes.end()) continue;
     if (t.kind == TransitionKind::kJoin) {
       vit->second.state = VNodeState::kRunning;
-      stats_.joins_completed++;
+      stats_->joins_completed++;
     } else {
       view_.vnodes.erase(vit);
-      if (t.kind == TransitionKind::kLeave) stats_.leaves_completed++;
+      if (t.kind == TransitionKind::kLeave) stats_->leaves_completed++;
     }
   }
   // Clear this transition's filling entries.

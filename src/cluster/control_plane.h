@@ -50,6 +50,8 @@ struct ControlPlaneConfig {
   obs::TraceRing* trace = nullptr;
 };
 
+// The control plane's counts, in a registry-owned struct; copies_abandoned,
+// store_failures and vnodes_failed_over are published under "cluster.".
 struct ControlPlaneStats {
   uint64_t views_broadcast = 0;
   uint64_t joins_started = 0, joins_completed = 0;
@@ -101,7 +103,7 @@ class ControlPlane {
   void ReviveNode(uint32_t node_id, sim::EndpointId ep);
 
   const ClusterView& view() const { return view_; }
-  const ControlPlaneStats& stats() const { return stats_; }
+  const ControlPlaneStats& stats() const { return *stats_; }
 
   // True while any join/leave/failure transition has copies outstanding.
   bool TransitionInProgress() const { return !pending_.empty(); }
@@ -161,15 +163,10 @@ class ControlPlane {
   uint64_t next_transition_id_ = 1;
 
   std::unique_ptr<sim::PeriodicTimer> hb_timer_;
-  ControlPlaneStats stats_;
 
   obs::Scope scope_;
+  ControlPlaneStats* stats_;  // registry-owned, zeroed at construction
   obs::TraceRing* trace_;
-  struct Metrics {
-    obs::Counter* copies_abandoned;
-    obs::Counter* store_failures;
-    obs::Counter* vnodes_failed_over;
-  } m_;
 };
 
 }  // namespace leed::cluster

@@ -29,6 +29,21 @@ void Deliver(Request& req, Status status, std::vector<uint8_t> value,
   }
 }
 
+constexpr obs::Field<EngineStats> kEngineFields[] = {
+    {"submitted", &EngineStats::submitted},
+    {"executed", &EngineStats::executed},
+    {"completed", &EngineStats::completed},
+    {"rejected_overloaded", &EngineStats::rejected_overloaded},
+    {"waited", &EngineStats::waited},
+    {"swap_activations", &EngineStats::swap_activations},
+    {"swap_reclaims", &EngineStats::swap_reclaims},
+    {"offload.fast_hits", &EngineStats::offload_fast_hits},
+    {"offload.slow_fallbacks", &EngineStats::offload_slow_fallbacks},
+    {"queue_us", &EngineStats::queue_us},
+    {"service_us", &EngineStats::service_us},
+    {"total_us", &EngineStats::total_us},
+};
+
 }  // namespace
 
 IoEngine::IoEngine(sim::Simulator& simulator, sim::CpuModel& cpu,
@@ -37,21 +52,10 @@ IoEngine::IoEngine(sim::Simulator& simulator, sim::CpuModel& cpu,
       cpu_(cpu),
       config_(std::move(config)),
       scope_(config_.metrics_registry, config_.metrics_prefix),
-      trace_(config_.trace ? config_.trace : &obs::TraceRing::Default()) {
+      trace_(config_.trace ? config_.trace : &obs::TraceRing::Default()),
+      stats_(scope_.Resolve(kEngineFields)) {
   scope_.ResetInstruments();
-  m_.submitted = scope_.GetCounter("submitted");
-  m_.executed = scope_.GetCounter("executed");
-  m_.completed = scope_.GetCounter("completed");
-  m_.rejected_overloaded = scope_.GetCounter("rejected_overloaded");
-  m_.waited = scope_.GetCounter("waited");
-  m_.swap_activations = scope_.GetCounter("swap_activations");
-  m_.swap_reclaims = scope_.GetCounter("swap_reclaims");
-  m_.ssd_failures = scope_.GetCounter("ssd_failures");
-  m_.offload_fast_hits = scope_.GetCounter("offload.fast_hits");
-  m_.offload_slow_fallbacks = scope_.GetCounter("offload.slow_fallbacks");
-  m_.queue_us = scope_.GetHistogram("queue_us");
-  m_.service_us = scope_.GetHistogram("service_us");
-  m_.total_us = scope_.GetHistogram("total_us");
+  ssd_failures_ = scope_.GetCounter("ssd_failures");
 
   const uint32_t n_ssd = config_.ssd_count;
   const uint32_t per = config_.stores_per_ssd;
@@ -296,25 +300,6 @@ void IoEngine::RecoverNextStore(std::shared_ptr<RecoverRun> run) {
       });
 }
 
-EngineStats IoEngine::stats() const {
-  EngineStats s;
-  s.submitted = m_.submitted->value();
-  s.executed = m_.executed->value();
-  s.completed = m_.completed->value();
-  s.rejected_overloaded = m_.rejected_overloaded->value();
-  s.waited = m_.waited->value();
-  s.swap_activations = m_.swap_activations->value();
-  s.swap_reclaims = m_.swap_reclaims->value();
-  s.offload_fast_hits = m_.offload_fast_hits->value();
-  s.offload_slow_fallbacks = m_.offload_slow_fallbacks->value();
-  s.queue_us = *m_.queue_us;
-  s.service_us = *m_.service_us;
-  s.total_us = *m_.total_us;
-  return s;
-}
-
-void IoEngine::ResetStats() { scope_.ResetInstruments(); }
-
 void IoEngine::set_data_swap_enabled(bool on) {
   config_.enable_data_swap = on;
   if (!on) {
@@ -326,7 +311,7 @@ void IoEngine::set_data_swap_enabled(bool on) {
 }
 
 void IoEngine::Submit(Request req) {
-  m_.submitted->Inc();
+  ++stats_->submitted;
   req.enqueued_at = sim_.Now();
   req.trace_id = next_op_seq_++;
   // §3.6: a swapped write is routed "from one SSD's waiting queue to
@@ -351,14 +336,14 @@ void IoEngine::Submit(Request req) {
   if (p.waiting.size() < config_.wait_queue_capacity) {
     p.waiting.push_back(std::move(req));
     if (queued_write) ++p.waiting_writes;
-    m_.waited->Inc();
+    ++stats_->waited;
     trace_->Record(sim_.Now(), obs::TraceKind::kQueueEnter, config_.node_id,
                    ssd, trace_id, static_cast<int64_t>(p.waiting.size()));
     return;
   }
   // Waiting queue full: the SSD is overloaded; reject so flow control can
   // back-pressure the client (§3.4/§3.5).
-  m_.rejected_overloaded->Inc();
+  ++stats_->rejected_overloaded;
   ResponseMeta meta;
   meta.available_tokens = p.tokens.available();
   meta.ssd = ssd;
@@ -376,7 +361,7 @@ bool IoEngine::TrySubmitOffload(Request& req) {
     // Index needs a second consultation (empty entry or multi-bucket
     // chain): the offload engine punts to the CPU path after burning the
     // consultation on the owning store core.
-    m_.offload_slow_fallbacks->Inc();
+    ++stats_->offload_slow_fallbacks;
     cpu_.core(ssd).Charge(kOffloadIndexConsultCycles);
     return false;
   }
@@ -395,7 +380,7 @@ bool IoEngine::TrySubmitOffload(Request& req) {
   // only consumes what is left after the queue has drained.
   const uint32_t cost = TokenCost(p.tokens.config(), req.type);
   if (admission_control_ && !p.tokens.TryTake(cost)) {
-    m_.offload_slow_fallbacks->Inc();
+    ++stats_->offload_slow_fallbacks;
     return false;
   }
   if (!admission_control_) p.tokens.TryTake(cost);  // best-effort accounting
@@ -405,8 +390,8 @@ bool IoEngine::TrySubmitOffload(Request& req) {
   // *because* the fast path bypasses it) and thrashes hot stores onto
   // fast-path-saturated devices.
   p.active++;
-  m_.submitted->Inc();
-  m_.offload_fast_hits->Inc();
+  ++stats_->submitted;
+  ++stats_->offload_fast_hits;
   req.enqueued_at = sim_.Now();
   req.trace_id = next_op_seq_++;
   trace_->Record(sim_.Now(), obs::TraceKind::kOffloadGet, config_.node_id, ssd,
@@ -422,12 +407,12 @@ bool IoEngine::TrySubmitOffload(Request& req) {
 }
 
 void IoEngine::Execute(uint32_t ssd, Request req) {
-  m_.executed->Inc();
+  ++stats_->executed;
   PerSsd& p = *per_ssd_[ssd];
   p.active++;
   const SimTime started = sim_.Now();
   const SimTime queued = started - req.enqueued_at;
-  m_.queue_us->Record(ToMicros(queued));
+  stats_->queue_us.Record(ToMicros(queued));
 
   store::DataStore& ds = *stores_[req.store_id];
   const uint32_t cost = RequestTokenCost(p.tokens.config(), req);
@@ -483,7 +468,7 @@ void IoEngine::OnRawIo(uint32_t ssd, bool ok, SimTime device_ns) {
   }
   if (++p.consecutive_io_errors >= kSsdFailThreshold) {
     p.failed = true;
-    m_.ssd_failures->Inc();
+    ssd_failures_->Inc();
     for (uint32_t s = 0; s < config_.stores_per_ssd; ++s) {
       trace_->Record(sim_.Now(), obs::TraceKind::kStoreFailed, config_.node_id,
                      ssd * config_.stores_per_ssd + s, config_.node_id);
@@ -495,13 +480,13 @@ void IoEngine::OnRawIo(uint32_t ssd, bool ok, SimTime device_ns) {
 void IoEngine::Retire(uint32_t ssd, uint32_t cost, SimTime started,
                       Request& req, Status status, std::vector<uint8_t> value,
                       std::vector<store::ScanItem> items) {
-  m_.completed->Inc();
+  ++stats_->completed;
   PerSsd& p = *per_ssd_[ssd];
   p.active = p.active > 0 ? p.active - 1 : 0;
 
   const SimTime now = sim_.Now();
-  m_.service_us->Record(ToMicros(now - started));
-  m_.total_us->Record(ToMicros(now - req.enqueued_at));
+  stats_->service_us.Record(ToMicros(now - started));
+  stats_->total_us.Record(ToMicros(now - req.enqueued_at));
   trace_->Record(now, obs::TraceKind::kOpEnd, config_.node_id, ssd,
                  req.trace_id, static_cast<int64_t>(status.code()));
 
@@ -574,7 +559,7 @@ void IoEngine::SwapCheck() {
       if (swap_key_logs_[j]->used() > 0 || swap_value_logs_[j]->used() > 0) {
         swap_key_logs_[j]->Reset();
         swap_value_logs_[j]->Reset();
-        m_.swap_reclaims->Inc();
+        ++stats_->swap_reclaims;
         trace_->Record(sim_.Now(), obs::TraceKind::kSwapReclaim,
                        config_.node_id, j, 0);
       }
@@ -626,7 +611,7 @@ void IoEngine::SwapCheck() {
       if (overloaded) {
         if (!ds->swap_target()) {
           ds->SetSwapTarget(static_cast<uint8_t>(best));
-          m_.swap_activations->Inc();
+          ++stats_->swap_activations;
           trace_->Record(sim_.Now(), obs::TraceKind::kSwapActivate,
                          config_.node_id, i, 0, static_cast<int64_t>(best));
         }

@@ -107,7 +107,9 @@ struct EngineConfig {
   uint32_t node_id = obs::TraceEvent::kNoNode;
 };
 
-// Value snapshot of the engine's registry instruments (see IoEngine::stats).
+// The engine's counts and latency histograms. The registry owns the struct
+// and publishes every field under the engine's prefix (io_engine.cc's
+// table).
 struct EngineStats {
   uint64_t submitted = 0;
   uint64_t executed = 0;
@@ -198,10 +200,7 @@ class IoEngine : public StorageService {
   size_t WaitQueueDepth(uint32_t ssd) const { return per_ssd_[ssd]->waiting.size(); }
   size_t ActiveCount(uint32_t ssd) const { return per_ssd_[ssd]->active; }
 
-  // Built on demand from the registry handles; the engine records through
-  // leed::obs, this struct is the legacy view over it.
-  EngineStats stats() const;
-  void ResetStats();
+  const EngineStats& stats() const { return *stats_; }
   const EngineConfig& config() const { return config_; }
 
   // Enable/disable the token-based admission (the "load-aware scheduling"
@@ -253,22 +252,8 @@ class IoEngine : public StorageService {
   EngineConfig config_;
   obs::Scope scope_;
   obs::TraceRing* trace_;
-  // Registry handles, one per EngineStats field.
-  struct Metrics {
-    obs::Counter* submitted;
-    obs::Counter* executed;
-    obs::Counter* completed;
-    obs::Counter* rejected_overloaded;
-    obs::Counter* waited;
-    obs::Counter* swap_activations;
-    obs::Counter* swap_reclaims;
-    obs::Counter* ssd_failures;
-    obs::Counter* offload_fast_hits;
-    obs::Counter* offload_slow_fallbacks;
-    Histogram* queue_us;
-    Histogram* service_us;
-    Histogram* total_us;
-  } m_{};
+  EngineStats* stats_;  // registry-owned
+  obs::Counter* ssd_failures_;
   uint64_t next_op_seq_ = 1;  // trace correlation ids
   bool admission_control_ = true;
 

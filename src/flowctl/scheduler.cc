@@ -4,14 +4,23 @@
 
 namespace leed::flowctl {
 
-void FlowScheduler::AttachMetrics(const obs::Scope& scope) {
-  scope.ResetInstruments();
-  metrics_.enqueued = scope.GetCounter("enqueued");
-  metrics_.sent = scope.GetCounter("sent");
-  metrics_.sent_with_tokens = scope.GetCounter("sent_with_tokens");
-  metrics_.sent_as_probe = scope.GetCounter("sent_as_probe");
-  metrics_.deferrals = scope.GetCounter("deferrals");
-  metrics_.cancelled = scope.GetCounter("cancelled");
+namespace {
+constexpr obs::Field<SchedulerStats> kSchedulerFields[] = {
+    {"enqueued", &SchedulerStats::enqueued},
+    {"sent", &SchedulerStats::sent},
+    {"sent_with_tokens", &SchedulerStats::sent_with_tokens},
+    {"sent_as_probe", &SchedulerStats::sent_as_probe},
+    {"deferrals", &SchedulerStats::deferrals},
+    {"cancelled", &SchedulerStats::cancelled},
+};
+}  // namespace
+
+FlowScheduler::FlowScheduler(TokenView& view, bool enabled, obs::Scope scope)
+    : view_(view),
+      enabled_(enabled),
+      scope_(std::move(scope)),
+      stats_(scope_.Resolve(kSchedulerFields)) {
+  scope_.ResetInstruments();
 }
 
 uint32_t FlowScheduler::AddTenant() {
@@ -20,12 +29,12 @@ uint32_t FlowScheduler::AddTenant() {
 }
 
 void FlowScheduler::Enqueue(uint32_t tenant, OutRequest request) {
-  Count(&SchedulerStats::enqueued, metrics_.enqueued);
+  ++stats_->enqueued;
   if (!enabled_) {
     // Load-agnostic baseline: fire immediately, still tracking outstanding
     // counts so the view stays coherent if re-enabled.
     view_.OnSend(request.target, request.token_cost);
-    Count(&SchedulerStats::sent, metrics_.sent);
+    ++stats_->sent;
     auto send = std::move(request.send);
     send();
     return;
@@ -55,7 +64,7 @@ bool FlowScheduler::Visit(uint32_t tenant) {
   // token accounting. Charging OnSend for a request that will never reach
   // the wire leaks an `outstanding` slot that no response can release.
   if (req.alive && !req.alive()) {
-    Count(&SchedulerStats::cancelled, metrics_.cancelled);
+    ++stats_->cancelled;
     return false;
   }
 
@@ -66,8 +75,8 @@ bool FlowScheduler::Visit(uint32_t tenant) {
   if (static_cast<int64_t>(req.token_cost) <= account.tokens) {
     // Alg. 1 L5-7: the target advertises capacity — send.
     view_.OnSend(req.target, req.token_cost);
-    Count(&SchedulerStats::sent, metrics_.sent);
-    Count(&SchedulerStats::sent_with_tokens, metrics_.sent_with_tokens);
+    ++stats_->sent;
+    ++stats_->sent_with_tokens;
     auto send = std::move(req.send);
     send();
     return true;
@@ -75,7 +84,7 @@ bool FlowScheduler::Visit(uint32_t tenant) {
   if (account.outstanding > 1) {
     // Alg. 1 L9-10: responses are in flight that will replenish the view;
     // rotate the request to the back and wait.
-    Count(&SchedulerStats::deferrals, metrics_.deferrals);
+    ++stats_->deferrals;
     q.push_back(std::move(req));
     return false;
   }
@@ -83,8 +92,8 @@ bool FlowScheduler::Visit(uint32_t tenant) {
   // will ever replenish tokens unless we send.
   account.tokens = 0;
   view_.OnSend(req.target, req.token_cost);
-  Count(&SchedulerStats::sent, metrics_.sent);
-  Count(&SchedulerStats::sent_as_probe, metrics_.sent_as_probe);
+  ++stats_->sent;
+  ++stats_->sent_as_probe;
   auto send = std::move(req.send);
   send();
   return true;

@@ -40,6 +40,8 @@ struct OutRequest {
   std::function<bool()> alive;
 };
 
+// The scheduler's counts, in a registry-owned struct that publishes every
+// field.
 struct SchedulerStats {
   uint64_t enqueued = 0;
   uint64_t sent = 0;
@@ -51,8 +53,10 @@ struct SchedulerStats {
 
 class FlowScheduler {
  public:
-  explicit FlowScheduler(TokenView& view, bool enabled = true)
-      : view_(view), enabled_(enabled) {}
+  // Counts into the SchedulerStats at `scope` (the client passes
+  // "client<i>.sched"), which publishes every field and starts from zero.
+  explicit FlowScheduler(TokenView& view, bool enabled = true,
+                         obs::Scope scope = obs::Scope(nullptr));
 
   // Tenants are logical request streams sharing this front-end (Alg. 1's
   // AllTenants). Returns the tenant id.
@@ -75,37 +79,19 @@ class FlowScheduler {
   bool enabled() const { return enabled_; }
 
   size_t QueuedTotal() const;
-  const SchedulerStats& stats() const { return stats_; }
-
-  // Mirror the scheduler counters into a registry scope (the client wires
-  // "client<i>.sched.*"); optional — the local stats_ struct keeps working
-  // for schedulers constructed without a scope.
-  void AttachMetrics(const obs::Scope& scope);
+  const SchedulerStats& stats() const { return *stats_; }
 
  private:
   // One Algorithm-1 visit to a tenant. Returns true if a request was sent.
   bool Visit(uint32_t tenant);
-
-  void Count(uint64_t SchedulerStats::* field, obs::Counter* handle) {
-    stats_.*field += 1;
-    if (handle) handle->Inc();
-  }
 
   TokenView& view_;
   bool enabled_;
   std::vector<std::deque<OutRequest>> tenants_;
   uint32_t rr_cursor_ = 0;
   bool pumping_ = false;
-  SchedulerStats stats_;
-  // Registry handles; null until AttachMetrics.
-  struct {
-    obs::Counter* enqueued = nullptr;
-    obs::Counter* sent = nullptr;
-    obs::Counter* sent_with_tokens = nullptr;
-    obs::Counter* sent_as_probe = nullptr;
-    obs::Counter* deferrals = nullptr;
-    obs::Counter* cancelled = nullptr;
-  } metrics_;
+  obs::Scope scope_;
+  SchedulerStats* stats_;  // registry-owned
 };
 
 }  // namespace leed::flowctl

@@ -12,6 +12,11 @@ using cluster::VNodeId;
 namespace {
 // Per-op token costs: the engine's defaults (GET 2 / PUT 3 / DEL 2).
 constexpr engine::TokenConfig kTokenCosts{};
+
+// The rest of ClientStats is private to the client.
+constexpr obs::Field<ClientStats> kClientFields[] = {
+    {"backoff_us", &ClientStats::backoff_us},
+};
 }  // namespace
 
 Client::Client(sim::Simulator& simulator, Network& network,
@@ -23,18 +28,18 @@ Client::Client(sim::Simulator& simulator, Network& network,
       cp_endpoint_(control_plane),
       node_endpoints_(node_endpoints),
       config_(std::move(config)),
-      scope_(config_.metrics_registry, config_.metrics_prefix),
+      scope_(config_.metrics_prefix.empty()
+                 ? obs::Scope(nullptr)
+                 : obs::Scope(config_.metrics_registry, config_.metrics_prefix)),
+      stats_(scope_.Resolve(kClientFields)),
       token_view_(config_.initial_tokens),
       backoff_rng_(Mix64(config_.backoff_seed ^ 0xbac0ffULL)) {
   endpoint_ = net_.AddEndpoint(sim::NicSpec{});  // 100GbE x86 client
   net_.SetReceiver(endpoint_, [this](Message m) { OnMessage(std::move(m)); });
-  scheduler_ = std::make_unique<flowctl::FlowScheduler>(token_view_,
-                                                        config_.flow_control);
+  *stats_ = ClientStats{};
+  scheduler_ = std::make_unique<flowctl::FlowScheduler>(
+      token_view_, config_.flow_control, scope_.Sub("sched"));
   for (uint32_t i = 0; i < kClientTenants; ++i) scheduler_->AddTenant();
-  if (!config_.metrics_prefix.empty()) {
-    scheduler_->AttachMetrics(scope_.Sub("sched"));
-    backoff_us_ = scope_.GetCounter("backoff_us");
-  }
 }
 
 Client::~Client() = default;
@@ -80,7 +85,7 @@ void Client::Scan(std::string start_key, uint32_t limit, ScanCallback callback) 
 }
 
 void Client::StartOp(std::shared_ptr<Inflight> op) {
-  stats_.issued++;
+  stats_->issued++;
   op->first_issued = sim_.Now();
   op->tenant = tenant_rr_++ % kClientTenants;
   if (config_.history) {
@@ -201,7 +206,7 @@ void Client::Issue(std::shared_ptr<Inflight> op) {
                        : engine::TokenCost(kTokenCosts, op->op);
   out.send = [this, req_id, m = std::move(msg), node_ep]() mutable {
     if (!inflight_.contains(req_id)) return;  // timed out while queued
-    stats_.sends++;
+    stats_->sends++;
     net_.Send(endpoint_, node_ep, std::move(m));
   };
   // Lets the scheduler drop this entry untransmitted (and uncharged) if the
@@ -244,12 +249,12 @@ void Client::OnResponse(ResponseMsg resp) {
       Complete(op, Status::NotFound(), {});
       return;
     case StatusCode::kWrongView:
-      stats_.nacks++;
+      stats_->nacks++;
       RequestViewRefresh();
       RetryLater(op);
       return;
     case StatusCode::kOverloaded:
-      stats_.overloads++;
+      stats_->overloads++;
       RetryLater(op);
       return;
     case StatusCode::kUnavailable:
@@ -277,7 +282,7 @@ void Client::OnTimeout(uint64_t req_id) {
   auto op = it->second;
   inflight_.erase(it);
   op->timeout_event = 0;
-  stats_.timeouts++;
+  stats_->timeouts++;
   // Release the outstanding slot so the Nagle probe can fire again.
   scheduler_->OnResponseNoTokens(op->last_target);
   RequestViewRefresh();  // the target may be dead
@@ -300,10 +305,9 @@ void Client::RetryLater(std::shared_ptr<Inflight> op) {
     Complete(op, Status::Unavailable("retries exhausted"), {});
     return;
   }
-  stats_.retries++;
+  stats_->retries++;
   const SimTime delay = BackoffDelay(*op);
-  stats_.backoff_us += static_cast<uint64_t>(delay / kMicrosecond);
-  if (backoff_us_) backoff_us_->Add(delay / kMicrosecond);
+  stats_->backoff_us += static_cast<uint64_t>(delay / kMicrosecond);
   sim_.Schedule(delay, [this, op] { Issue(op); });
 }
 
@@ -339,13 +343,13 @@ void Client::Complete(std::shared_ptr<Inflight> op, Status st,
     op->history_op = 0;
   }
   if (st.ok()) {
-    stats_.ok++;
+    stats_->ok++;
   } else if (st.IsNotFound()) {
-    stats_.not_found++;
+    stats_->not_found++;
   } else {
-    stats_.failed++;
+    stats_->failed++;
   }
-  stats_.latency_us.Record(ToMicros(latency));
+  stats_->latency_us.Record(ToMicros(latency));
   if (op->op == engine::OpType::kGet) {
     op->get_cb(std::move(st), std::move(value), latency);
   } else if (op->op == engine::OpType::kScan) {

@@ -58,9 +58,10 @@ struct ClientConfig {
   int64_t initial_tokens = 16;
   // Weighted-allocation identity presented to back-end SSDs (§3.5).
   uint32_t tenant_id = 0;
-  // Observability: when `metrics_prefix` is non-empty the embedded flow
-  // scheduler registers "<metrics_prefix>.sched.*" (ClusterSim wires
-  // "client<i>"); empty leaves standalone clients unregistered.
+  // Observability: when `metrics_prefix` is non-empty the client publishes
+  // "<metrics_prefix>.backoff_us" and its flow scheduler
+  // "<metrics_prefix>.sched.*" (ClusterSim wires "client<i>"); empty
+  // leaves standalone clients unregistered.
   obs::Registry* metrics_registry = nullptr;
   std::string metrics_prefix;
   // Consistency checking (src/check): when non-null, every operation's
@@ -72,6 +73,8 @@ struct ClientConfig {
   uint32_t history_client_id = 0;
 };
 
+// A client's counts, in a registry-owned struct; only backoff_us is
+// published, as "<metrics_prefix>.backoff_us".
 struct ClientStats {
   uint64_t issued = 0;         // operations started (not counting retries)
   uint64_t sends = 0;          // wire transmissions (incl. retries)
@@ -119,8 +122,7 @@ class Client {
   // In-flight operations (for closed-loop drivers).
   size_t outstanding() const { return inflight_.size(); }
 
-  const ClientStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ClientStats{}; }
+  const ClientStats& stats() const { return *stats_; }
   flowctl::FlowScheduler& scheduler() { return *scheduler_; }
   ClientConfig& config() { return config_; }
 
@@ -160,7 +162,8 @@ class Client {
   sim::EndpointId cp_endpoint_;
   const std::map<uint32_t, sim::EndpointId>* node_endpoints_;
   ClientConfig config_;
-  obs::Scope scope_;  // "<metrics_prefix>", used only when that is non-empty
+  obs::Scope scope_;     // "<metrics_prefix>", or a registry of its own
+  ClientStats* stats_;   // registry-owned, zeroed at construction
   sim::EndpointId endpoint_;
 
   cluster::ClusterView view_;
@@ -172,8 +175,6 @@ class Client {
   uint64_t next_req_id_ = 1;
   uint32_t tenant_rr_ = 0;
   Rng backoff_rng_;  // jitter stream; deterministic per backoff_seed
-  obs::Counter* backoff_us_ = nullptr;  // "<prefix>.backoff_us", may be null
-  ClientStats stats_;
 };
 
 }  // namespace leed

@@ -14,6 +14,33 @@ struct Overloaded : Fs... {
 template <typename... Fs>
 Overloaded(Fs...) -> Overloaded<Fs...>;
 
+constexpr obs::Field<NodeStats> kNodeFields[] = {
+    {"client_requests", &NodeStats::client_requests},
+    {"gets_served", &NodeStats::gets_served},
+    {"scans_served", &NodeStats::scans_served},
+    {"scan_items_returned", &NodeStats::scan_items_returned},
+    {"scans_parked", &NodeStats::scans_parked},
+    {"reads_shipped", &NodeStats::reads_shipped},
+    {"writes_headed", &NodeStats::writes_headed},
+    {"chain_writes", &NodeStats::chain_writes},
+    {"chain_acks", &NodeStats::chain_acks},
+    {"commits_as_tail", &NodeStats::commits_as_tail},
+    {"nacks_sent", &NodeStats::nacks_sent},
+    {"copy_items_sent", &NodeStats::copy_items_sent},
+    {"copy_items_applied", &NodeStats::copy_items_applied},
+    {"copy_items_skipped", &NodeStats::copy_items_skipped},
+    {"craq_queries_sent", &NodeStats::craq_queries_sent},
+    {"craq_queries_answered", &NodeStats::craq_queries_answered},
+    {"craq_queries_reaped", &NodeStats::craq_queries_reaped},
+    {"offload_gets", &NodeStats::offload_gets},
+    {"internal_retries", &NodeStats::internal_retries},
+    {"repl.obligation_retries", &NodeStats::obligation_retries},
+    {"repl.obligation_giveups", &NodeStats::obligation_giveups},
+    {"view_updates", &NodeStats::view_updates},
+    {"pending_reforwards", &NodeStats::pending_reforwards},
+    {"store_unavailable_nacks", &NodeStats::store_unavailable_nacks},
+};
+
 }  // namespace
 
 using cluster::VNodeId;
@@ -28,36 +55,13 @@ Node::Node(sim::Simulator& simulator, Network& network,
       config_(std::move(config)),
       node_id_(node_id),
       scope_(config_.metrics_registry, "node" + std::to_string(node_id)),
+      stats_(scope_.Resolve(kNodeFields)),
       trace_(config_.trace ? config_.trace : &obs::TraceRing::Default()) {
   scope_.ResetInstruments();
-  m_.client_requests = scope_.GetCounter("client_requests");
-  m_.gets_served = scope_.GetCounter("gets_served");
-  m_.scans_served = scope_.GetCounter("scans_served");
-  m_.scan_items_returned = scope_.GetCounter("scan_items_returned");
-  m_.scans_parked = scope_.GetCounter("scans_parked");
-  m_.reads_shipped = scope_.GetCounter("reads_shipped");
-  m_.writes_headed = scope_.GetCounter("writes_headed");
-  m_.chain_writes = scope_.GetCounter("chain_writes");
-  m_.chain_acks = scope_.GetCounter("chain_acks");
-  m_.commits_as_tail = scope_.GetCounter("commits_as_tail");
-  m_.nacks_sent = scope_.GetCounter("nacks_sent");
-  m_.copy_items_sent = scope_.GetCounter("copy_items_sent");
-  m_.copy_items_applied = scope_.GetCounter("copy_items_applied");
-  m_.copy_items_skipped = scope_.GetCounter("copy_items_skipped");
-  m_.craq_queries_sent = scope_.GetCounter("craq_queries_sent");
-  m_.craq_queries_answered = scope_.GetCounter("craq_queries_answered");
-  m_.craq_queries_reaped = scope_.GetCounter("craq_queries_reaped");
-  m_.offload_gets = scope_.GetCounter("offload_gets");
-  m_.internal_retries = scope_.GetCounter("internal_retries");
-  m_.obligation_retries = scope_.GetCounter("repl.obligation_retries");
-  m_.obligation_giveups = scope_.GetCounter("repl.obligation_giveups");
-  m_.view_updates = scope_.GetCounter("view_updates");
-  m_.pending_reforwards = scope_.GetCounter("pending_reforwards");
-  m_.store_unavailable_nacks = scope_.GetCounter("store_unavailable_nacks");
-  m_.stores_failed = scope_.GetGauge("stores_failed");
-  m_.power_w = scope_.GetGauge("power_w");
-  m_.repl_pending_writes = scope_.GetGauge("repl.pending_writes");
-  m_.repl_dirty_keys = scope_.GetGauge("repl.dirty_keys");
+  gauges_.stores_failed = scope_.GetGauge("stores_failed");
+  gauges_.power_w = scope_.GetGauge("power_w");
+  gauges_.repl_pending_writes = scope_.GetGauge("repl.pending_writes");
+  gauges_.repl_dirty_keys = scope_.GetGauge("repl.dirty_keys");
 
   const auto& plat = config_.platform;
   cpu_ = std::make_unique<sim::CpuModel>(sim_, plat.cores, plat.freq_ghz);
@@ -84,39 +88,10 @@ Node::Node(sim::Simulator& simulator, Network& network,
 
 Node::~Node() = default;
 
-NodeStats Node::stats() const {
-  NodeStats s;
-  s.client_requests = m_.client_requests->value();
-  s.gets_served = m_.gets_served->value();
-  s.scans_served = m_.scans_served->value();
-  s.scan_items_returned = m_.scan_items_returned->value();
-  s.scans_parked = m_.scans_parked->value();
-  s.reads_shipped = m_.reads_shipped->value();
-  s.writes_headed = m_.writes_headed->value();
-  s.chain_writes = m_.chain_writes->value();
-  s.chain_acks = m_.chain_acks->value();
-  s.commits_as_tail = m_.commits_as_tail->value();
-  s.nacks_sent = m_.nacks_sent->value();
-  s.copy_items_sent = m_.copy_items_sent->value();
-  s.copy_items_applied = m_.copy_items_applied->value();
-  s.copy_items_skipped = m_.copy_items_skipped->value();
-  s.craq_queries_sent = m_.craq_queries_sent->value();
-  s.craq_queries_answered = m_.craq_queries_answered->value();
-  s.craq_queries_reaped = m_.craq_queries_reaped->value();
-  s.offload_gets = m_.offload_gets->value();
-  s.internal_retries = m_.internal_retries->value();
-  s.obligation_retries = m_.obligation_retries->value();
-  s.obligation_giveups = m_.obligation_giveups->value();
-  s.view_updates = m_.view_updates->value();
-  s.pending_reforwards = m_.pending_reforwards->value();
-  s.store_unavailable_nacks = m_.store_unavailable_nacks->value();
-  return s;
-}
-
 replication::ReplicaState& Node::Replica(VNodeId id) {
   auto [it, inserted] = replicas_.try_emplace(id);
   if (inserted)
-    it->second.AttachMetrics(m_.repl_pending_writes, m_.repl_dirty_keys);
+    it->second.AttachMetrics(gauges_.repl_pending_writes, gauges_.repl_dirty_keys);
   return it->second;
 }
 
@@ -154,7 +129,7 @@ void Node::Recover(std::function<void(Status, store::RecoveryStats)> done) {
 void Node::OnSsdFailed(uint32_t ssd) {
   if (failed_ || crashed_ || !leed_engine_) return;
   const uint32_t per = config_.engine.stores_per_ssd;
-  m_.stores_failed->Set(
+  gauges_.stores_failed->Set(
       static_cast<double>(leed_engine_->FailedSsdCount()) * per);
   // Report each store on the dead SSD so the control plane can fail over
   // exactly those vnodes; this node keeps serving its other stores.
@@ -167,7 +142,7 @@ void Node::OnSsdFailed(uint32_t ssd) {
 double Node::PowerWatts(SimTime window_ns) const {
   double watts = sim::NodePowerWatts(config_.platform.power,
                                      cpu_->MeanUtilization(window_ns));
-  m_.power_w->Set(watts);
+  gauges_.power_w->Set(watts);
   return watts;
 }
 
@@ -283,7 +258,7 @@ bool Node::Refused(const Placement& p, sim::EndpointId reply_to,
     SendNack(reply_to, req_id);
     return true;
   }
-  if (p.code == StatusCode::kUnavailable) m_.store_unavailable_nacks->Inc();
+  if (p.code == StatusCode::kUnavailable) ++stats_->store_unavailable_nacks;
   RespondToClient(reply_to, req_id, p.code, p.info->local_store, std::nullopt);
   return true;
 }
@@ -297,7 +272,7 @@ bool Node::Filling(VNodeId vnode, std::optional<uint64_t> keypos) const {
 }
 
 void Node::HandleClientRequest(ClientRequestMsg req) {
-  m_.client_requests->Inc();
+  ++stats_->client_requests;
   if (req.op == engine::OpType::kGet) {
     HandleGet(std::move(req));
     return;
@@ -310,7 +285,7 @@ void Node::HandleClientRequest(ClientRequestMsg req) {
   Placement p = Place(req.op, req.vnode, req.key, req.hop, /*shipped=*/false);
   if (p.code == StatusCode::kOk && p.idx != 0) p.code = StatusCode::kWrongView;
   if (Refused(p, req.reply_to, req.req_id)) return;
-  m_.writes_headed->Inc();
+  ++stats_->writes_headed;
   ChainWriteMsg w;
   w.write_id = MakeWriteId();
   w.is_del = (req.op == engine::OpType::kDel);
@@ -341,7 +316,7 @@ void Node::HandleGet(ClientRequestMsg req) {
     VNodeId tail = p.chain.back();
     const cluster::VNodeInfo* tinfo = view_.Find(tail);
     if (tinfo && node_endpoints_ && node_endpoints_->contains(tinfo->owner_node)) {
-      m_.craq_queries_sent->Inc();
+      ++stats_->craq_queries_sent;
       uint64_t qid = next_craq_id_++;
       trace_->Record(sim_.Now(), obs::TraceKind::kCraqQuery, node_id_,
                      req.vnode, qid);
@@ -404,7 +379,7 @@ void Node::ShipRead(ClientRequestMsg req, const Placement& p,
                     p.info->local_store, std::nullopt);
     return;
   }
-  m_.reads_shipped->Inc();
+  ++stats_->reads_shipped;
   trace_->Record(sim_.Now(), obs::TraceKind::kCrrsShip, node_id_, req.vnode,
                  req.req_id, static_cast<int64_t>(target));
   req.vnode = target;
@@ -471,7 +446,7 @@ void Node::HandleScan(ClientRequestMsg req, uint32_t attempt) {
     }
     if (!config_.test_only_serve_torn_scans &&
         Replica(member).IsDirty(loc.key) && kchain.back() != member) {
-      m_.scans_parked->Inc();
+      ++stats_->scans_parked;
       parked_reads_[{member, loc.key}].push_back(std::move(req));
       return;
     }
@@ -500,15 +475,15 @@ void Node::ServeScanLocally(ClientRequestMsg req, uint32_t local_store,
       // Compaction recycled a snapshot location mid-fetch: take a fresh
       // snapshot and retry. Bounded — a store compacting faster than it can
       // be scanned eventually surfaces as kOverloaded to the client.
-      m_.internal_retries->Inc();
+      ++stats_->internal_retries;
       sim_.Schedule(kInternalRetryDelay, [this, shared, attempt] {
         if (failed_) return;
         HandleScan(std::move(*shared), attempt + 1);
       });
       return;
     }
-    m_.scans_served->Inc();
-    m_.scan_items_returned->Add(items.size());
+    ++stats_->scans_served;
+    stats_->scan_items_returned += items.size();
     RespondToClient(shared->reply_to, shared->req_id,
                     st.IsBusy() ? StatusCode::kOverloaded : st.code(),
                     local_store, meta.available_tokens, {}, std::move(items));
@@ -571,7 +546,7 @@ void Node::ServeGetLocally(ClientRequestMsg req, uint32_t local_store) {
   sreq.callback = [this, reply_to, req_id, local_store](
                       Status st, std::vector<uint8_t> value,
                       engine::ResponseMeta meta) {
-    m_.gets_served->Inc();
+    ++stats_->gets_served;
     RespondToClient(reply_to, req_id, st.code(), local_store,
                     meta.available_tokens, std::move(value));
   };
@@ -621,22 +596,22 @@ bool Node::TryOffloadGet(ClientRequestMsg& req) {
                    local_store = p.info->local_store](
                       Status st, std::vector<uint8_t> value,
                       engine::ResponseMeta meta) {
-    m_.gets_served->Inc();
-    m_.offload_gets->Inc();
+    ++stats_->gets_served;
+    ++stats_->offload_gets;
     // The offload engine replies from its own DMA path: no tx cycles.
     RespondToClient(reply_to, req_id, st.code(), local_store,
                     meta.available_tokens, std::move(value), {},
                     /*charge_tx=*/false);
   };
   if (!leed_engine_->TrySubmitOffload(sreq)) return false;
-  m_.client_requests->Inc();
+  ++stats_->client_requests;
   return true;
 }
 
 void Node::HandleCraqQuery(CraqQueryMsg query) {
   // The tail is the serialization point (§3.7): answering here orders the
   // read against every committed write.
-  m_.craq_queries_answered->Inc();
+  ++stats_->craq_queries_answered;
   CraqReplyMsg reply;
   reply.query_id = query.query_id;
   SendMsg(query.reply_to, std::move(reply));
@@ -662,7 +637,7 @@ void Node::ReapCraqQuery(uint64_t qid) {
   if (failed_) return;
   auto it = craq_pending_.find(qid);
   if (it == craq_pending_.end()) return;  // answered in time
-  m_.craq_queries_reaped->Inc();
+  ++stats_->craq_queries_reaped;
   ClientRequestMsg req = std::move(it->second);
   craq_pending_.erase(it);
   // NACK so the client re-resolves and retries; serving the store here
@@ -675,7 +650,7 @@ void Node::ReapCraqQuery(uint64_t qid) {
 // ---------------------------------------------------------------------------
 
 void Node::HandleChainWrite(ChainWriteMsg w) {
-  m_.chain_writes->Inc();
+  ++stats_->chain_writes;
   trace_->Record(sim_.Now(), obs::TraceKind::kChainHop, node_id_, w.vnode,
                  w.write_id, w.hop);
   const Placement p =
@@ -714,7 +689,7 @@ void Node::HandleChainWrite(ChainWriteMsg w) {
 
 void Node::CommitAsTail(VNodeId vnode, PendingWrite w,
                         const cluster::Chain& chain) {
-  m_.commits_as_tail->Inc();
+  ++stats_->commits_as_tail;
   auto& rep = Replica(vnode);
   rep.RecordChainWrite(w.key);
   auto shared = std::make_shared<PendingWrite>(std::move(w));
@@ -754,7 +729,7 @@ void Node::SendAckBackward(const cluster::Chain& chain, VNodeId self,
 }
 
 void Node::HandleChainAck(ChainAckMsg ack) {
-  m_.chain_acks->Inc();
+  ++stats_->chain_acks;
   const cluster::VNodeInfo* info = OwnedVNode(ack.vnode);
   if (!info) return;
   auto& rep = Replica(ack.vnode);
@@ -840,12 +815,12 @@ void Node::ApplyLocal(VNodeId vnode, bool is_del, std::string key,
       // the write — the chain propagates the failed ack and the client
       // retries end-to-end, instead of this node spinning forever.
       if (attempt + 1 >= kMaxInternalRetries) {
-        m_.obligation_giveups->Inc();
+        ++stats_->obligation_giveups;
         done(Status::Unavailable("local apply still overloaded after retries"));
         return;
       }
-      m_.internal_retries->Inc();
-      m_.obligation_retries->Inc();
+      ++stats_->internal_retries;
+      ++stats_->obligation_retries;
       const SimTime delay = kInternalRetryDelay
                             << std::min<uint32_t>(attempt, 6);
       sim_.Schedule(delay,
@@ -891,7 +866,7 @@ void Node::RespondToClient(sim::EndpointId reply_to, uint64_t req_id,
 
 void Node::SendNack(sim::EndpointId reply_to, uint64_t req_id) {
   if (reply_to == sim::kInvalidEndpoint) return;
-  m_.nacks_sent->Inc();
+  ++stats_->nacks_sent;
   ResponseMsg resp;
   resp.req_id = req_id;
   resp.code = StatusCode::kWrongView;
@@ -905,7 +880,7 @@ void Node::SendNack(sim::EndpointId reply_to, uint64_t req_id) {
 
 void Node::HandleViewUpdate(cluster::ViewUpdateMsg update) {
   if (update.view.epoch <= view_.epoch) return;
-  m_.view_updates->Inc();
+  ++stats_->view_updates;
   view_ = std::move(update.view);
   serving_ring_ = view_.ServingRing();
   RefreshFillTracking();
@@ -920,7 +895,7 @@ void Node::HandleViewUpdate(cluster::ViewUpdateMsg update) {
     pending.swap(craq_pending_);
     for (auto& [qid, req] : pending) {
       (void)qid;
-      m_.craq_queries_reaped->Inc();
+      ++stats_->craq_queries_reaped;
       SendNack(req.reply_to, req.req_id);
     }
   }
@@ -968,7 +943,7 @@ void Node::ReforwardPending() {
       const cluster::VNodeInfo* ninfo = view_.Find(next);
       if (!ninfo || !node_endpoints_ || !node_endpoints_->contains(ninfo->owner_node))
         continue;
-      m_.pending_reforwards->Inc();
+      ++stats_->pending_reforwards;
       ChainWriteMsg fwd;
       fwd.write_id = w->write_id;
       fwd.is_del = w->is_del;
@@ -1016,7 +991,7 @@ void Node::HandleCopyCommand(cluster::CopyCommandMsg cmd) {
       want,
       [this, copy_id, dst, dst_ep, epoch](std::string key,
                                           std::vector<uint8_t> value) {
-        m_.copy_items_sent->Inc();
+        ++stats_->copy_items_sent;
         cluster::CopyItemMsg item;
         item.copy_id = copy_id;
         item.dst = dst;
@@ -1057,7 +1032,7 @@ void Node::HandleCopyItem(cluster::CopyItemMsg item) {
   if (!rep.fill_tracking()) rep.StartFillTracking();
   if (rep.WasChainWritten(item.key)) {
     // The chain already wrote a newer version; the snapshot must not win.
-    m_.copy_items_skipped->Inc();
+    ++stats_->copy_items_skipped;
     return;
   }
   ci.outstanding++;
@@ -1068,7 +1043,7 @@ void Node::HandleCopyItem(cluster::CopyItemMsg item) {
                                      copy_id = item.copy_id](Status) {
     auto& c = copy_in_[copy_id];
     if (c.outstanding > 0) c.outstanding--;
-    m_.copy_items_applied->Inc();
+    ++stats_->copy_items_applied;
     finish_if_done();
   });
 }

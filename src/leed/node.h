@@ -79,7 +79,8 @@ struct NodeConfig {
   obs::TraceRing* trace = nullptr;
 };
 
-// Value snapshot of the node's registry counters (see Node::stats).
+// A node's counts. The registry owns the struct and publishes every field
+// as "node<id>.<field>" (node.cc's table).
 struct NodeStats {
   uint64_t client_requests = 0;
   uint64_t gets_served = 0;
@@ -142,9 +143,7 @@ class Node {
   engine::IoEngine* leed_engine() { return leed_engine_.get(); }
   sim::CpuModel& cpu() { return *cpu_; }
   const cluster::ClusterView& view() const { return view_; }
-  // Built on demand from the registry handles; the node records through
-  // leed::obs ("node<id>.*"), this struct is the legacy view over it.
-  NodeStats stats() const;
+  const NodeStats& stats() const { return *stats_; }
   const NodeConfig& config() const { return config_; }
 
   // Direct store access for preloading (bypasses the network on purpose).
@@ -316,38 +315,14 @@ class Node {
   std::unique_ptr<sim::PeriodicTimer> hb_timer_;
 
   obs::Scope scope_;
+  NodeStats* stats_;  // registry-owned, shared with a restarted successor
   obs::TraceRing* trace_ = nullptr;
-  // Registry handles, one per NodeStats field.
-  struct Metrics {
-    obs::Counter* client_requests;
-    obs::Counter* gets_served;
-    obs::Counter* scans_served;
-    obs::Counter* scan_items_returned;
-    obs::Counter* scans_parked;
-    obs::Counter* reads_shipped;
-    obs::Counter* writes_headed;
-    obs::Counter* chain_writes;
-    obs::Counter* chain_acks;
-    obs::Counter* commits_as_tail;
-    obs::Counter* nacks_sent;
-    obs::Counter* copy_items_sent;
-    obs::Counter* copy_items_applied;
-    obs::Counter* copy_items_skipped;
-    obs::Counter* craq_queries_sent;
-    obs::Counter* craq_queries_answered;
-    obs::Counter* craq_queries_reaped;
-    obs::Counter* offload_gets;
-    obs::Counter* internal_retries;
-    obs::Counter* obligation_retries;
-    obs::Counter* obligation_giveups;
-    obs::Counter* view_updates;
-    obs::Counter* pending_reforwards;
-    obs::Counter* store_unavailable_nacks;
+  struct {
     obs::Gauge* stores_failed;
     obs::Gauge* power_w;
     obs::Gauge* repl_pending_writes;
     obs::Gauge* repl_dirty_keys;
-  } m_{};
+  } gauges_{};
 
  public:
   // Wired by ClusterSim after all nodes exist.

@@ -50,31 +50,53 @@ std::string FmtDouble(double v) {
 
 }  // namespace
 
-Registry::Instrument& Registry::Resolve(const std::string& name,
-                                        InstrumentKind kind) {
+Registry::Instrument& Registry::Add(const std::string& name,
+                                    InstrumentKind kind) {
+  auto [it, inserted] = instruments_.try_emplace(name);
+  if (!inserted) {
+    throw std::logic_error("obs: instrument '" + name + "' is a " +
+                           KindName(it->second.kind) + ", published again as " +
+                           KindName(kind));
+  }
+  it->second.kind = kind;
+  return it->second;
+}
+
+Registry::Instrument& Registry::Get(const std::string& name,
+                                    InstrumentKind kind) {
   auto it = instruments_.find(name);
-  if (it != instruments_.end()) {
-    if (it->second.kind != kind) {
-      throw std::logic_error("obs: instrument '" + name + "' is a " +
-                             KindName(it->second.kind) + ", requested as " +
-                             KindName(kind));
+  if (it == instruments_.end()) {
+    Instrument& inst = Add(name, kind);
+    auto own = [&inst](auto made) {
+      inst.owned = made;
+      return made.get();
+    };
+    switch (kind) {
+      case InstrumentKind::kCounter:
+        inst.count = &own(std::make_shared<Counter>())->value_;
+        break;
+      case InstrumentKind::kGauge: inst.gauge = own(std::make_shared<Gauge>()); break;
+      case InstrumentKind::kHistogram:
+        inst.histogram = own(std::make_shared<Histogram>());
+        break;
     }
-    return it->second;
+    return inst;
   }
-  Instrument inst;
-  inst.kind = kind;
-  switch (kind) {
-    case InstrumentKind::kCounter:
-      inst.counter = std::make_unique<Counter>();
-      break;
-    case InstrumentKind::kGauge:
-      inst.gauge = std::make_unique<Gauge>();
-      break;
-    case InstrumentKind::kHistogram:
-      inst.histogram = std::make_unique<Histogram>();
-      break;
+  if (it->second.kind != kind || !it->second.owned) {
+    throw std::logic_error("obs: instrument '" + name + "' is a " +
+                           (it->second.owned ? "" : "stats field ") +
+                           KindName(it->second.kind) + ", requested as " +
+                           KindName(kind));
   }
-  return instruments_.emplace(name, std::move(inst)).first->second;
+  return it->second;
+}
+
+void Registry::Publish(const std::string& name, uint64_t* count) {
+  Add(name, InstrumentKind::kCounter).count = count;
+}
+
+void Registry::Publish(const std::string& name, Histogram* histogram) {
+  Add(name, InstrumentKind::kHistogram).histogram = histogram;
 }
 
 const Registry::Instrument* Registry::Find(const std::string& name) const {
@@ -83,35 +105,30 @@ const Registry::Instrument* Registry::Find(const std::string& name) const {
 }
 
 Counter* Registry::GetCounter(const std::string& name) {
-  return Resolve(name, InstrumentKind::kCounter).counter.get();
+  return static_cast<Counter*>(Get(name, InstrumentKind::kCounter).owned.get());
 }
 
 Gauge* Registry::GetGauge(const std::string& name) {
-  return Resolve(name, InstrumentKind::kGauge).gauge.get();
+  return Get(name, InstrumentKind::kGauge).gauge;
 }
 
 Histogram* Registry::GetHistogram(const std::string& name) {
-  return Resolve(name, InstrumentKind::kHistogram).histogram.get();
-}
-
-const Counter* Registry::FindCounter(const std::string& name) const {
-  const Instrument* inst = Find(name);
-  return inst ? inst->counter.get() : nullptr;
+  return Get(name, InstrumentKind::kHistogram).histogram;
 }
 
 const Gauge* Registry::FindGauge(const std::string& name) const {
   const Instrument* inst = Find(name);
-  return inst ? inst->gauge.get() : nullptr;
+  return inst ? inst->gauge : nullptr;
 }
 
 const Histogram* Registry::FindHistogram(const std::string& name) const {
   const Instrument* inst = Find(name);
-  return inst ? inst->histogram.get() : nullptr;
+  return inst ? inst->histogram : nullptr;
 }
 
 uint64_t Registry::CounterValue(const std::string& name) const {
-  const Counter* c = FindCounter(name);
-  return c ? c->value() : 0;
+  const Instrument* inst = Find(name);
+  return inst && inst->count ? *inst->count : 0;
 }
 
 double Registry::GaugeValue(const std::string& name) const {
@@ -135,7 +152,7 @@ void Registry::ResetPrefix(const std::string& prefix) {
       continue;
     }
     switch (it->second.kind) {
-      case InstrumentKind::kCounter: it->second.counter->Reset(); break;
+      case InstrumentKind::kCounter: *it->second.count = 0; break;
       case InstrumentKind::kGauge: it->second.gauge->Reset(); break;
       case InstrumentKind::kHistogram: it->second.histogram->Reset(); break;
     }
@@ -153,7 +170,7 @@ std::string Registry::SnapshotJson() const {
         if (!counters.empty()) counters += ",";
         counters += "\n    ";
         AppendEscaped(counters, name);
-        counters += ": " + std::to_string(inst.counter->value());
+        counters += ": " + std::to_string(*inst.count);
         break;
       }
       case InstrumentKind::kGauge: {

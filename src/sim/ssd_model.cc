@@ -42,28 +42,30 @@ SsdSpec PiSdCardSpec() {
   return s;
 }
 
-double SsdStats::Utilization(SimTime window_ns, uint32_t read_channels) const {
-  if (window_ns <= 0) return 0.0;
-  double read_u = static_cast<double>(read_busy_ns) /
-                  (static_cast<double>(window_ns) * std::max(1u, read_channels));
-  double write_u = static_cast<double>(write_busy_ns) / static_cast<double>(window_ns);
-  return std::clamp(std::max(read_u, write_u), 0.0, 1.0);
-}
+namespace {
+constexpr obs::Field<SsdStats> kSsdFields[] = {
+    {"read_ops", &SsdStats::reads},
+    {"write_ops", &SsdStats::writes},
+    {"read_bytes", &SsdStats::read_bytes},
+    {"write_bytes", &SsdStats::write_bytes},
+};
+}  // namespace
 
 SimSsd::SimSsd(Simulator& simulator, SsdSpec spec, uint64_t seed)
     : sim_(simulator),
       spec_(std::move(spec)),
       store_(spec_.capacity_bytes, spec_.block_size),
-      rng_(seed) {}
+      rng_(seed),
+      scope_(nullptr),
+      stats_(scope_.Resolve(kSsdFields)) {}
 
 void SimSsd::AttachMetrics(const obs::Scope& scope) {
-  scope.ResetInstruments();
-  metrics_.read_ops = scope.GetCounter("read_ops");
-  metrics_.write_ops = scope.GetCounter("write_ops");
-  metrics_.read_bytes = scope.GetCounter("read_bytes");
-  metrics_.write_bytes = scope.GetCounter("write_bytes");
-  metrics_.read_us = scope.GetHistogram("read_us");
-  metrics_.write_us = scope.GetHistogram("write_us");
+  scope_ = scope;
+  stats_ = scope_.Resolve(kSsdFields);
+  *stats_ = SsdStats{};
+  scope_.ResetInstruments();
+  read_us_ = scope_.GetHistogram("read_us");
+  write_us_ = scope_.GetHistogram("write_us");
 }
 
 double SimSsd::JitterFactor() {
@@ -105,7 +107,6 @@ Status SimSsd::Submit(IoRequest request, IoCallback callback) {
     const SimTime base = request.type == IoType::kWrite ? spec_.write_base_ns
                                                         : spec_.read_base_ns;
     ++inflight_;
-    stats_.peak_inflight = std::max(stats_.peak_inflight, inflight_);
     SimTime submitted = sim_.Now();
     auto fault_done = [this, submitted, cb = std::move(callback)]() mutable {
       --inflight_;
@@ -123,18 +124,13 @@ Status SimSsd::Submit(IoRequest request, IoCallback callback) {
   }
 
   ++inflight_;
-  stats_.peak_inflight = std::max(stats_.peak_inflight, inflight_);
 
   if (request.type == IoType::kWrite) {
     // Persist immediately in the functional store (the device has the data
     // from submission time; readers that observe the completion see it).
     store_.Persist(request, length);
-    stats_.writes++;
-    stats_.write_bytes += length;
-    if (metrics_.write_ops) {
-      metrics_.write_ops->Inc();
-      metrics_.write_bytes->Add(length);
-    }
+    stats_->writes++;
+    stats_->write_bytes += length;
 
     // Occupancy on the program pipe: random writes consume a whole page
     // program (amplified); sequential appends stream at full bandwidth.
@@ -149,10 +145,10 @@ Status SimSsd::Submit(IoRequest request, IoCallback callback) {
         JitterFactor() * latency_factor);
     SimTime start = std::max(sim_.Now(), write_pipe_free_at_);
     write_pipe_free_at_ = start + occupancy;
-    stats_.write_busy_ns += occupancy;
+    stats_->write_busy_ns += occupancy;
     SimTime done = write_pipe_free_at_ + spec_.write_base_ns;
     SimTime submitted = sim_.Now();
-    if (metrics_.write_us) metrics_.write_us->Record(ToMicros(done - submitted));
+    if (write_us_) write_us_->Record(ToMicros(done - submitted));
     auto write_done = [this, submitted, cb = std::move(callback)]() mutable {
       --inflight_;
       NotifyIo(true, sim_.Now() - submitted);
@@ -212,13 +208,9 @@ void SimSsd::StartRead(Pending p) {
   SimTime service = static_cast<SimTime>(
       (static_cast<double>(spec_.read_base_ns) + extra) * JitterFactor() *
       p.latency_factor);
-  stats_.read_busy_ns += service;
-  stats_.reads++;
-  stats_.read_bytes += length;
-  if (metrics_.read_ops) {
-    metrics_.read_ops->Inc();
-    metrics_.read_bytes->Add(length);
-  }
+  stats_->read_busy_ns += service;
+  stats_->reads++;
+  stats_->read_bytes += length;
 
   SimTime submitted = p.submitted_at;
   uint64_t offset = p.request.offset;
@@ -228,7 +220,7 @@ void SimSsd::StartRead(Pending p) {
     --reads_in_service_;
     --inflight_;
     NotifyIo(true, sim_.Now() - submitted);
-    if (metrics_.read_us) metrics_.read_us->Record(ToMicros(sim_.Now() - submitted));
+    if (read_us_) read_us_->Record(ToMicros(sim_.Now() - submitted));
     IoResult r;
     r.data = store_.Read(offset, length);
     const auto served = std::find(serving_.begin(), serving_.end(),

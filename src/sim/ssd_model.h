@@ -73,6 +73,9 @@ SsdSpec Dct983Spec();
 // internal parallelism worth speaking of.
 SsdSpec PiSdCardSpec();
 
+// A device's counts, in a registry-owned struct (SimSsd::AttachMetrics).
+// reads, writes and their bytes are published as read_ops, write_ops,
+// read_bytes and write_bytes; the busy times are private.
 struct SsdStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -80,11 +83,6 @@ struct SsdStats {
   uint64_t write_bytes = 0;
   SimTime read_busy_ns = 0;   // summed over channels
   SimTime write_busy_ns = 0;  // pipe occupancy
-  uint32_t peak_inflight = 0;
-
-  // Device utilization in [0,1] over a window, for the power model: the
-  // busier of the two paths dominates device active power.
-  double Utilization(SimTime window_ns, uint32_t read_channels) const;
 };
 
 class SimSsd : public BlockDevice {
@@ -101,13 +99,13 @@ class SimSsd : public BlockDevice {
   void Discard(uint64_t offset, uint64_t length) override;
 
   const SsdSpec& spec() const { return spec_; }
-  const SsdStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = SsdStats{}; }
+  const SsdStats& stats() const { return *stats_; }
 
-  // Publish this device's counters/latency histograms under `scope`
-  // (e.g. "node3.engine.ssd0"). Instruments under the scope are zeroed so
-  // a re-created device starts fresh. Without a scope the device keeps
-  // only its local SsdStats.
+  // Count into the SsdStats at `scope` (e.g. "node3.engine.ssd0"), which
+  // publishes reads, writes and their bytes, and record the latency
+  // histograms there. The stats and every instrument under the scope are
+  // zeroed, so a re-attached or replacement device starts fresh. Until
+  // then the device counts into a struct of its own.
   void AttachMetrics(const obs::Scope& scope);
 
   // Instantaneous queue occupancies — the paper's intra-JBOF engine sizes
@@ -131,17 +129,11 @@ class SimSsd : public BlockDevice {
   SsdSpec spec_;
   PageStore store_;
   Rng rng_;
-  SsdStats stats_;
-
-  // Registry handles; null until AttachMetrics.
-  struct {
-    obs::Counter* read_ops = nullptr;
-    obs::Counter* write_ops = nullptr;
-    obs::Counter* read_bytes = nullptr;
-    obs::Counter* write_bytes = nullptr;
-    Histogram* read_us = nullptr;   // submit -> completion (incl. queueing)
-    Histogram* write_us = nullptr;  // submit -> ack
-  } metrics_;
+  obs::Scope scope_;
+  SsdStats* stats_;  // registry-owned
+  // Null until AttachMetrics.
+  Histogram* read_us_ = nullptr;   // submit -> completion (incl. queueing)
+  Histogram* write_us_ = nullptr;  // submit -> ack
 
   std::deque<Pending> read_queue_;
   uint32_t reads_in_service_ = 0;

@@ -75,7 +75,7 @@ void Compactor::CollapseLocked(uint32_t segment_id, bool relocate_values,
     }
     const uint64_t total_items = chain.item_count();
     auto merged = std::make_shared<Merged>(std::move(chain));
-    s_.m_.items_dropped->Add(total_items - merged->items.size());
+    s_.stats_->items_dropped += total_items - merged->items.size();
     s_.core().Run(
         s_.Cycles(s_.config().costs.compaction_per_item *
                   std::max<uint64_t>(1, total_items)),
@@ -109,7 +109,7 @@ void Compactor::RelocateValues(uint32_t segment_id, std::shared_ptr<Merged> merg
   const LogSet& donor = s_.log_set(item.value_ssd);
   uint32_t bytes = ValueEntryBytes(static_cast<uint32_t>(item.key.size()),
                                    item.value_len);
-  s_.m_.ssd_reads->Inc();
+  ++s_.stats_->ssd_reads;
   donor.value_log->Read(item.value_offset, bytes,
                         [this, segment_id, merged, index, home_ssd,
                          d = std::move(done)](log::ReadResult r) mutable {
@@ -142,7 +142,8 @@ void Compactor::RelocateValues(uint32_t segment_id, std::shared_ptr<Merged> merg
     // scan snapshots taken after this event see the home location.
     s_.RepairIndexLocation(it.key, old_loc,
                            {it.value_ssd, it.value_offset, it.value_len});
-    s_.m_.ssd_writes->Inc();
+    merged->moved.push_back({index, old_loc});
+    ++s_.stats_->ssd_writes;
     home.value_log->Append(std::move(encoded),
                            [this, segment_id, merged, index,
                             d2 = std::move(d)](log::AppendResult) mutable {
@@ -164,7 +165,7 @@ void Compactor::WriteMergedSegment(uint32_t segment_id, std::shared_ptr<Merged> 
     e.chain_len = 0;
     e.ssd = home.ssd_id;
     s_.swapped_segments_.erase(segment_id);
-    s_.m_.segments_collapsed->Inc();
+    ++s_.stats_->segments_collapsed;
     s_.UnlockAndPump(segment_id);
     done(true);
     return;
@@ -185,18 +186,19 @@ void Compactor::WriteMergedSegment(uint32_t segment_id, std::shared_ptr<Merged> 
   if (blob.size() > home.key_log->free_space()) {
     // Cannot relocate right now; the segment stays where it is and this
     // run must not advance the head over its old buckets.
+    RestoreIndex(*merged);
     s_.UnlockAndPump(segment_id);
     done(false);
     return;
   }
-  s_.m_.ssd_writes->Inc();
-  s_.m_.items_live_moved->Add(items.size());
+  ++s_.stats_->ssd_writes;
+  s_.stats_->items_live_moved += items.size();
   // The swapped mark may only clear once every value reference is home too
   // (RelocateValues can skip items when the home value log is tight).
   const bool all_values_home =
       std::all_of(items.begin(), items.end(),
                   [&home](const KeyItemView& it) { return it.value_ssd == home.ssd_id; });
-  home.key_log->Append(std::move(blob), [this, segment_id, base, n, all_values_home,
+  home.key_log->Append(std::move(blob), [this, segment_id, merged, base, n, all_values_home,
                                          d = std::move(done)](log::AppendResult r) mutable {
     bool ok = r.status.ok();
     if (ok) {
@@ -205,11 +207,21 @@ void Compactor::WriteMergedSegment(uint32_t segment_id, std::shared_ptr<Merged> 
       e.chain_len = n;
       e.ssd = s_.home().ssd_id;
       if (all_values_home) s_.swapped_segments_.erase(segment_id);
-      s_.m_.segments_collapsed->Inc();
+      ++s_.stats_->segments_collapsed;
+    } else {
+      RestoreIndex(*merged);
     }
     s_.UnlockAndPump(segment_id);
     d(ok);
   });
+}
+
+void Compactor::RestoreIndex(const Merged& merged) {
+  for (const Merged::Moved& m : merged.moved) {
+    const KeyItemView& it = merged.items[m.item];
+    s_.RepairIndexLocation(it.key, {it.value_ssd, it.value_offset, it.value_len},
+                           m.from);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -242,13 +254,42 @@ struct Compactor::Run {
 
 void Compactor::EndRun(Run& run, Status status, RunEnd end) {
   state(run.log).running = false;
-  if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
+  ReleaseSlot();
   run.done(std::move(status));
   // A joined run keeps draining while a log is above threshold. An aborted
   // one does not, so a failing device or a torn head entry cannot spin.
   if (end != RunEnd::kAborted) MaybeStart();
   const bool advanced = end == RunEnd::kAdvanced;
   if (advanced || !running()) s_.ResumeParkedPuts(advanced);
+}
+
+Compactor::~Compactor() {
+  if (const auto& gate = s_.config().compaction_gate) std::erase(gate->refused, this);
+}
+
+bool Compactor::AcquireSlot() {
+  CompactionGate* gate = s_.config().compaction_gate.get();
+  if (!gate) return true;
+  if (gate->active < gate->max) {
+    ++gate->active;
+    return true;
+  }
+  if (std::ranges::find(gate->refused, this) == gate->refused.end()) {
+    gate->refused.push_back(this);
+  }
+  return false;
+}
+
+void Compactor::ReleaseSlot() {
+  CompactionGate* gate = s_.config().compaction_gate.get();
+  if (!gate) return;
+  if (gate->active > 0) --gate->active;
+  // A refused store that no longer needs a run passes the slot on.
+  while (gate->active < gate->max && !gate->refused.empty()) {
+    Compactor* next = gate->refused.front();
+    gate->refused.pop_front();
+    next->MaybeStart();
+  }
 }
 
 log::CircularLog& Compactor::log_of(Log log) const {
@@ -285,14 +326,13 @@ void Compactor::Start(Log log, DataStore::OpCallback done) {
     run->done(Status::Ok());
     return;
   }
-  auto& gate = s_.config().compaction_gate;
-  if (gate && !gate->TryAcquire()) {
-    // Co-scheduling cap reached; a later MaybeStart retries.
+  if (!AcquireSlot()) {
+    // Co-scheduling cap reached; the next freed slot retries MaybeStart.
     run->done(Status::Busy("compaction gate full"));
     return;
   }
   st.running = true;
-  (log == Log::kKey ? s_.m_.key_compactions : s_.m_.value_compactions)->Inc();
+  ++(log == Log::kKey ? s_.stats_->key_compactions : s_.stats_->value_compactions);
 
   if (len == 0) {
     WithRegion(run, {});
@@ -300,7 +340,7 @@ void Compactor::Start(Log log, DataStore::OpCallback done) {
   }
   if (st.prefetch.valid && st.prefetch.offset == run->region_start &&
       st.prefetch.data.size() >= len) {
-    s_.m_.prefetch_hits->Inc();
+    ++s_.stats_->prefetch_hits;
     auto data = std::move(st.prefetch.data);
     data.resize(len);
     st.prefetch = Prefetch{};
@@ -311,8 +351,8 @@ void Compactor::Start(Log log, DataStore::OpCallback done) {
                   });
     return;
   }
-  s_.m_.prefetch_misses->Inc();
-  s_.m_.ssd_reads->Inc();
+  ++s_.stats_->prefetch_misses;
+  ++s_.stats_->ssd_reads;
   clog.Read(run->region_start, len, [this, run](log::ReadResult r) {
     if (!r.status.ok()) {
       EndRun(*run, r.status, RunEnd::kAborted);
@@ -458,7 +498,7 @@ void Compactor::IssuePrefetch(Log log) {
   if (len == 0) return;
   log::CircularLog& clog = log_of(log);
   const uint64_t start = clog.head();
-  s_.m_.ssd_reads->Inc();
+  ++s_.stats_->ssd_reads;
   clog.Read(start, len, [this, log, start](log::ReadResult r) {
     if (!r.status.ok()) return;
     Prefetch& p = state(log).prefetch;
@@ -542,11 +582,13 @@ void Compactor::RelocateLiveValues(std::shared_ptr<Run> run, size_t group, Unit 
         // (no-op if a newer PUT already owns the index entry).
         s_.RepairIndexLocation(item.key, old_loc,
                                {item.value_ssd, item.value_offset, item.value_len});
+        merged->moved.push_back({rw.item_index, old_loc});
       }
-      s_.m_.ssd_writes->Inc();
+      ++s_.stats_->ssd_writes;
       home.value_log->Append(std::move(*batch),
                              [this, run, group, seg, merged](log::AppendResult r) {
         if (!r.status.ok()) {
+          RestoreIndex(*merged);
           s_.UnlockAndPump(seg);
           UnitEnd(run, group, false);
           return;

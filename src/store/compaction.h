@@ -42,6 +42,7 @@ class Compactor {
   enum class Log { kKey, kValue };
 
   explicit Compactor(DataStore& store) : s_(store) {}
+  ~Compactor();
 
   // Start a run on each log that crossed its threshold (the key log also
   // when swapped segments piled up) and has none running.
@@ -85,14 +86,26 @@ class Compactor {
   // `status`, keep draining after a join, and resume parked writes when
   // the head advanced or no run is left that could advance it.
   void EndRun(Run& run, Status status, RunEnd end);
+  // The shared gate (when configured): take a slot, or queue for one; give
+  // one back, offering it to the queued stores first.
+  bool AcquireSlot();
+  void ReleaseSlot();
 
   // A segment's newest-wins survivors; `chain` backs their keys.
   struct Merged {
     explicit Merged(DataStore::Chain read)
         : chain(std::move(read)), items(MergeNewestWins(chain.buckets)) {}
 
+    // An item whose value moved, and the index repointed, before the
+    // segment committed: where the value was.
+    struct Moved {
+      size_t item;
+      RangeIndex::ValueLoc from;
+    };
+
     DataStore::Chain chain;
     std::vector<KeyItemView> items;
+    std::vector<Moved> moved;
   };
 
   LogState& state(Log log) { return log == Log::kKey ? key_ : value_; }
@@ -129,6 +142,10 @@ class Compactor {
                       size_t index, std::function<void()> done);
   void WriteMergedSegment(uint32_t segment_id, std::shared_ptr<Merged> merged,
                           std::function<void(bool)> done);
+  // A segment that did not commit still names the moved values' old
+  // copies: point the index back at them (a no-op for a key a newer PUT
+  // took over). Runs before the segment unlocks.
+  void RestoreIndex(const Merged& merged);
 
   DataStore& s_;
   LogState key_;

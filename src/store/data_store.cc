@@ -7,6 +7,34 @@
 
 namespace leed::store {
 
+namespace {
+constexpr obs::Field<StoreStats> kStoreFields[] = {
+    {"gets", &StoreStats::gets},
+    {"puts", &StoreStats::puts},
+    {"dels", &StoreStats::dels},
+    {"get_not_found", &StoreStats::get_not_found},
+    {"ssd_reads", &StoreStats::ssd_reads},
+    {"ssd_writes", &StoreStats::ssd_writes},
+    {"get_chain_extra_reads", &StoreStats::get_chain_extra_reads},
+    {"get_retries", &StoreStats::get_retries},
+    {"key_compactions", &StoreStats::key_compactions},
+    {"value_compactions", &StoreStats::value_compactions},
+    {"segments_collapsed", &StoreStats::segments_collapsed},
+    {"items_live_moved", &StoreStats::items_live_moved},
+    {"items_dropped", &StoreStats::items_dropped},
+    {"swap_puts", &StoreStats::swap_puts},
+    {"prefetch_hits", &StoreStats::prefetch_hits},
+    {"prefetch_misses", &StoreStats::prefetch_misses},
+    {"lock_waits", &StoreStats::lock_waits},
+    {"puts_failed_full", &StoreStats::puts_failed_full},
+    {"fast_gets", &StoreStats::fast_gets},
+    {"fast_get_aborts", &StoreStats::fast_get_aborts},
+    {"scans", &StoreStats::scans},
+    {"scan_items", &StoreStats::scan_items},
+    {"scan_stale_locs", &StoreStats::scan_stale_locs},
+};
+}  // namespace
+
 DataStore::DataStore(sim::Simulator& simulator, sim::CpuCore& core, LogSet home,
                      StoreConfig config)
     : sim_(simulator),
@@ -17,65 +45,15 @@ DataStore::DataStore(sim::Simulator& simulator, sim::CpuCore& core, LogSet home,
       scope_(config_.metrics_registry,
              config_.metrics_prefix.empty()
                  ? "store" + std::to_string(config_.store_id)
-                 : config_.metrics_prefix) {
+                 : config_.metrics_prefix),
+      stats_(scope_.Resolve(kStoreFields)) {
   // A store re-created under a previously used name starts from zero.
   scope_.ResetInstruments();
-  m_.gets = scope_.GetCounter("gets");
-  m_.puts = scope_.GetCounter("puts");
-  m_.dels = scope_.GetCounter("dels");
-  m_.get_not_found = scope_.GetCounter("get_not_found");
-  m_.ssd_reads = scope_.GetCounter("ssd_reads");
-  m_.ssd_writes = scope_.GetCounter("ssd_writes");
-  m_.get_chain_extra_reads = scope_.GetCounter("get_chain_extra_reads");
-  m_.get_retries = scope_.GetCounter("get_retries");
-  m_.key_compactions = scope_.GetCounter("key_compactions");
-  m_.value_compactions = scope_.GetCounter("value_compactions");
-  m_.segments_collapsed = scope_.GetCounter("segments_collapsed");
-  m_.items_live_moved = scope_.GetCounter("items_live_moved");
-  m_.items_dropped = scope_.GetCounter("items_dropped");
-  m_.swap_puts = scope_.GetCounter("swap_puts");
-  m_.prefetch_hits = scope_.GetCounter("prefetch_hits");
-  m_.prefetch_misses = scope_.GetCounter("prefetch_misses");
-  m_.lock_waits = scope_.GetCounter("lock_waits");
-  m_.puts_failed_full = scope_.GetCounter("puts_failed_full");
-  m_.fast_gets = scope_.GetCounter("fast_gets");
-  m_.fast_get_aborts = scope_.GetCounter("fast_get_aborts");
-  m_.scans = scope_.GetCounter("scans");
-  m_.scan_items = scope_.GetCounter("scan_items");
-  m_.scan_stale_locs = scope_.GetCounter("scan_stale_locs");
   log_sets_[home.ssd_id] = home;
   compactor_ = std::make_unique<Compactor>(*this);
 }
 
 DataStore::~DataStore() = default;
-
-StoreStats DataStore::stats() const {
-  StoreStats s;
-  s.gets = m_.gets->value();
-  s.puts = m_.puts->value();
-  s.dels = m_.dels->value();
-  s.get_not_found = m_.get_not_found->value();
-  s.ssd_reads = m_.ssd_reads->value();
-  s.ssd_writes = m_.ssd_writes->value();
-  s.get_chain_extra_reads = m_.get_chain_extra_reads->value();
-  s.get_retries = m_.get_retries->value();
-  s.key_compactions = m_.key_compactions->value();
-  s.value_compactions = m_.value_compactions->value();
-  s.segments_collapsed = m_.segments_collapsed->value();
-  s.items_live_moved = m_.items_live_moved->value();
-  s.items_dropped = m_.items_dropped->value();
-  s.swap_puts = m_.swap_puts->value();
-  s.prefetch_hits = m_.prefetch_hits->value();
-  s.prefetch_misses = m_.prefetch_misses->value();
-  s.lock_waits = m_.lock_waits->value();
-  s.puts_failed_full = m_.puts_failed_full->value();
-  s.fast_gets = m_.fast_gets->value();
-  s.fast_get_aborts = m_.fast_get_aborts->value();
-  s.scans = m_.scans->value();
-  s.scan_items = m_.scan_items->value();
-  s.scan_stale_locs = m_.scan_stale_locs->value();
-  return s;
-}
 
 void DataStore::AddLogSet(LogSet set) { log_sets_[set.ssd_id] = set; }
 
@@ -128,7 +106,7 @@ void DataStore::Get(std::string key, GetCallback callback) {
   auto op = std::make_shared<GetOp>();
   op->key = std::move(key);
   op->callback = std::move(callback);
-  m_.gets->Inc();
+  ++stats_->gets;
   core_.Run(Cycles(config_.costs.op_dispatch), [this, op] { GetLookup(op); });
 }
 
@@ -146,8 +124,8 @@ void DataStore::FastGet(std::string key, GetCallback callback) {
   op->callback = std::move(callback);
   op->offloaded = true;
   op->segment = SegmentOf(op->key);
-  m_.gets->Inc();
-  m_.fast_gets->Inc();
+  ++stats_->gets;
+  ++stats_->fast_gets;
   const SegmentEntry& e = segtbl_.At(op->segment);
   // Fixed offload-engine latency, then straight to the device read; no
   // op_dispatch charge and no core queueing.
@@ -170,7 +148,7 @@ void DataStore::GetLookup(std::shared_ptr<GetOp> op) {
 void DataStore::GetReadBucket(std::shared_ptr<GetOp> op, uint8_t ssd,
                               uint64_t offset, uint8_t remaining_chain) {
   const LogSet& logs = log_sets_.at(ssd);
-  m_.ssd_reads->Inc();
+  ++stats_->ssd_reads;
   logs.key_log->Read(offset, config_.bucket_size, [this, op, remaining_chain](
                                                       log::ReadResult r) {
     if (!r.status.ok()) {
@@ -209,7 +187,7 @@ void DataStore::GetSearch(std::shared_ptr<GetOp> op, const BucketHeader& header,
       GetFinish(op, Status::NotFound(), {});
       return;
     }
-    m_.get_chain_extra_reads->Inc();
+    ++stats_->get_chain_extra_reads;
     if (h.contiguous) {
       GetReadRest(op, h.prev_ssd, h.prev_offset,
                   static_cast<uint8_t>(remaining_chain - 1));
@@ -223,7 +201,7 @@ void DataStore::GetSearch(std::shared_ptr<GetOp> op, const BucketHeader& header,
 void DataStore::GetReadRest(std::shared_ptr<GetOp> op, uint8_t ssd,
                             uint64_t offset, uint8_t count) {
   const LogSet& logs = log_sets_.at(ssd);
-  m_.ssd_reads->Inc();
+  ++stats_->ssd_reads;
   uint64_t bytes = static_cast<uint64_t>(count) * config_.bucket_size;
   logs.key_log->Read(offset, bytes, [this, op, count](log::ReadResult r) {
     if (!r.status.ok()) {
@@ -276,7 +254,7 @@ void DataStore::GetFound(std::shared_ptr<GetOp> op, const KeyItem& item) {
   }
   uint32_t entry_bytes =
       ValueEntryBytes(static_cast<uint32_t>(op->key.size()), item.value_len);
-  m_.ssd_reads->Inc();
+  ++stats_->ssd_reads;
   it->second.value_log->Read(item.value_offset, entry_bytes,
                              [this, op](log::ReadResult r) {
     if (!r.status.ok()) {
@@ -303,19 +281,19 @@ void DataStore::GetRetry(std::shared_ptr<GetOp> op) {
     GetFinish(op, Status::Internal("GET retry budget exhausted"), {});
     return;
   }
-  m_.get_retries->Inc();
+  ++stats_->get_retries;
   if (op->offloaded) {
     // A compaction moved the chain under the offload engine; the retry needs
     // a fresh index consultation, which only the CPU path can do. Demote.
     op->offloaded = false;
-    m_.fast_get_aborts->Inc();
+    ++stats_->fast_get_aborts;
   }
   core_.Run(Cycles(config_.costs.op_dispatch), [this, op] { GetLookup(op); });
 }
 
 void DataStore::GetFinish(std::shared_ptr<GetOp> op, Status status,
                           std::vector<uint8_t> value) {
-  if (status.IsNotFound()) m_.get_not_found->Inc();
+  if (status.IsNotFound()) ++stats_->get_not_found;
   RunGetWork(op, config_.costs.op_complete,
              [op, st = std::move(status), v = std::move(value)]() mutable {
                op->callback(std::move(st), std::move(v));
@@ -360,7 +338,7 @@ void DataStore::Put(std::string key, SharedBytes value, OpCallback callback) {
   op->key = std::move(key);
   op->value = std::move(value);
   op->callback = std::move(callback);
-  m_.puts->Inc();
+  ++stats_->puts;
   core_.Run(Cycles(config_.costs.op_dispatch), [this, op] { PutAcquire(op); });
 }
 
@@ -369,14 +347,14 @@ void DataStore::Del(std::string key, OpCallback callback) {
   op->key = std::move(key);
   op->is_del = true;
   op->callback = std::move(callback);
-  m_.dels->Inc();
+  ++stats_->dels;
   core_.Run(Cycles(config_.costs.op_dispatch), [this, op] { PutAcquire(op); });
 }
 
 void DataStore::PutAcquire(std::shared_ptr<PutOp> op) {
   op->segment = SegmentOf(op->key);
   if (!segtbl_.TryLock(op->segment)) {
-    m_.lock_waits->Inc();
+    ++stats_->lock_waits;
     segtbl_.WaitOnLock(op->segment, [this, op] { PutAcquire(op); });
     return;
   }
@@ -421,7 +399,7 @@ void DataStore::PutReadHead(std::shared_ptr<PutOp> op) {
     return;
   }
   const LogSet& logs = log_sets_.at(e.ssd);
-  m_.ssd_reads->Inc();
+  ++stats_->ssd_reads;
   logs.key_log->Read(e.offset, config_.bucket_size, [this, op](log::ReadResult r) {
     if (!r.status.ok()) {
       PutFinish(op, Status::Corruption("head bucket read failed under lock"));
@@ -468,26 +446,26 @@ void DataStore::PutApply(std::shared_ptr<PutOp> op) {
     const bool in_place = h && h->CanUpsert(item, config_.bucket_size);
     const uint32_t new_len = in_place ? e.chain_len : (h ? e.chain_len : 0) + 1u;
     if (new_len > segtbl_.max_chain()) {
-      m_.puts_failed_full->Inc();
+      ++stats_->puts_failed_full;
       PutFinish(op, Status::OutOfSpace("segment chain at max; compaction lagging"));
       MaybeCompact();
       return;
     }
     const uint64_t value_bytes = op->value_bytes();
     if (value_bytes > target.value_log->free_space()) {
-      m_.puts_failed_full->Inc();
+      ++stats_->puts_failed_full;
       PutFinish(op, Status::OutOfSpace("value log full"));
       MaybeCompact();
       return;
     }
     if (config_.bucket_size > target.key_log->free_space()) {
-      m_.puts_failed_full->Inc();
+      ++stats_->puts_failed_full;
       PutFinish(op, Status::OutOfSpace("key log full"));
       MaybeCompact();
       return;
     }
 
-    if (target.ssd_id != home_.ssd_id) m_.swap_puts->Inc();
+    if (target.ssd_id != home_.ssd_id) ++stats_->swap_puts;
 
     // --- Commit point: issue the value append (reserving its offset
     // synchronously — CircularLog bumps the tail at Append time, which is
@@ -498,7 +476,7 @@ void DataStore::PutApply(std::shared_ptr<PutOp> op) {
       op->value_offset = item.value_offset;
       op->value_len = item.value_len;
       op->pending_appends++;
-      m_.ssd_writes->Inc();
+      ++stats_->ssd_writes;
       target.value_log->Append(
           EncodeValueEntryHead(op->segment, op->key, item.value_len), op->value,
           [this, op](log::AppendResult r) {
@@ -545,7 +523,7 @@ void DataStore::PutApply(std::shared_ptr<PutOp> op) {
 
     op->new_offset = target.key_log->tail();
     op->pending_appends++;
-    m_.ssd_writes->Inc();
+    ++stats_->ssd_writes;
     target.key_log->Append(
         std::move(bytes_used), config_.bucket_size, [this, op](log::AppendResult r) {
           if (!r.status.ok()) op->append_status = r.status;
@@ -684,7 +662,7 @@ void DataStore::CopyEmitValues(std::shared_ptr<SegmentWalk> walk,
   const LogSet& logs = log_sets_.at(item.value_ssd);
   uint32_t bytes = ValueEntryBytes(static_cast<uint32_t>(item.key.size()),
                                    item.value_len);
-  m_.ssd_reads->Inc();
+  ++stats_->ssd_reads;
   logs.value_log->Read(item.value_offset, bytes,
                        [this, walk, copy, index](log::ReadResult r) {
     if (r.status.ok()) {
@@ -728,7 +706,7 @@ void DataStore::ScanFetch(std::vector<ScanLoc> snapshot, ScanCallback callback) 
   auto op = std::make_shared<ScanOp>();
   op->snapshot = std::move(snapshot);
   op->callback = std::move(callback);
-  m_.scans->Inc();
+  ++stats_->scans;
   op->items.reserve(op->snapshot.size());
   core_.Run(Cycles(config_.costs.op_dispatch), [this, op] { ScanFetchStep(op); });
 }
@@ -749,7 +727,7 @@ void DataStore::ScanFetchStep(std::shared_ptr<ScanOp> op) {
   if (it == log_sets_.end()) {
     // A donor log set this store no longer references: the location is from
     // a reclaimed swap epoch. Treat like any stale location.
-    m_.scan_stale_locs->Inc();
+    ++stats_->scan_stale_locs;
     ScanFinish(op, Status::Busy("scan snapshot names unknown SSD"));
     return;
   }
@@ -773,15 +751,15 @@ void DataStore::ScanFetchStep(std::shared_ptr<ScanOp> op) {
   if (loc.value_offset < vlog->head() || run_end > vlog->tail()) {
     // Compaction reclaimed (or is about to rewrite) this location since the
     // snapshot; the caller must re-snapshot.
-    m_.scan_stale_locs->Inc();
+    ++stats_->scan_stale_locs;
     ScanFinish(op, Status::Busy("scan location reclaimed under snapshot"));
     return;
   }
-  m_.ssd_reads->Inc();
+  ++stats_->ssd_reads;
   vlog->Read(loc.value_offset, run_end - loc.value_offset,
              [this, op, count, entry_bytes](log::ReadResult r) {
     if (!r.status.ok()) {
-      m_.scan_stale_locs->Inc();
+      ++stats_->scan_stale_locs;
       ScanFinish(op, Status::Busy("scan read rejected by log"));
       return;
     }
@@ -793,7 +771,7 @@ void DataStore::ScanFetchStep(std::shared_ptr<ScanOp> op) {
       auto entry = ParseValueEntry(run.subspan(at, n), 0);
       if (!entry.ok() || entry.value().key != cur.key) {
         // Offset recycled between validation and completion.
-        m_.scan_stale_locs->Inc();
+        ++stats_->scan_stale_locs;
         ScanFinish(op, Status::Busy("scan location recycled under read"));
         return;
       }
@@ -810,7 +788,7 @@ void DataStore::ScanFetchStep(std::shared_ptr<ScanOp> op) {
 void DataStore::ScanFinish(std::shared_ptr<ScanOp> op, Status status) {
   core_.Run(Cycles(config_.costs.op_complete),
             [this, op, st = std::move(status)]() mutable {
-              if (st.ok()) m_.scan_items->Add(op->items.size());
+              if (st.ok()) stats_->scan_items += op->items.size();
               op->callback(std::move(st), std::move(op->items));
             });
 }
@@ -877,7 +855,7 @@ void DataStore::ReadChain(uint32_t segment_id, uint8_t ssd, uint64_t offset,
     auto self = wstep.lock();
     if (!self) return;
     const LogSet& logs = log_sets_.at(cur_ssd);
-    m_.ssd_reads->Inc();
+    ++stats_->ssd_reads;
     logs.key_log->Read(cur_off, config_.bucket_size,
                        [this, acc, take, step = self, cb,
                         remaining](log::ReadResult r) {
@@ -899,7 +877,7 @@ void DataStore::ReadChain(uint32_t segment_id, uint8_t ssd, uint64_t offset,
         // One IO for the whole remainder.
         const LogSet& rest_logs = log_sets_.at(hdr.prev_ssd);
         uint64_t bytes = static_cast<uint64_t>(remaining - 1) * config_.bucket_size;
-        m_.ssd_reads->Inc();
+        ++stats_->ssd_reads;
         rest_logs.key_log->Read(hdr.prev_offset, bytes,
                                 [acc, take, cb, remaining](log::ReadResult rr) {
           if (!rr.status.ok()) {

@@ -57,20 +57,16 @@ struct CpuCosts {
   uint64_t scan_index_per_item = 40;   // range-index walk, per snapshotted key
 };
 
+class Compactor;  // store/compaction.h
+
 // Caps how many compaction runs may execute concurrently across the stores
-// sharing it (the inter-parallelism knob of Fig. 13b).
+// sharing it (the inter-parallelism knob of Fig. 13b). A freed slot goes
+// first to the stores it refused, oldest refusal first, so a store whose
+// log stays above threshold cannot keep the slot to itself.
 struct CompactionGate {
   uint32_t max = 0;
   uint32_t active = 0;
-
-  bool TryAcquire() {
-    if (active >= max) return false;
-    ++active;
-    return true;
-  }
-  void Release() {
-    if (active > 0) --active;
-  }
+  std::deque<Compactor*> refused;
 };
 
 struct StoreConfig {
@@ -103,10 +99,8 @@ struct LogSet {
   log::CircularLog* value_log = nullptr;
 };
 
-// Value snapshot of a store's registry counters: DataStore records through
-// leed::obs handles and materializes this view on demand, so existing
-// `store.stats().field` call sites keep working while every counter is
-// also visible in registry snapshots under the store's metric prefix.
+// A store's counts. The registry owns the struct and publishes every field
+// as "<metrics_prefix>.<field>" (data_store.cc's table).
 struct StoreStats {
   uint64_t gets = 0, puts = 0, dels = 0;
   uint64_t get_not_found = 0;
@@ -126,8 +120,6 @@ struct StoreStats {
   uint64_t scan_items = 0;       // value entries returned by scans
   uint64_t scan_stale_locs = 0;  // snapshot entries invalidated under fetch
 };
-
-class Compactor;  // store/compaction.h
 
 class DataStore {
  public:
@@ -219,9 +211,7 @@ class DataStore {
   void ForceKeyCompaction(OpCallback done);
   void ForceValueCompaction(OpCallback done);
 
-  StoreStats stats() const;
-  void ResetStats() { scope_.ResetInstruments(); }
-  const obs::Scope& metrics_scope() const { return scope_; }
+  const StoreStats& stats() const { return *stats_; }
   const StoreConfig& config() const { return config_; }
   const SegmentTable& segments() const { return segtbl_; }
   SegmentTable& segments() { return segtbl_; }
@@ -344,32 +334,7 @@ class DataStore {
   std::optional<uint8_t> swap_target_;
   SegmentTable segtbl_;
   obs::Scope scope_;
-  // Registry handles, one per StoreStats field (see stats()).
-  struct Metrics {
-    obs::Counter* gets;
-    obs::Counter* puts;
-    obs::Counter* dels;
-    obs::Counter* get_not_found;
-    obs::Counter* ssd_reads;
-    obs::Counter* ssd_writes;
-    obs::Counter* get_chain_extra_reads;
-    obs::Counter* get_retries;
-    obs::Counter* key_compactions;
-    obs::Counter* value_compactions;
-    obs::Counter* segments_collapsed;
-    obs::Counter* items_live_moved;
-    obs::Counter* items_dropped;
-    obs::Counter* swap_puts;
-    obs::Counter* prefetch_hits;
-    obs::Counter* prefetch_misses;
-    obs::Counter* lock_waits;
-    obs::Counter* puts_failed_full;
-    obs::Counter* fast_gets;
-    obs::Counter* fast_get_aborts;
-    obs::Counter* scans;
-    obs::Counter* scan_items;
-    obs::Counter* scan_stale_locs;
-  } m_{};
+  StoreStats* stats_;  // registry-owned
   std::set<uint32_t> swapped_segments_;
   // PUT/DELs waiting, unlocked, for compaction to free home-log space.
   std::deque<std::shared_ptr<PutOp>> parked_puts_;

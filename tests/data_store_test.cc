@@ -461,6 +461,54 @@ TEST_F(DataStoreTest, ParkedPutsFinishWhenCompactionCannotRead) {
   EXPECT_EQ(sim_.events_pending(), 0u);
 }
 
+TEST_F(DataStoreTest, SharedGateHandsAFreedSlotToTheStoreItRefused) {
+  // Two stores on small logs share a one-slot gate and both churn above
+  // their compaction threshold. A store ending a run must not re-take the
+  // slot ahead of the store the gate refused meanwhile.
+  StoreConfig cfg = SmallConfig();
+  cfg.num_segments = 16;
+  cfg.compaction_threshold = 0.5;
+  cfg.compaction_gate = std::make_shared<CompactionGate>();
+  cfg.compaction_gate->max = 1;
+  StoreConfig cfg_b = cfg;
+  cfg_b.store_id = 1;
+  log::CircularLog a_key(device_, 0, 1 << 20), a_value(device_, 1 << 20, 1 << 20);
+  log::CircularLog b_key(donor_device_, 0, 1 << 20), b_value(donor_device_, 1 << 20, 1 << 20);
+  sim::CpuCore core_b(sim_, 3.0);
+  DataStore a(sim_, core_, LogSet{0, &a_key, &a_value}, cfg);
+  DataStore b(sim_, core_b, LogSet{0, &b_key, &b_value}, cfg_b);
+
+  // Closed loops of 16 PUTs of 400 bytes over 48 keys on each store.
+  constexpr int kPuts = 4000;
+  Rng rng(7);
+  struct Loop {
+    DataStore* ds;
+    int issued = 0;
+    int completed = 0;
+  };
+  Loop loops[2] = {{&a}, {&b}};
+  std::function<void(Loop&)> issue = [&](Loop& l) {
+    if (l.issued == kPuts) return;
+    const int seed = l.issued++;
+    l.ds->Put("key" + std::to_string(rng.NextBounded(48)), TestValue(seed, 400),
+              [&, &l = l](Status) {
+                ++l.completed;
+                issue(l);
+              });
+  };
+  for (int i = 0; i < 16; ++i) {
+    issue(loops[0]);
+    issue(loops[1]);
+  }
+  for (int n = 0; n < 2'000'000 && sim_.Now() <= kSecond && sim_.Step(); ++n) {
+  }
+  EXPECT_EQ(loops[0].completed, kPuts);
+  EXPECT_EQ(loops[1].completed, kPuts);
+  EXPECT_GT(a.stats().key_compactions, 0u);
+  EXPECT_GT(b.stats().key_compactions, 0u);
+  EXPECT_EQ(cfg.compaction_gate->active, 0u);
+}
+
 TEST_F(DataStoreTest, ConcurrentOpsOnSameSegmentSerialize) {
   StoreConfig cfg = SmallConfig();
   cfg.num_segments = 1;
@@ -571,6 +619,55 @@ TEST_F(SwapTest, MergeBackRelocatesEverythingHome) {
   donor_key_->Reset();
   donor_value_->Reset();
   for (int i = 0; i < 24; ++i) {
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(SyncGet(sim_, *ds, "key" + std::to_string(i), &out).ok()) << i;
+    EXPECT_EQ(out, TestValue(i, 64));
+  }
+}
+
+// A merge-back that copies values home but cannot commit the segment (no
+// home key-log room) leaves the chain on the donor's copies; the ordered
+// index must name them too, as a rebuild from the chains does.
+TEST_F(SwapTest, FailedMergeBackPointsTheIndexBackAtTheDonor) {
+  StoreConfig cfg = SmallConfig();
+  cfg.num_segments = 16;
+  cfg.compaction_threshold = 1.1;  // manual merge-back
+  key_log_ = std::make_unique<log::CircularLog>(device_, 0, kBucketSize);
+  value_log_ = std::make_unique<log::CircularLog>(device_, value_log_base_, 8 << 20);
+  auto ds = std::make_unique<DataStore>(
+      sim_, core_, LogSet{0, key_log_.get(), value_log_.get()}, cfg);
+  donor_key_ = std::make_unique<log::CircularLog>(donor_device_, 0, 4 << 20);
+  donor_value_ = std::make_unique<log::CircularLog>(donor_device_, 4 << 20, 4 << 20);
+  ds->AddLogSet(LogSet{1, donor_key_.get(), donor_value_.get()});
+
+  // The home PUT's bucket fills the one-bucket home key log.
+  ASSERT_TRUE(SyncPut(sim_, *ds, "home-key", TestValue(0, 64)).ok());
+  ASSERT_EQ(key_log_->free_space(), 0u);
+  ds->SetSwapTarget(1);
+  for (int i = 1; i <= 8; ++i) {
+    ASSERT_TRUE(SyncPut(sim_, *ds, "key" + std::to_string(i), TestValue(i, 64)).ok());
+  }
+  ds->SetSwapTarget(std::nullopt);
+  const size_t swapped = ds->swapped_segments();
+  ASSERT_GT(swapped, 0u);
+
+  const uint64_t home_values = value_log_->used();
+  bool done = false;
+  ds->ForceKeyCompaction([&](Status) { done = true; });
+  testutil::RunUntilFlag(sim_, done);
+  ASSERT_TRUE(done);
+  EXPECT_GT(value_log_->used(), home_values);  // values were copied home
+  EXPECT_EQ(ds->swapped_segments(), swapped);  // but no segment committed
+
+  RangeIndex rebuilt;
+  done = false;
+  ds->RebuildRangeIndex(&rebuilt, [&](Status st, uint64_t) {
+    EXPECT_TRUE(st.ok());
+    done = true;
+  });
+  testutil::RunUntilFlag(sim_, done);
+  EXPECT_EQ(ds->range_index().DebugDump(), rebuilt.DebugDump());
+  for (int i = 1; i <= 8; ++i) {
     std::vector<uint8_t> out;
     ASSERT_TRUE(SyncGet(sim_, *ds, "key" + std::to_string(i), &out).ok()) << i;
     EXPECT_EQ(out, TestValue(i, 64));
@@ -757,7 +854,7 @@ TEST_F(DataStoreTest, CopyOutEmptyStore) {
 // ---------------------------------------------------------------------------
 // Compaction pin: a seeded PUT/DEL churn through every compaction path,
 // pinned exactly. Two stores on small logs share a one-slot compaction gate
-// and a jittery SSD; store A swaps to a donor log set mid-run and merges
+// (a freed slot goes to a store it refused first) and a jittery SSD; store A swaps to a donor log set mid-run and merges
 // back. A refactor of the compactor or of the segment walkers must leave
 // every number below unchanged.
 // ---------------------------------------------------------------------------
@@ -973,19 +1070,19 @@ TEST(CompactionPinTest, SeededChurnThroughEveryRunIsPinned) {
   EXPECT_EQ(sim.events_pending(), 0u);
 
   EXPECT_EQ(StatsLine(sa),
-            "gets=40 puts=3200 dels=800 get_not_found=7 ssd_reads=7015 "
-            "ssd_writes=9083 get_chain_extra_reads=0 get_retries=0 "
-            "key_compactions=143 value_compactions=53 segments_collapsed=1803 "
-            "items_live_moved=4137 items_dropped=339 swap_puts=1002 "
-            "prefetch_hits=50 prefetch_misses=146 lock_waits=2945 "
+            "gets=40 puts=3191 dels=809 get_not_found=7 ssd_reads=6871 "
+            "ssd_writes=8972 get_chain_extra_reads=0 get_retries=0 "
+            "key_compactions=141 value_compactions=52 segments_collapsed=1724 "
+            "items_live_moved=3961 items_dropped=345 swap_puts=1000 "
+            "prefetch_hits=50 prefetch_misses=143 lock_waits=3018 "
             "puts_failed_full=0 fast_gets=0 fast_get_aborts=0 scans=0 "
             "scan_items=0 scan_stale_locs=0");
   EXPECT_EQ(StatsLine(sb),
-            "gets=40 puts=3236 dels=764 get_not_found=7 ssd_reads=4154 "
-            "ssd_writes=7236 get_chain_extra_reads=0 get_retries=0 "
+            "gets=40 puts=3245 dels=755 get_not_found=6 ssd_reads=4156 "
+            "ssd_writes=7245 get_chain_extra_reads=0 get_retries=0 "
             "key_compactions=0 value_compactions=3 segments_collapsed=2 "
             "items_live_moved=4 items_dropped=0 swap_puts=0 prefetch_hits=0 "
-            "prefetch_misses=3 lock_waits=2272 puts_failed_full=0 fast_gets=0 "
+            "prefetch_misses=3 lock_waits=2237 puts_failed_full=0 fast_gets=0 "
             "fast_get_aborts=0 scans=0 scan_items=0 scan_stale_locs=0");
   EXPECT_EQ(StatsLine(sc),
             "gets=40 puts=40 dels=0 get_not_found=0 ssd_reads=244 "
@@ -995,9 +1092,9 @@ TEST(CompactionPinTest, SeededChurnThroughEveryRunIsPinned) {
             "prefetch_misses=0 lock_waits=0 puts_failed_full=0 fast_gets=0 "
             "fast_get_aborts=0 scans=0 scan_items=0 scan_stale_locs=0");
   EXPECT_EQ(statuses, "0x8040 | 0x10 5x39 | ");
-  EXPECT_EQ(Fnv1a64(digest), 17584716112846579722u) << digest;
-  EXPECT_EQ(sim.Now(), 133785491u);
-  EXPECT_EQ(sim.events_executed(), 61395u);
+  EXPECT_EQ(Fnv1a64(digest), 15076177098468531984u) << digest;
+  EXPECT_EQ(sim.Now(), 133248411u);
+  EXPECT_EQ(sim.events_executed(), 61041u);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "leed/cluster_sim.h"
 #include "lint/lint.h"
+#include "sim/platform.h"
+#include "workload/ycsb.h"
 
 #ifndef LEED_LINT_CORPUS_DIR
 #error "build must define LEED_LINT_CORPUS_DIR"
@@ -337,6 +340,98 @@ TEST(LintTreeTest, RepositoryIsClean) {
       LintTree(LEED_SOURCE_ROOT, TreeOptions{}, &files_scanned);
   EXPECT_GT(files_scanned, 100u) << "tree walk found suspiciously few files";
   EXPECT_TRUE(findings.empty()) << FormatFindings(findings);
+}
+
+// ---------------------------------------------------------------------------
+// The names a simulated cluster registers follow the metric-name rule. The
+// rule sees only literals handed straight to the getters; stats-struct
+// field tables and composed prefixes reach the registry past it.
+// ---------------------------------------------------------------------------
+
+// Every instrument name in a SnapshotJson(): one per line, at the
+// four-space indent of the counters/gauges/histograms sections.
+std::vector<std::string> SnapshotNames(const std::string& json) {
+  std::vector<std::string> names;
+  size_t line = 0;
+  while (line < json.size()) {
+    size_t end = json.find('\n', line);
+    if (end == std::string::npos) end = json.size();
+    if (json.compare(line, 5, "    \"") == 0) {
+      const size_t close = json.find('"', line + 5);
+      names.push_back(json.substr(line + 5, close - line - 5));
+    }
+    line = end + 1;
+  }
+  return names;
+}
+
+std::vector<std::string> RunAndSnapshot(ClusterConfig cfg) {
+  cfg.num_nodes = 3;
+  cfg.num_clients = 2;
+  cfg.seed = 5;
+  cfg.control_plane.replication_factor = 3;
+  ClusterSim cluster(std::move(cfg));
+  cluster.Bootstrap();
+  cluster.Preload(200, 64);
+  workload::YcsbConfig wc;
+  wc.mix = workload::Mix::kA;
+  wc.num_keys = 200;
+  wc.value_size = 64;
+  workload::YcsbGenerator generator(wc);
+  ClusterSim::DriveOptions options;
+  options.concurrency_per_client = 4;
+  options.warmup = kMillisecond;
+  options.duration = 5 * kMillisecond;
+  const RunResult result = cluster.Run(generator, options);
+  EXPECT_GT(result.completed, 0u);
+  return SnapshotNames(cluster.registry().SnapshotJson());
+}
+
+void ExpectRuleNames(const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    EXPECT_TRUE(ValidMetricName(name)) << name;
+  }
+  // Every layer's table reached the registry.
+  for (const char* name : {"cluster.store_failures", "client0.backoff_us",
+                           "client1.sched.sent_with_tokens", "net.msgs_sent",
+                           "node2.client_requests"}) {
+    EXPECT_TRUE(std::ranges::find(names, name) != names.end()) << name;
+  }
+}
+
+TEST(MetricNameTest, LeedClusterSnapshotFollowsTheRule) {
+  ClusterConfig cfg;
+  cfg.node.platform = sim::StingrayJbof();
+  cfg.node.stack = StackKind::kLeed;
+  cfg.node.engine.ssd_count = 2;
+  cfg.node.engine.stores_per_ssd = 2;
+  cfg.node.engine.ssd = sim::Dct983Spec();
+  cfg.node.engine.ssd.capacity_bytes = 1ull << 30;
+  cfg.node.engine.store_template.num_segments = 512;
+  cfg.node.engine.store_template.bucket_size = 512;
+  cfg.client.stores_per_ssd = 2;
+  const std::vector<std::string> names = RunAndSnapshot(std::move(cfg));
+  ExpectRuleNames(names);
+  for (const char* name : {"node0.engine.offload.fast_hits", "node0.engine.queue_us",
+                           "node1.engine.ssd1.read_ops", "node1.engine.store3.ssd_writes",
+                           "node2.repl.obligation_retries"}) {
+    EXPECT_TRUE(std::ranges::find(names, name) != names.end()) << name;
+  }
+}
+
+TEST(MetricNameTest, KvellClusterSnapshotFollowsTheRule) {
+  ClusterConfig cfg;
+  cfg.node.platform = sim::ServerJbof();
+  cfg.node.stack = StackKind::kKvell;
+  cfg.node.crrs = false;
+  cfg.node.baseline.kind = baselines::BaselineKind::kKvell;
+  cfg.node.baseline.ssd_count = 2;
+  cfg.node.baseline.stores_per_ssd = 2;
+  cfg.node.baseline.ssd = sim::Dct983Spec();
+  cfg.node.baseline.ssd.capacity_bytes = 1ull << 30;
+  cfg.client.crrs_reads = false;
+  cfg.client.stores_per_ssd = 2;
+  ExpectRuleNames(RunAndSnapshot(std::move(cfg)));
 }
 
 }  // namespace

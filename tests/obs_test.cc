@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -60,12 +61,13 @@ TEST(RegistryTest, HistogramSemantics) {
 
 TEST(RegistryTest, KindCollisionThrows) {
   Registry reg;
-  reg.GetCounter("x");
+  reg.GetCounter("x")->Inc();
   EXPECT_THROW(reg.GetGauge("x"), std::logic_error);
   EXPECT_THROW(reg.GetHistogram("x"), std::logic_error);
-  // Find* degrade to nullptr instead of throwing.
+  // Find* and CounterValue degrade instead of throwing.
   EXPECT_EQ(reg.FindGauge("x"), nullptr);
-  EXPECT_NE(reg.FindCounter("x"), nullptr);
+  EXPECT_EQ(reg.FindHistogram("x"), nullptr);
+  EXPECT_EQ(reg.CounterValue("x"), 1u);
 }
 
 TEST(RegistryTest, ResetPrefixRespectsDotBoundaries) {
@@ -112,6 +114,87 @@ TEST(RegistryTest, SnapshotJsonRoundTrip) {
   EXPECT_EQ(json, reg.SnapshotJson());
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+}
+
+// A component's stats struct, as the registry owns it: two published
+// counters, a published histogram and a private field.
+struct DemoStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t private_count = 0;
+  Histogram lat_us;
+};
+constexpr Field<DemoStats> kDemoFields[] = {
+    {"hits", &DemoStats::hits},
+    {"misses", &DemoStats::misses},
+    {"lat_us", &DemoStats::lat_us},
+};
+
+TEST(StatsStructTest, ResolvingAPrefixTwiceGivesTheSameStruct) {
+  Registry reg;
+  DemoStats* first = Scope(&reg, "node1").Sub("demo").Resolve(kDemoFields);
+  ++first->hits;
+  DemoStats* again = Scope(&reg, "node1.demo").Resolve(kDemoFields);
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(again->hits, 1u);
+  EXPECT_NE(Scope(&reg, "node2.demo").Resolve(kDemoFields), first);
+  EXPECT_EQ(reg.size(), 6u);  // three instruments per prefix
+}
+
+TEST(StatsStructTest, ResetZeroesPublishedFieldsOnly) {
+  Registry reg;
+  DemoStats* s = Scope(&reg, "node1").Resolve(kDemoFields);
+  DemoStats* other = Scope(&reg, "node10").Resolve(kDemoFields);
+  s->hits = 3;
+  s->misses = 4;
+  s->private_count = 5;
+  s->lat_us.Record(10.0);
+  other->hits = 7;
+  reg.ResetPrefix("node1");
+  EXPECT_EQ(s->hits, 0u);
+  EXPECT_EQ(s->misses, 0u);
+  EXPECT_EQ(s->lat_us.count(), 0u);
+  EXPECT_EQ(s->private_count, 5u);
+  EXPECT_EQ(other->hits, 7u);
+  reg.ResetAll();
+  EXPECT_EQ(other->hits, 0u);
+  EXPECT_EQ(s->private_count, 5u);
+}
+
+TEST(StatsStructTest, SnapshotShowsTheFieldValues) {
+  Registry reg;
+  DemoStats* s = Scope(&reg, "demo").Resolve(kDemoFields);
+  s->hits = 7;
+  s->misses = 2;
+  s->private_count = 9;
+  s->lat_us.Record(4.0);
+  const std::map<std::string, uint64_t> expected = {{"demo.hits", 7},
+                                                    {"demo.misses", 2}};
+  EXPECT_EQ(ParseSnapshotCounters(reg.SnapshotJson()), expected);
+  EXPECT_EQ(reg.CounterValue("demo.hits"), 7u);
+  EXPECT_EQ(reg.FindHistogram("demo.lat_us"), &s->lat_us);
+  EXPECT_NE(reg.SnapshotJson().find("\"demo.lat_us\": {\"count\": 1"),
+            std::string::npos);
+}
+
+TEST(StatsStructTest, KindClashAndSecondWriterThrow) {
+  Registry reg;
+  Scope(&reg, "demo").Resolve(kDemoFields);
+  EXPECT_THROW(reg.GetGauge("demo.hits"), std::logic_error);
+  EXPECT_THROW(reg.GetHistogram("demo.hits"), std::logic_error);
+  // A published field is written only through its struct.
+  EXPECT_THROW(reg.GetCounter("demo.hits"), std::logic_error);
+  EXPECT_THROW(reg.GetHistogram("demo.lat_us"), std::logic_error);
+  reg.GetGauge("clash.misses");
+  EXPECT_THROW(Scope(&reg, "clash").Resolve(kDemoFields), std::logic_error);
+}
+
+TEST(StatsStructTest, StandaloneScopeStillCounts) {
+  Scope standalone(nullptr, "demo");
+  DemoStats* s = standalone.Resolve(kDemoFields);
+  ++s->hits;
+  EXPECT_EQ(standalone.registry().CounterValue("demo.hits"), 1u);
+  EXPECT_EQ(standalone.Sub("x").registry().CounterValue("demo.hits"), 1u);
 }
 
 TEST(TraceRingTest, DisabledRecordingIsANoOp) {
@@ -208,8 +291,8 @@ TEST_F(ObsStoreTest, NvmeAccessInvariantsVisibleInRegistry) {
   EXPECT_EQ(Reads() - r0, 1u);   // DEL: bucket read...
   EXPECT_EQ(Writes() - w0, 1u);  // ...plus tombstone bucket append = 2
 
-  // The op counters moved in lockstep and the legacy stats() view agrees
-  // with the registry it is materialized from.
+  // The op counters moved in lockstep, and stats() is the struct the
+  // registry publishes.
   EXPECT_EQ(reg_.CounterValue("store0.puts"), 2u);
   EXPECT_EQ(reg_.CounterValue("store0.gets"), 1u);
   EXPECT_EQ(reg_.CounterValue("store0.dels"), 1u);

@@ -907,6 +907,10 @@ void CheckPointerOrder(const std::string& path, const FlatCode& flat,
 
 }  // namespace
 
+bool ValidMetricName(const std::string& name) {
+  return ValidMetricLiteral(name, /*whole_argument=*/true);
+}
+
 const std::vector<RuleInfo>& Rules() {
   static const std::vector<RuleInfo> kRules = {
       {"determinism",

@@ -92,6 +92,11 @@ std::vector<Finding> LintTree(const std::string& root,
                               const TreeOptions& options = {},
                               size_t* files_scanned = nullptr);
 
+// The metric-name rule's check of one whole instrument name: [a-z0-9_]
+// segments joined by single dots. The rule sees only literals passed to
+// the getters; tests apply this to the names a registry actually holds.
+bool ValidMetricName(const std::string& name);
+
 // "path:line: [rule] message\n" per finding.
 std::string FormatFindings(const std::vector<Finding>& findings);
 

@@ -93,6 +93,13 @@ snap device-death "${CLUSTER[@]}" --duration-ms=200 \
   --fault-plan='dev:dead_after_ms=40,node=1,ssd=0;net:drop=0.001'
 counter_at_least "$OUT/device-death.a.metrics.json" faults.dev.dead 1
 
+# The baseline stacks (KVell, FAWN) run the same clients, flow scheduler
+# and control plane over their own storage engines.
+for system in kvell fawn; do
+  snap "$system" "${CLUSTER[@]}" --duration-ms=100 --system="$system"
+  counter_at_least "$OUT/$system.a.metrics.json" sched.sent 1
+done
+
 # The checked history of a crash sweep; jobs=1 serial is the oracle for
 # the seed-parallel sweep driver.
 SWEEP=(--check=linearizability --seeds=4 --seed=12345 --check-plan=crash)
