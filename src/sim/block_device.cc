@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdlib>
 #include <memory>
 #include "common/bytes.h"
 #include "sim/fault.h"
@@ -14,7 +15,9 @@ PageStore::PageStore(uint64_t capacity_bytes, uint32_t page_size)
       page_size_(page_size),
       chunk_pages_(static_cast<uint32_t>(
           std::clamp<uint64_t>(kChunkBytes / page_size, 1, 64))),
-      chunk_bytes_(uint64_t{chunk_pages_} * page_size) {}
+      chunk_bytes_(uint64_t{chunk_pages_} * page_size) {
+  if (chunk_bytes_ > UINT16_MAX) std::abort();  // extent bounds are 16-bit
+}
 
 Status PageStore::CheckRange(uint64_t offset, uint64_t length) const {
   if (length == 0) return Status::InvalidArgument("zero-length IO");
@@ -31,6 +34,12 @@ Status PageStore::CheckRequest(const IoRequest& request, uint64_t length) const 
     return Status::InvalidArgument("shared-tail write longer than its bytes");
   }
   return Status::Ok();
+}
+
+uint64_t PageStore::extent_capacity() const {
+  uint64_t room = 0;
+  for (const Slot& s : slots_) room += s.extents.capacity();
+  return room;
 }
 
 const PageStore::Slot* PageStore::Find(uint64_t chunk_no) const {
@@ -70,27 +79,70 @@ void PageStore::Grow() {
   }
 }
 
-void PageStore::Extent::SetHead(std::span<const uint8_t> bytes) {
-  head_len = static_cast<uint32_t>(bytes.size());
-  if (head_len > kInlineHead) {
-    head_bytes.emplace<std::vector<uint8_t>>(bytes.begin(), bytes.end());
+PageStore::Extent::Extent(Extent&& other) noexcept
+    : begin(other.begin), end(other.end), head_len(other.head_len), far(other.far) {
+  if (far) {
+    std::construct_at(&far_, std::move(other.far_));
   } else {
-    leed::CopyBytes(head_bytes.emplace<InlineHead>().data(), bytes.data(), bytes.size());
+    near_ = other.near_;
+  }
+}
+
+PageStore::Extent& PageStore::Extent::operator=(Extent&& other) noexcept {
+  if (this != &other) {
+    std::destroy_at(this);
+    std::construct_at(this, std::move(other));
+  }
+  return *this;
+}
+
+PageStore::Extent::~Extent() {
+  if (far) std::destroy_at(&far_);
+}
+
+void PageStore::Extent::MakeFar() {
+  if (far) return;
+  std::construct_at(&far_);
+  far = true;
+}
+
+void PageStore::Extent::SetTail(const SharedBytes& tail, uint32_t pos) {
+  assert(head_len == 0 && "a head is set after the tail");
+  MakeFar();
+  far_.pos = pos;
+  far_.tail = tail;
+  far_.tail_data = tail.bytes().data();
+}
+
+void PageStore::Extent::SetHead(std::span<const uint8_t> bytes) {
+  if (!far && bytes.size() <= kInlineHead) {
+    leed::CopyBytes(near_.data(), bytes.data(), bytes.size());
+    head_len = static_cast<uint16_t>(bytes.size());
+    return;
+  }
+  MakeFar();
+  head_len = static_cast<uint16_t>(bytes.size());
+  if (bytes.size() > kFarInlineHead) {
+    far_.head.emplace<std::vector<uint8_t>>(bytes.begin(), bytes.end());
+  } else {
+    leed::CopyBytes(far_.head.emplace<0>().data(), bytes.data(), bytes.size());
   }
 }
 
 void PageStore::Extent::SetHead(std::vector<uint8_t>&& bytes) {
-  if (bytes.size() > kInlineHead) {
-    head_len = static_cast<uint32_t>(bytes.size());
-    head_bytes = std::move(bytes);
-  } else {
+  if (bytes.size() <= (far ? kFarInlineHead : kInlineHead)) {
     SetHead(std::span<const uint8_t>(bytes));
+    return;
   }
+  MakeFar();
+  head_len = static_cast<uint16_t>(bytes.size());
+  bytes.shrink_to_fit();
+  far_.head = std::move(bytes);
 }
 
 void PageStore::Extent::AppendTo(uint32_t from, uint32_t to,
                                  std::vector<uint8_t>& out) const {
-  uint64_t src = pos + (from - begin);
+  uint64_t src = (far ? far_.pos : 0) + (from - begin);
   const uint64_t src_end = src + (to - from);
   if (src < head_len) {
     const uint64_t h = std::min<uint64_t>(src_end, head_len);
@@ -98,36 +150,39 @@ void PageStore::Extent::AppendTo(uint32_t from, uint32_t to,
     src = h;
   }
   if (src >= src_end) return;
-  if (tail_data != nullptr) {
-    out.insert(out.end(), tail_data + (src - head_len), tail_data + (src_end - head_len));
+  if (far && far_.tail_data != nullptr) {
+    out.insert(out.end(), far_.tail_data + (src - head_len),
+               far_.tail_data + (src_end - head_len));
   } else {
     out.resize(out.size() + (src_end - src), 0);
   }
 }
 
 void PageStore::Extent::DropFront(uint32_t at) {
-  pos += at - begin;
-  begin = at;
-  if (head_len > 0 && pos >= head_len) {
-    pos -= head_len;
+  const uint32_t cut = at - begin;
+  begin = static_cast<uint16_t>(at);
+  if (!far) {
+    // The head keeps starting at `begin`.
+    const uint32_t left = head_len > cut ? head_len - cut : 0;
+    std::copy_n(near_.begin() + (head_len - left), left, near_.begin());
+    head_len = static_cast<uint16_t>(left);
+    return;
+  }
+  far_.pos += cut;
+  if (head_len > 0 && far_.pos >= head_len) {
+    far_.pos -= head_len;
     head_len = 0;
-    head_bytes.emplace<InlineHead>();
+    far_.head.emplace<0>();
   }
 }
 
 PageStore::Extent PageStore::Extent::Suffix(uint32_t at) const {
-  Extent x;
-  x.begin = at;
-  x.end = end;
-  x.pos = pos + (at - begin);
-  x.tail = tail;
-  x.tail_data = tail_data;
-  if (x.pos < head_len) {
-    x.SetHead({head() + x.pos, head_len - x.pos});  // the rest of the head
-    x.pos = 0;
-  } else {
-    x.pos -= head_len;
+  Extent x(at, end);
+  const uint32_t pos = (far ? far_.pos : 0) + (at - begin);
+  if (far && far_.tail_data != nullptr) {
+    x.SetTail(far_.tail, pos < head_len ? 0 : pos - head_len);
   }
+  if (pos < head_len) x.SetHead({head() + pos, head_len - pos});  // the rest of it
   return x;
 }
 
@@ -140,13 +195,13 @@ void PageStore::CutExtents(Slot& slot, uint32_t begin, uint32_t end, Extent* fil
   if (last - first == 1 && xs[first].begin < begin && xs[first].end > end) {
     // The range lies inside one extent: keep both sides of it.
     Extent right = xs[first].Suffix(end);
-    xs[first].end = begin;
+    xs[first].end = static_cast<uint16_t>(begin);
     xs.insert(xs.begin() + static_cast<long>(first) + 1, std::move(right));
     ++extents_;
     ++first;
     last = first;
   } else if (first < last) {
-    if (xs[first].begin < begin) xs[first++].end = begin;
+    if (xs[first].begin < begin) xs[first++].end = static_cast<uint16_t>(begin);
     if (first < last && xs[last - 1].end > end) xs[--last].DropFront(end);
   }
   // [first, last) now lie inside the range.
@@ -198,6 +253,7 @@ void PageStore::Write(uint64_t offset, const std::vector<uint8_t>& data,
     }
     if (!slot.extents.empty()) {
       CutExtents(slot, static_cast<uint32_t>(begin), static_cast<uint32_t>(end), nullptr);
+      if (end == chunk_bytes_) slot.extents.shrink_to_fit();
     }
     uint8_t* bytes = slot.bytes.get();
     // A page's first write defines all of it: zero what this write leaves
@@ -239,9 +295,10 @@ void PageStore::WriteExtent(uint64_t offset, std::vector<uint8_t> head,
       continue;
     }
     Slot& slot = FindOrInsert(chunk_no);
-    Extent x;
-    x.begin = static_cast<uint32_t>(begin);
-    x.end = static_cast<uint32_t>(end);
+    Extent x(static_cast<uint32_t>(begin), static_cast<uint32_t>(end));
+    if (pos + n > head_len && tail.size() > 0) {
+      x.SetTail(tail, static_cast<uint32_t>(pos > head_len ? pos - head_len : 0));
+    }
     if (pos < head_len) {
       // The piece keeps only the part of the head inside it: the head
       // itself when that is all of it, a copy of its part otherwise.
@@ -251,17 +308,12 @@ void PageStore::WriteExtent(uint64_t offset, std::vector<uint8_t> head,
       } else {
         x.SetHead(std::span<const uint8_t>(head).subspan(pos, part));
       }
-    } else {
-      x.pos = static_cast<uint32_t>(pos - head_len);
-    }
-    if (pos + n > head_len && tail.size() > 0) {
-      x.tail = tail;
-      x.tail_data = tail.bytes().data();
     }
     CutExtents(slot, x.begin, x.end, &x);
     if (slot.written != 0) {
       DropShadowedPages(slot, begin / page_size_, (end - 1) / page_size_);
     }
+    if (end == chunk_bytes_) slot.extents.shrink_to_fit();
     pos += n;
   }
 }

@@ -148,17 +148,22 @@ class BlockDevice {
 //     short sorted vector per chunk, not one ordered map per device: a
 //     map node per write cost a prototype 28% more host CPU per op on a
 //     write-heavy run.
-// A head of up to 32 bytes (a value entry's header and a short key) is
-// kept in its extent. A longer one (a key-log bucket's used prefix, a
-// long key's entry header) keeps a buffer of its own: the write request's,
-// moved in, when one chunk holds the whole head, so the writer sizes it
-// (DataStore::PutApply sends a bucket's used bytes in a buffer of exactly
-// that size).
+// An extent without a tail keeps a head of up to 72 bytes (a one-item
+// key-log bucket's used prefix) inside itself, so a PUT's bucket costs its
+// extent alone. An extent with a tail keeps a head of up to 32 bytes (a
+// value entry's header and a short key) inside itself. A longer head (a
+// bigger bucket's used prefix, a long key's entry header) keeps a buffer of
+// its own, exactly its size: the write request's, moved in, when one chunk
+// holds the whole head.
 // A piece of a write that holds only zeros (past its data, with no tail)
 // is stored as no bytes at all, as Discard leaves a range.
+// A chunk's extent array is cut to its size when a write reaches the
+// chunk's end, which a log's last append into a chunk does: a chunk the
+// log has moved past carries no spare capacity.
 // A chunk is small enough that the unwritten tail of a partly written
 // chunk (one at each log's write frontier) costs little memory, and large
 // enough that a sequential log append touches one table slot per 4 pages.
+// Its bounds fit 16 bits, so pages are at most 32 KiB.
 class PageStore {
  public:
   PageStore(uint64_t capacity_bytes, uint32_t page_size = 4096);
@@ -193,29 +198,36 @@ class PageStore {
   uint64_t resident_bytes() const { return resident_ * page_size_; }
   // Extents currently kept, over all chunks.
   uint64_t extents() const { return extents_; }
+  // Room for extents in the chunks' arrays, over all chunks (a walk of
+  // the chunk table).
+  uint64_t extent_capacity() const;
+
+  // The longest head an extent without a tail keeps inside itself: a
+  // one-item key-log bucket's used prefix (36-byte header, 13-byte item
+  // and a 16-byte key is 65).
+  static constexpr uint32_t kInlineHead = 72;
 
  private:
   static constexpr uint64_t kChunkBytes = 16 * 1024;
   static constexpr uint64_t kNoChunk = ~uint64_t{0};
 
-  struct Extent {
-    static constexpr uint32_t kInlineHead = 32;
+  // A byte range of a chunk: its head's bytes, then a tail's or zeros.
+  // Without a tail, a head that fits lives in `near_`, from `begin` on;
+  // otherwise the extent is far, and `far_` holds the tail and the head.
+  class Extent {
+   public:
+    static constexpr uint32_t kFarInlineHead = 32;  // with a tail
 
-    using InlineHead = std::array<uint8_t, kInlineHead>;
+    Extent(uint32_t from, uint32_t to)
+        : begin(static_cast<uint16_t>(from)), end(static_cast<uint16_t>(to)) {}
+    Extent(Extent&& other) noexcept;
+    Extent& operator=(Extent&& other) noexcept;
+    ~Extent();
 
-    uint32_t begin = 0;  // chunk-relative byte range [begin, end)
-    uint32_t end = 0;
-    uint32_t pos = 0;    // where `begin` lies in head ++ tail ++ zeros
-    uint32_t head_len = 0;
-    std::variant<InlineHead, std::vector<uint8_t>> head_bytes;
-    SharedBytes tail;  // none: zeros follow the head
-    // tail.bytes().data(), cached: a read need not touch the tail's
-    // control block, a cache miss of its own. Null without a tail.
-    const uint8_t* tail_data = nullptr;
-
-    const uint8_t* head() const {
-      return std::visit([](const auto& h) { return h.data(); }, head_bytes);
-    }
+    // The extent holds, after its head, `tail` from byte `pos` on. Set
+    // before the head.
+    void SetTail(const SharedBytes& tail, uint32_t pos);
+    // The bytes the extent starts with.
     void SetHead(std::span<const uint8_t> bytes);
     void SetHead(std::vector<uint8_t>&& bytes);
     // Appends the extent's bytes [from, to) (chunk-relative) to `out`.
@@ -224,6 +236,32 @@ class PageStore {
     void DropFront(uint32_t at);
     // The part of this extent from `at` on, as an extent of its own.
     Extent Suffix(uint32_t at) const;
+
+    uint16_t begin;  // chunk-relative byte range [begin, end)
+    uint16_t end;
+
+   private:
+    struct Far {
+      uint32_t pos = 0;  // where `begin` lies in head ++ tail ++ zeros
+      SharedBytes tail;  // none: zeros follow the head
+      // tail.bytes().data(), cached: a read need not touch the tail's
+      // control block, a cache miss of its own. Null without a tail.
+      const uint8_t* tail_data = nullptr;
+      std::variant<std::array<uint8_t, kFarInlineHead>, std::vector<uint8_t>> head;
+    };
+
+    void MakeFar();
+    const uint8_t* head() const {
+      if (!far) return near_.data();
+      return std::visit([](const auto& h) { return h.data(); }, far_.head);
+    }
+
+    uint16_t head_len = 0;  // near: from `begin` on; far: all of it
+    bool far = false;
+    union {
+      std::array<uint8_t, kInlineHead> near_{};
+      Far far_;
+    };
   };
   // One extent per replica of every value a log holds: keep it small.
   static_assert(sizeof(Extent) <= 80);

@@ -252,14 +252,15 @@ struct Compactor::Run {
   bool all_relocated = true;
 };
 
-void Compactor::EndRun(Run& run, Status status, RunEnd end) {
+void Compactor::EndRun(Run& run, Status status, bool advanced) {
   state(run.log).running = false;
   ReleaseSlot();
   run.done(std::move(status));
-  // A joined run keeps draining while a log is above threshold. An aborted
-  // one does not, so a failing device or a torn head entry cannot spin.
-  if (end != RunEnd::kAborted) MaybeStart();
-  const bool advanced = end == RunEnd::kAdvanced;
+  // A run that advanced keeps draining while a log is above threshold. One
+  // that did not leaves the restart to the next trigger (a PUT, or a run
+  // that advances), so a failing device, a torn head entry or a home key
+  // log too full for any collapsed segment cannot spin.
+  if (advanced) MaybeStart();
   if (advanced || !running()) s_.ResumeParkedPuts(advanced);
 }
 
@@ -355,7 +356,7 @@ void Compactor::Start(Log log, DataStore::OpCallback done) {
   ++s_.stats_->ssd_reads;
   clog.Read(run->region_start, len, [this, run](log::ReadResult r) {
     if (!r.status.ok()) {
-      EndRun(*run, r.status, RunEnd::kAborted);
+      EndRun(*run, r.status, false);
       return;
     }
     WithRegion(run, std::move(r.data));
@@ -370,7 +371,7 @@ void Compactor::WithRegion(std::shared_ptr<Run> run, std::vector<uint8_t> region
     // A value chunk without one whole entry has nothing to advance over; a
     // key chunk without a readable bucket is skipped.
     if (run->log == Log::kValue) {
-      EndRun(*run, Status::Ok(), RunEnd::kAborted);
+      EndRun(*run, Status::Ok(), false);
       return;
     }
     run->groups_pending = 1;
@@ -490,7 +491,7 @@ void Compactor::Join(std::shared_ptr<Run> run) {
     (void)st;
   }
   if (s_.config().prefetch) IssuePrefetch(run->log);
-  EndRun(*run, Status::Ok(), advanced ? RunEnd::kAdvanced : RunEnd::kJoined);
+  EndRun(*run, Status::Ok(), advanced);
 }
 
 void Compactor::IssuePrefetch(Log log) {

@@ -79,13 +79,10 @@ class Compactor {
   };
   struct Run;
 
-  // How a run ended: aborted before its join (a failed read, nothing to
-  // parse), joined with the head where it was, or joined and advanced it.
-  enum class RunEnd { kAborted, kJoined, kAdvanced };
   // Every run ends here: clear its flag, free its gate slot, report
-  // `status`, keep draining after a join, and resume parked writes when
-  // the head advanced or no run is left that could advance it.
-  void EndRun(Run& run, Status status, RunEnd end);
+  // `status`, keep draining when it advanced the head, and resume parked
+  // writes when it did or no run is left that could.
+  void EndRun(Run& run, Status status, bool advanced);
   // The shared gate (when configured): take a slot, or queue for one; give
   // one back, offering it to the queued stores first.
   bool AcquireSlot();

@@ -516,16 +516,14 @@ void DataStore::PutApply(std::shared_ptr<PutOp> op) {
       used = enc.Finish(header);
     }
     // The bucket's zero padding (its CRC covers it) is not sent: the
-    // device keeps it implicitly, and keeps the bytes used in the buffer
-    // they are sent in, so that buffer is exactly their size.
-    std::vector<uint8_t> bytes_used(encoded.begin(),
-                                    encoded.begin() + static_cast<long>(used));
+    // device keeps it implicitly.
+    encoded.resize(used);
 
     op->new_offset = target.key_log->tail();
     op->pending_appends++;
     ++stats_->ssd_writes;
     target.key_log->Append(
-        std::move(bytes_used), config_.bucket_size, [this, op](log::AppendResult r) {
+        std::move(encoded), config_.bucket_size, [this, op](log::AppendResult r) {
           if (!r.status.ok()) op->append_status = r.status;
           if (--op->pending_appends == 0) PutCommit(op);
         });

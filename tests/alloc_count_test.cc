@@ -3,9 +3,10 @@
 // collapse of a maximum-length chain and a PUT that rewrites its chain
 // head merge, pack and encode on the bytes they read, never one object per
 // key item. Also pins how often a replicated PUT's value is copied on its
-// way through the chain. The same idea as the EventFitsInline
-// static_asserts, checked at run time: this binary replaces the global
-// operator new with a counting one.
+// way through the chain, and that the simulated device keeps a one-item
+// key-log bucket without a heap buffer of its own. The same idea as the
+// EventFitsInline static_asserts, checked at run time: this binary
+// replaces the global operator new and delete with counting ones.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,8 @@
 
 namespace {
 uint64_t g_allocs = 0;
+// Blocks allocated and not yet freed.
+int64_t g_live = 0;
 // Allocations of [g_sized_lo, g_sized_hi) bytes: the value-sized ones.
 uint64_t g_sized_allocs = 0;
 std::size_t g_sized_lo = 0;
@@ -35,9 +38,15 @@ std::size_t g_sized_hi = 0;
 
 void* CountedAlloc(std::size_t n) {
   ++g_allocs;
+  ++g_live;
   if (n >= g_sized_lo && n < g_sized_hi) ++g_sized_allocs;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
+}
+
+void CountedFree(void* p) {
+  if (p != nullptr) --g_live;
+  std::free(p);
 }
 }  // namespace
 
@@ -45,16 +54,18 @@ void* operator new(std::size_t n) { return CountedAlloc(n); }
 void* operator new[](std::size_t n) { return CountedAlloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   ++g_allocs;
+  ++g_live;
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   ++g_allocs;
+  ++g_live;
   return std::malloc(n == 0 ? 1 : n);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 namespace leed::store {
 namespace {
@@ -182,6 +193,40 @@ TEST(WritePathAllocTest, PutHeadRewriteIsConstant) {
   const uint64_t b = many.MinPutAllocs(3);
   EXPECT_EQ(a, b);
   EXPECT_LE(b, kPutBudget);
+}
+
+// A one-item bucket as PutApply appends it to the key log: its used
+// prefix (a 16-byte key, as the YCSB key names give, makes 65 bytes),
+// padded to the bucket size by the device. The device keeps the prefix
+// inside the extent it records, so the append leaves no block behind: the
+// request's buffer is freed once the write lands. The fewest blocks any of
+// eight appends leaves, as the extent array grows now and then.
+TEST(WritePathAllocTest, OneItemBucketKeepsNoHeadBuffer) {
+  sim::Simulator sim;
+  sim::MemBlockDevice device(sim, 64ull << 20, 512);
+  log::CircularLog key_log(device, 0, 2 << 20);
+  constexpr uint32_t kBucket = 512;
+  int64_t fewest = INT64_MAX;
+  for (int i = 0; i < 8; ++i) {
+    const std::string key = "user" + std::to_string(100000000000 + i);
+    bool done = false;
+    const int64_t live = g_live;
+    std::vector<uint8_t> encoded(kBucket);
+    BucketEncoder enc(encoded);
+    ASSERT_TRUE(enc.Add(KeyItemView{key, 100, 0, 0}));
+    BucketHeader header;
+    header.chain_len = 1;
+    encoded.resize(enc.Finish(header));
+    ASSERT_EQ(encoded.size(), 65u);
+    ASSERT_LE(encoded.size(), sim::PageStore::kInlineHead);
+    key_log.Append(std::move(encoded), kBucket, [&done](log::AppendResult r) {
+      EXPECT_TRUE(r.status.ok());
+      done = true;
+    });
+    ASSERT_TRUE(RunUntilFlag(sim, done));
+    fewest = std::min(fewest, g_live - live);
+  }
+  EXPECT_EQ(fewest, 0);
 }
 
 TEST(WritePathAllocTest, MaxChainCollapseIsConstant) {

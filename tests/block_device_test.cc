@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -267,6 +268,7 @@ void PersistPadded(PageStore& store, WindowOracle& oracle, uint64_t offset,
 // discard of the whole window leaves nothing stored. Page sizes give 4, 16
 // and (capped by the 64-bit bitmap) 64 pages per chunk.
 TEST(PageStoreTest, ChunkBoundaryOracle) {
+  constexpr uint64_t kInline = PageStore::kInlineHead;
   for (const uint32_t page : {4096u, 1024u, 128u}) {
     SCOPED_TRACE(page);
     constexpr uint64_t kCapacity = 1ull << 30;
@@ -288,6 +290,7 @@ TEST(PageStoreTest, ChunkBoundaryOracle) {
       oracle.Write(at, {0x5a}, 1);
     }
     uint64_t torn_in_head = 0, torn_in_tail = 0, padded = 0, discards = 0;
+    uint64_t inline_heads = 0;
     for (int op = 0; op < 600; ++op) {
       if (op % 9 == 8) {
         const uint64_t dlen = 1 + rng.NextBounded(op % 4 == 0 ? 40 * 1024 : 2 * page);
@@ -304,8 +307,40 @@ TEST(PageStoreTest, ChunkBoundaryOracle) {
       // (the crash model's `keep`), and nothing past the prefix is touched.
       uint64_t keep = op % 5 == 0 ? 1 + rng.NextBounded(length) : length;
       if (offset < hole + page && hole < offset + keep) continue;
-      if (op % 6 == 2) {
-        // Up to 300 bytes of data (often more than the 32 an extent holds
+      if (op % 6 == 2 && op % 12 == 8 && length > kInline + 16) {
+        // A head of the inline limit -1, the limit or +1, every other one
+        // split across a chunk boundary; then a discard, plain write or
+        // shared write through it, which drops its front, splits it or
+        // replaces it.
+        data.resize(kInline - 1 + rng.NextBounded(3));
+        uint64_t at = offset;
+        if (op % 24 == 8) {
+          const uint64_t boundary = (base + rng.NextBounded(kWindow - 2 * length)) / chunk * chunk;
+          at = std::max(base + chunk, boundary) - 1 - rng.NextBounded(data.size() - 1);
+        }
+        if (at < hole + page && hole < at + length) continue;
+        PersistPadded(store, oracle, at, data, length, length);
+        const uint64_t from = at + rng.NextBounded(data.size());
+        const uint64_t n = 1 + rng.NextBounded(at + data.size() + 8 - from);
+        std::vector<uint8_t> over = RandomBytes(rng, n);
+        switch (op / 12 % 3) {
+          case 0:
+            store.Discard(from, n);
+            oracle.Discard(from, n);
+            break;
+          case 1:
+            store.Write(from, over, n);
+            oracle.Write(from, over, n);
+            break;
+          default: {
+            auto [over_head, over_tail] = SplitHead(over, n / 2);
+            store.WriteExtent(from, over_head, over_tail, n);
+            oracle.WriteShared(from, over, n);
+          }
+        }
+        ++inline_heads;
+      } else if (op % 6 == 2) {
+        // Up to 300 bytes of data (often more than an extent holds
         // inline), or none at all.
         data.resize(rng.NextBounded(std::min<uint64_t>(length, 300) + 1));
         PersistPadded(store, oracle, offset, data, length, keep);
@@ -335,6 +370,7 @@ TEST(PageStoreTest, ChunkBoundaryOracle) {
     EXPECT_GT(torn_in_tail, 0u);
     EXPECT_GT(padded, 0u);
     EXPECT_GT(discards, 0u);
+    EXPECT_GT(inline_heads, 0u);
     EXPECT_EQ(store.resident_bytes(), oracle.stored_pages() * page);
     EXPECT_EQ(store.extents(), oracle.extents());
     EXPECT_FALSE(oracle.stores(hole / page));
@@ -371,10 +407,13 @@ TEST(PageStoreTest, LogWrapOracle) {
   uint64_t head = 0;  // logical log offsets
   uint64_t tail = 0;
   enum class Kind { kShared, kPadded, kPlain };
-  auto append = [&](Kind kind) {
-    const uint64_t length = kind == Kind::kPadded ? kBucket : 40 + rng.NextBounded(3000);
-    const uint64_t head_len =
-        kind == Kind::kPadded ? 40 + rng.NextBounded(161) : 10 + rng.NextBounded(30);
+  // `length` of a shared or plain entry (0: random), `head_len` of a padded
+  // one (0: random).
+  auto append = [&](Kind kind, uint64_t length = 0, uint64_t head_len = 0) {
+    if (length == 0) length = kind == Kind::kPadded ? kBucket : 40 + rng.NextBounded(3000);
+    if (head_len == 0) {
+      head_len = kind == Kind::kPadded ? 40 + rng.NextBounded(161) : 10 + rng.NextBounded(30);
+    }
     std::vector<uint8_t> data = RandomBytes(rng, kind == Kind::kPadded ? head_len : length);
     const uint64_t phys = base + tail % kRing;
     const uint64_t to_end = base + kRing - phys;
@@ -433,21 +472,78 @@ TEST(PageStoreTest, LogWrapOracle) {
   head = tail - kRing / 2;
   discard(tail, head + kRing);
   const uint64_t end = tail + 4 * kRing;
+  uint64_t inline_heads = 0, split_inline_heads = 0, heads_cut_inside = 0;
+  std::deque<uint64_t> inline_at;  // logical offsets of those buckets
   for (int op = 0; tail < end; ++op) {
-    append(op % 8 == 7 ? Kind::kPlain : op % 4 == 1 ? Kind::kPadded : Kind::kShared);
+    if (op % 4 == 1 && op % 8 != 7 && rng.NextBounded(2) == 0) {
+      // A bucket whose head is at the inline limit -1, the limit or +1;
+      // every other one placed across a chunk boundary by the entry
+      // before it.
+      const uint64_t head_len = PageStore::kInlineHead - 1 + rng.NextBounded(3);
+      const uint64_t phys = base + tail % kRing;
+      const uint64_t to_boundary = kChunk - phys % kChunk;
+      const uint64_t pad = to_boundary - 1 - rng.NextBounded(head_len - 1);
+      if (op % 8 == 1 && pad >= 40 && phys + pad < base + kRing) {
+        append(Kind::kShared, pad);
+        ++split_inline_heads;
+      }
+      inline_at.push_back(tail);
+      append(Kind::kPadded, 0, head_len);
+      ++inline_heads;
+    } else {
+      append(op % 8 == 7 ? Kind::kPlain : op % 4 == 1 ? Kind::kPadded : Kind::kShared);
+    }
     if (tail - head > kRing / 2) {
-      discard(head, tail - kRing / 2);
-      head = tail - kRing / 2;
+      // The log's head stops inside every such bucket's head first.
+      uint64_t to = tail - kRing / 2;
+      if (!inline_at.empty() && inline_at.front() + PageStore::kInlineHead < to) {
+        to = inline_at.front() + 1 + rng.NextBounded(PageStore::kInlineHead - 2);
+        inline_at.pop_front();
+        ++heads_cut_inside;
+      }
+      discard(head, to);
+      head = to;
     }
     ASSERT_EQ(store.resident_pages(), oracle.stored_pages());
     ASSERT_EQ(store.extents(), oracle.extents());
     const uint64_t rlen = 1 + rng.NextBounded(kRing);
     CheckAgainst(store, oracle, base + rng.NextBounded(kRing - rlen + 1), rlen);
   }
+  EXPECT_GT(inline_heads, 0u);
+  EXPECT_GT(split_inline_heads, 0u);
+  EXPECT_GT(heads_cut_inside, 0u);
   discard(head, tail);
   EXPECT_EQ(store.resident_pages(), oracle.stored_pages());
   EXPECT_EQ(store.extents(), 0u);
   CheckAgainst(store, oracle, base, kRing);
+}
+
+// A log's appends grow a chunk's extent array by doubling; the append
+// that reaches the chunk's end leaves the array exactly its size, on the
+// first lap and on the lap that overwrites it.
+TEST(PageStoreTest, ChunkArrayIsExactOnceWrittenToItsEnd) {
+  constexpr uint64_t kChunk = 16 * 1024;
+  constexpr uint64_t kEnd = 3 * kChunk;
+  PageStore store(1 << 24, 4096);
+  Rng rng(testutil::TestSeed(0xe7ac));
+  for (int lap = 0; lap < 2; ++lap) {
+    SCOPED_TRACE(lap);
+    bool spare = false;
+    for (uint64_t at = 0; at < kEnd;) {
+      const uint64_t length = std::min<uint64_t>(70 + rng.NextBounded(600), kEnd - at);
+      // A one-item bucket's used prefix, padded; or a value entry.
+      if (rng.NextBounded(2) == 0) {
+        store.WriteExtent(at, RandomBytes(rng, 65), SharedBytes(), length);
+      } else {
+        auto [head, tail] = SplitHead(RandomBytes(rng, length), 20);
+        store.WriteExtent(at, head, tail, length);
+      }
+      at += length;
+      spare = spare || store.extent_capacity() > store.extents();
+    }
+    EXPECT_TRUE(spare);
+    EXPECT_EQ(store.extent_capacity(), store.extents());
+  }
 }
 
 TEST(MemBlockDeviceTest, CompletionIsAsynchronousButImmediate) {

@@ -461,6 +461,44 @@ TEST_F(DataStoreTest, ParkedPutsFinishWhenCompactionCannotRead) {
   EXPECT_EQ(sim_.events_pending(), 0u);
 }
 
+TEST_F(DataStoreTest, KeyRunsOnAFullHomeKeyLogWaitForTheNextTrigger) {
+  // The home key log is filled until not even one bucket fits, so a key
+  // run relocates no segment and joins with the head where it was. It must
+  // not restart itself on the same chunk: the PUT parked for it resumes and
+  // fails OutOfSpace, and the store goes idle after a bounded number of
+  // runs.
+  StoreConfig cfg = SmallConfig();
+  cfg.num_segments = 16;
+  key_log_ = std::make_unique<log::CircularLog>(device_, 0, 256 << 10);
+  value_log_ = std::make_unique<log::CircularLog>(device_, 8 << 20, 8 << 20);
+  auto ds = std::make_unique<DataStore>(
+      sim_, core_, LogSet{0, key_log_.get(), value_log_.get()}, cfg);
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(SyncPut(sim_, *ds, "key" + std::to_string(i), TestValue(i, 64)).ok());
+  }
+  // Bytes no bucket parses from (their CRC does not match) fill the rest.
+  while (key_log_->free_space() >= kBucketSize) {
+    key_log_->Append(std::vector<uint8_t>(kBucketSize, 0xa5),
+                     [](log::AppendResult r) { ASSERT_TRUE(r.status.ok()); });
+  }
+  sim_.Run();
+  ASSERT_EQ(ds->stats().key_compactions, 0u);
+
+  bool done = false;
+  Status put_status;
+  ds->Put("key0", TestValue(99, 64), [&](Status st) {
+    put_status = st;
+    done = true;
+  });
+  for (int n = 0; n < 200'000 && sim_.Step(); ++n) {
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(put_status.code(), StatusCode::kOutOfSpace) << put_status.ToString();
+  EXPECT_LE(ds->stats().key_compactions, 2u);
+  EXPECT_FALSE(ds->compaction_running());
+  EXPECT_EQ(sim_.events_pending(), 0u);
+}
+
 TEST_F(DataStoreTest, SharedGateHandsAFreedSlotToTheStoreItRefused) {
   // Two stores on small logs share a one-slot gate and both churn above
   // their compaction threshold. A store ending a run must not re-take the
